@@ -21,7 +21,6 @@ from .funcs import (
     ProductPoint,
     RadialProduct,
     evaluate,
-    radialize,
 )
 from .operators import (
     MonomialWeight,
@@ -51,7 +50,6 @@ __all__ = [
     "radial_integral",
     "lp_norm",
     "evaluate",
-    "radialize",
     "hardy_eval",
     "weighted_hardy_eval",
     "weighted_cesaro_eval",

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hgroup
-from .hgroup import GroupDims, HPoint, ProductSpec, koranyi_norm
-from .measure import Estimate, substream, TAG_RADIALIZE
+from .hgroup import HPoint, ProductSpec, dilate_arrays, koranyi_norm
+from .measure import substream, TAG_RADIALIZE
 
 __all__ = [
     "ProductPoint",
@@ -31,8 +31,6 @@ __all__ = [
     "BumpMixture",
     "UnsupportedFamilyError",
     "evaluate",
-    "radialize",
-    "closed_lp_norm_power",
     "RadializedFunction",
     "DilatedFunction",
     "random_bump_mixture",
@@ -290,17 +288,6 @@ def evaluate(f: TestFunction, x: ProductPoint) -> float:
     return float(np.asarray(f(x.arrays()))[0])
 
 
-def closed_lp_norm_power(f: TestFunction, spec: ProductSpec, p: float) -> float:
-    """Exact ||f||_p for the power families:
-    inside:  prod_i (omega_i / (alpha_i p + Q_i))^(1/p),
-    outside: prod_i (omega_i / (beta_i p - Q_i))^(1/p)."""
-    if f.family not in ("power-inside", "power-outside"):
-        raise UnsupportedFamilyError("closed norms exist only for the power families")
-    if f.spec is not spec and f.spec != spec:
-        raise ValueError("spec mismatch")
-    return f.lp_norm_exact(p)
-
-
 def _content_seed(seed: int, arrays: list[np.ndarray]) -> int:
     """Derive a deterministic inner-sampling seed from the input points, so
     nested Monte Carlo stays independent of call order and worker count."""
@@ -309,24 +296,6 @@ def _content_seed(seed: int, arrays: list[np.ndarray]) -> int:
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return int.from_bytes(h.digest(), "little")
-
-
-def radialize(f, x: ProductPoint, samples: int = 4096, seed: int = 0) -> Estimate:
-    """Monte Carlo estimate of the per-factor spherical average of f at x:
-    the mean of f over independent product-sphere samples dilated to the
-    radii of x.  Fixes radial functions and preserves ball averages."""
-    radii = x.radii
-    rng = substream(seed, TAG_RADIALIZE)
-    pts = []
-    for dims, r in zip((GroupDims(p.n) for p in x.points), radii):
-        sph = hgroup.sample_unit_sphere(dims, rng, size=samples)
-        sph[:, : 2 * dims.n] *= r
-        sph[:, 2 * dims.n] *= r * r
-        pts.append(sph)
-    vals = np.asarray(f(pts), dtype=float)
-    mean = float(vals.mean())
-    sem = float(vals.std(ddof=0) / math.sqrt(samples))
-    return Estimate(mean, sem, samples, seed)
 
 
 class RadializedFunction(TestFunction):
@@ -351,9 +320,7 @@ class RadializedFunction(TestFunction):
         flat = []
         for dims, r in zip(self.spec.factors, radii):
             sph = hgroup.sample_unit_sphere(dims, rng, size=N * K).reshape(N, K, dims.dim)
-            sph[:, :, : 2 * dims.n] *= r[:, None, None]
-            sph[:, :, 2 * dims.n] *= (r * r)[:, None]
-            flat.append(sph.reshape(N * K, dims.dim))
+            flat.append(dilate_arrays(r[:, None], sph, dims.n).reshape(N * K, dims.dim))
         vals = np.asarray(self.f(flat), dtype=float).reshape(N, K)
         return vals.mean(axis=1)
 
@@ -374,13 +341,10 @@ class DilatedFunction(TestFunction):
             raise ValueError("dilation parameters must be positive")
 
     def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
-        scaled = []
-        for dims, lam, X in zip(self.spec.factors, self.lams, pts):
-            Y = X.copy()
-            Y[:, : 2 * dims.n] *= lam
-            Y[:, 2 * dims.n] *= lam * lam
-            scaled.append(Y)
-        return self.f(scaled)
+        return self.f([
+            dilate_arrays(lam, X, dims.n)
+            for dims, lam, X in zip(self.spec.factors, self.lams, pts)
+        ])
 
     def support_radii(self) -> tuple[float, ...]:
         return tuple(s / l for s, l in zip(self.f.support_radii(), self.lams))

@@ -25,11 +25,13 @@ __all__ = [
     "group_law",
     "inverse",
     "dilate",
+    "dilate_arrays",
     "koranyi_norm",
     "distance",
     "unit_ball_volume",
     "alt_unit_ball_volume",
     "ball_volume",
+    "polyball_volume",
     "sample_unit_ball",
     "sample_unit_sphere",
     "sample_ball",
@@ -165,6 +167,18 @@ def _law_arrays(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def dilate_arrays(r, x: np.ndarray, n: int) -> np.ndarray:
+    """delta_r on coordinate arrays, unchecked, as a fresh array:
+    x[..., :2n] * r and x[..., 2n] * (r*r), with r broadcasting against
+    x[..., 0] (so r of shape (K,) against x of shape (k, 1, 2n+1) gives
+    (k, K, 2n+1)).  r = 0 collapses x onto the origin."""
+    r = np.asarray(r, dtype=float)
+    out = np.empty(np.broadcast_shapes(x.shape[:-1], r.shape) + x.shape[-1:])
+    np.multiply(x[..., : 2 * n], r[..., None], out=out[..., : 2 * n])
+    np.multiply(x[..., 2 * n], r * r, out=out[..., 2 * n])
+    return out
+
+
 def group_law(x, y):
     """Group product x o y.  Horizontal parts add; the vertical part picks up
     the symplectic cross term 2 * sum_j (y_j x_{n+j} - x_j y_{n+j})."""
@@ -189,15 +203,10 @@ def dilate(r, x):
     """Anisotropic dilation delta_r: horizontal coordinates scale by r,
     the vertical coordinate by r^2.  Requires r > 0."""
     xa, xn, xh = _coerce(x)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if np.any(np.asarray(r, dtype=float) <= 0.0):
         raise ValueError("dilation parameter must be positive")
-    out = xa.copy()
-    out[..., : 2 * xn] *= r[..., None] if r.ndim else r
-    out[..., 2 * xn] *= r * r
-    if xh:
-        return HPoint(out, xn)
-    return out
+    out = dilate_arrays(r, xa, xn)
+    return HPoint(out, xn) if xh else out
 
 
 def koranyi_norm(x):
@@ -222,6 +231,15 @@ def ball_volume(dims: GroupDims, r: float) -> float:
     if r <= 0.0:
         raise ValueError("radius must be positive")
     return dims.ball_volume * r**dims.Q
+
+
+def polyball_volume(spec: ProductSpec, radii) -> float:
+    """Volume of the polyball B(0, r_1) x ... x B(0, r_m): the product of
+    the factors' `ball_volume`, taken in factor order."""
+    vol = 1.0
+    for dims, r in zip(spec.factors, radii):
+        vol *= ball_volume(dims, float(r))
+    return vol
 
 
 def sample_unit_ball(dims: GroupDims, rng: np.random.Generator, size: int | None = None):
@@ -276,7 +294,4 @@ def sample_ball(dims: GroupDims, rng: np.random.Generator, radius: float, size: 
     """Uniform samples on B(0, radius): unit-ball samples pushed through delta_radius."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    pts = sample_unit_ball(dims, rng, size=size)
-    pts[:, : 2 * dims.n] *= radius
-    pts[:, 2 * dims.n] *= radius * radius
-    return pts
+    return dilate_arrays(radius, sample_unit_ball(dims, rng, size=size), dims.n)

@@ -13,11 +13,11 @@ from __future__ import annotations
 import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hgroup import GroupDims, ProductSpec, sample_ball
+from .hgroup import GroupDims, ProductSpec, polyball_volume, sample_ball
 
 __all__ = [
     "Estimate",
@@ -28,6 +28,7 @@ __all__ = [
     "substream",
     "mc_integrate",
     "integrate_1d",
+    "nodewise",
     "radial_integral",
     "lp_norm",
 ]
@@ -81,11 +82,10 @@ class Estimate:
     std_error: float = 0.0
     samples: int = 0
     seed: int = 0
-    meta: dict = field(default_factory=dict)
 
     @classmethod
-    def exact(cls, value: float, **meta) -> "Estimate":
-        return cls(float(value), 0.0, 0, 0, dict(meta))
+    def exact(cls, value: float) -> "Estimate":
+        return cls(float(value))
 
     @property
     def is_exact(self) -> bool:
@@ -95,13 +95,13 @@ class Estimate:
         return self.value
 
     def scaled(self, c: float) -> "Estimate":
-        return Estimate(self.value * c, abs(c) * self.std_error, self.samples, self.seed, dict(self.meta))
+        return Estimate(self.value * c, abs(c) * self.std_error, self.samples, self.seed)
 
     def powered(self, q: float) -> "Estimate":
         """Delta-method propagation through value**q (value > 0)."""
         v = self.value**q
         se = abs(q) * self.value ** (q - 1.0) * self.std_error if self.value > 0 else 0.0
-        return Estimate(v, se, self.samples, self.seed, dict(self.meta))
+        return Estimate(v, se, self.samples, self.seed)
 
     def ratio(self, other: "Estimate") -> "Estimate":
         """Quotient with independent relative errors added in quadrature."""
@@ -112,7 +112,7 @@ class Estimate:
             self.std_error / self.value if self.value != 0 else 0.0,
             other.std_error / other.value,
         )
-        return Estimate(v, abs(v) * rel, max(self.samples, other.samples), self.seed, dict(self.meta))
+        return Estimate(v, abs(v) * rel, max(self.samples, other.samples), self.seed)
 
     def product(self, other: "Estimate") -> "Estimate":
         v = self.value * other.value
@@ -120,7 +120,7 @@ class Estimate:
             self.std_error / self.value if self.value != 0 else 0.0,
             other.std_error / other.value if other.value != 0 else 0.0,
         )
-        return Estimate(v, abs(v) * rel, max(self.samples, other.samples), self.seed, dict(self.meta))
+        return Estimate(v, abs(v) * rel, max(self.samples, other.samples), self.seed)
 
     def tolerance(self, target: float, sigmas: float = 3.0, atol: float = 0.0) -> float:
         """Largest |value - target| that `within` accepts: sigmas standard
@@ -220,9 +220,7 @@ def mc_integrate(
         raise ValueError(f"expected {spec.m} radii, got shape {radii.shape}")
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
-    volume = 1.0
-    for dims, r in zip(spec.factors, radii):
-        volume *= dims.ball_volume * float(r) ** dims.Q
+    volume = polyball_volume(spec, radii)
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         pts = [sample_ball(dims, rng, float(r), k) for dims, r in zip(spec.factors, radii)]
@@ -377,6 +375,13 @@ def integrate_semi_infinite(
     )
 
 
+def nodewise(inner):
+    """Vectorize a scalar inner integral over the nodes of an outer rule:
+    nodewise(inner)(R) is [inner(R_0), inner(R_1), ...].  Every nested
+    quadrature evaluates its inner integrals node by node through here."""
+    return lambda Rv: np.fromiter((inner(R) for R in Rv), dtype=float, count=len(Rv))
+
+
 def radial_integral(
     profile,
     dims: GroupDims,
@@ -447,8 +452,7 @@ def _power_norm_mc(f, spec: ProductSpec, p: float, samples: int, seed: int, work
         return w
 
     mean, sem = chunked_mean(draw, samples, seed, TAG_POWER_NORM, workers=workers)
-    est = Estimate(mean, sem, samples, seed, {"method": "mc-importance"})
-    return est
+    return Estimate(mean, sem, samples, seed)
 
 
 def lp_norm(
@@ -467,9 +471,8 @@ def lp_norm(
     closed  -- the function's exact norm formula (power families only);
     radial  -- per-factor radial quadrature of |F_i|^p (radial products only);
     mc      -- Monte Carlo: importance-sampled radii for power families,
-               otherwise uniform sampling over the support polyball (or an
-               explicit truncation radius for unbounded supports, reported
-               in the estimate's meta).
+               otherwise uniform sampling over the support polyball, with
+               unbounded factors cut at the given truncation radius.
     """
     if not 1.0 < p < math.inf:
         raise ValueError("p must lie in (1, inf)")
@@ -483,20 +486,14 @@ def lp_norm(
         return Estimate.exact(normp ** (1.0 / p))
     if method == "mc":
         if getattr(f, "family", None) in ("power-inside", "power-outside"):
-            est = _power_norm_mc(f, spec, p, samples, seed, workers=workers)
-            meta = dict(est.meta)
-            meta["truncation_radii"] = [1.0 if f.family == "power-inside" else math.inf] * spec.m
-            return Estimate(est.value, est.std_error, est.samples, est.seed, meta).powered(1.0 / p)
+            return _power_norm_mc(f, spec, p, samples, seed, workers=workers).powered(1.0 / p)
         radii = list(f.support_radii())
         if any(math.isinf(r) for r in radii):
             if truncation is None:
                 raise ValueError("unbounded support: pass an explicit truncation radius")
             radii = [truncation if math.isinf(r) else r for r in radii]
-        est = mc_integrate(
+        return mc_integrate(
             lambda pts: np.abs(np.asarray(f(pts), dtype=float)) ** p,
             spec, radii, samples, seed, workers=workers,
-        )
-        meta = dict(est.meta)
-        meta["truncation_radii"] = [float(r) for r in radii]
-        return Estimate(est.value, est.std_error, est.samples, est.seed, meta).powered(1.0 / p)
+        ).powered(1.0 / p)
     raise ValueError(f"unknown method {method!r}")

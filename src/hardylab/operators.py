@@ -20,8 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .funcs import ProductPoint, TestFunction, UnsupportedFamilyError
-from .hgroup import ProductSpec, koranyi_norm, sample_ball
+from .funcs import BumpMixture, ProductPoint, TestFunction, UnsupportedFamilyError
+from .hgroup import (
+    GroupDims,
+    ProductSpec,
+    ball_volume,
+    dilate_arrays,
+    distance,
+    group_law,
+    koranyi_norm,
+    polyball_volume,
+    sample_ball,
+)
 from .measure import (
     Estimate,
     IntegrationError,
@@ -29,9 +39,10 @@ from .measure import (
     TAG_NESTED,
     chunked_mean,
     integrate_1d,
-    integrate_semi_infinite,
     lp_norm,
     mc_integrate,
+    nodewise,
+    radial_integral,
     substream,
 )
 
@@ -197,37 +208,27 @@ def hardy_eval(
     if method == "radial":
         out = 1.0
         for dims, (F, a, b), r in zip(spec.factors, f.radial_profiles(), radii):
-            hi = min(r, b)
-            if hi <= a:
-                inner = 0.0
-            else:
-                inner = dims.omega * integrate_1d(
-                    lambda s, F=F: np.asarray(F(s), dtype=float) * s ** (dims.Q - 1),
-                    a, hi, tol=tol, singular_lower=(a == 0.0),
-                )
-            out *= inner / (dims.ball_volume * r**dims.Q)
+            out *= _radial_ball_average(F, a, b, dims, r, tol)
         return Estimate.exact(out)
     if method == "mc":
         est = mc_integrate(f, spec, radii, samples, seed, workers=workers)
-        scale = 1.0
-        for dims, r in zip(spec.factors, radii):
-            scale *= dims.ball_volume * r**dims.Q
-        return est.scaled(1.0 / scale)
+        return est.scaled(1.0 / polyball_volume(spec, radii))
     raise ValueError(f"unknown method {method!r}")
+
+
+def _radial_ball_average(F, a: float, b: float, dims: GroupDims, R: float, tol: float) -> float:
+    """Average over B(0, R) of the radial profile F supported on [a, b], by
+    polar quadrature."""
+    return radial_integral(F, dims, min(R, b), tol, lower=a) / ball_volume(dims, R)
 
 
 def _scaled_points(x: ProductPoint, T: np.ndarray, spec: ProductSpec, invert: bool = False):
     """Per-factor arrays of delta_{t_i} x_i (or delta_{1/t_i} x_i) for a batch
     of parameter vectors T of shape (N, m)."""
-    pts = []
-    for i, (dims, p) in enumerate(zip(spec.factors, x.points)):
-        t = T[:, i]
-        lam = 1.0 / t if invert else t
-        arr = np.repeat(p.coords[None, :], T.shape[0], axis=0)
-        arr[:, : 2 * dims.n] *= lam[:, None]
-        arr[:, 2 * dims.n] *= lam * lam
-        pts.append(arr)
-    return pts
+    return [
+        dilate_arrays(1.0 / T[:, i] if invert else T[:, i], p.coords, dims.n)
+        for i, (dims, p) in enumerate(zip(spec.factors, x.points))
+    ]
 
 
 def _iterated_cube(gfun, bounds, tol: float):
@@ -242,17 +243,9 @@ def _iterated_cube(gfun, bounds, tol: float):
             lambda t: gfun(t[:, None]), lo, hi, tol=tol, singular_lower=(lo == 0.0)
         )
 
-    def outer(tvals: np.ndarray) -> np.ndarray:
-        out = np.empty(tvals.shape[0])
-        for j, t0 in enumerate(tvals):
-            inner = _iterated_cube(
-                lambda T, t0=t0: gfun(np.column_stack([np.full(T.shape[0], t0), T])),
-                bounds[1:],
-                tol * 0.5,
-            )
-            out[j] = inner
-        return out
-
+    outer = nodewise(lambda t0: _iterated_cube(
+        lambda T: gfun(np.column_stack([np.full(T.shape[0], t0), T])), bounds[1:], tol * 0.5
+    ))
     return integrate_1d(outer, lo, hi, tol=tol, singular_lower=(lo == 0.0))
 
 
@@ -271,14 +264,14 @@ def weighted_hardy_eval(
     spec = f.spec
     if phi.m != spec.m:
         raise ValueError("weight and product space disagree on m")
+
+    def g(T: np.ndarray) -> np.ndarray:
+        return np.asarray(f(_scaled_points(x, T, spec)), dtype=float) * phi(T)
+
     if method == "mc":
-
-        def draw(rng: np.random.Generator, k: int) -> np.ndarray:
-            T = rng.random((k, spec.m))
-            vals = np.asarray(f(_scaled_points(x, T, spec)), dtype=float) * phi(T)
-            return vals
-
-        mean, sem = chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers)
+        mean, sem = chunked_mean(
+            lambda rng, k: g(rng.random((k, spec.m))), samples, seed, TAG_NESTED, workers=workers
+        )
         return Estimate(mean, sem, samples, seed)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
@@ -298,10 +291,6 @@ def weighted_hardy_eval(
                 t_lo, t_hi, tol=tol, singular_lower=(t_lo == 0.0),
             )
         return Estimate.exact(out)
-
-    def g(T: np.ndarray) -> np.ndarray:
-        return np.asarray(f(_scaled_points(x, T, spec)), dtype=float) * phi(T)
-
     try:
         val = _iterated_cube(g, [(0.0, 1.0)] * spec.m, tol)
     except IntegrationError as err:
@@ -346,17 +335,20 @@ def weighted_cesaro_eval(
         intervals.append((min(t_lo, 1.0), t_hi))
     if any(hi <= lo for lo, hi in intervals):
         return Estimate.exact(0.0)
+
+    def g(T: np.ndarray) -> np.ndarray:
+        kern = phi(T)
+        for i, dims in enumerate(spec.factors):
+            kern = kern / T[:, i] ** dims.Q
+        return np.asarray(f(_scaled_points(x, T, spec, invert=True)), dtype=float) * kern
+
     if method == "mc":
         widths = np.array([hi - lo for lo, hi in intervals])
         los = np.array([lo for lo, _ in intervals])
         vol = float(np.prod(widths))
 
         def draw(rng: np.random.Generator, k: int) -> np.ndarray:
-            T = los + rng.random((k, spec.m)) * widths
-            kern = phi(T)
-            for i, dims in enumerate(spec.factors):
-                kern = kern / T[:, i] ** dims.Q
-            return np.asarray(f(_scaled_points(x, T, spec, invert=True)), dtype=float) * kern * vol
+            return g(los + rng.random((k, spec.m)) * widths) * vol
 
         mean, sem = chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers)
         return Estimate(mean, sem, samples, seed)
@@ -373,15 +365,7 @@ def weighted_cesaro_eval(
                 t_lo, t_hi, tol=tol, singular_lower=(t_lo == 0.0),
             )
         return Estimate.exact(out)
-
-    def g(T: np.ndarray) -> np.ndarray:
-        kern = phi(T)
-        for i, dims in enumerate(spec.factors):
-            kern = kern / T[:, i] ** dims.Q
-        return np.asarray(f(_scaled_points(x, T, spec, invert=True)), dtype=float) * kern
-
-    val = _iterated_cube(g, intervals, tol)
-    return Estimate.exact(val)
+    return Estimate.exact(_iterated_cube(g, intervals, tol))
 
 
 def weight_bound_integral(phi: Weight, p: float, spec: ProductSpec, kind: str) -> float:
@@ -480,21 +464,21 @@ def _nested_power_norm(
             draw, samples, seed + fi, TAG_NESTED, workers=workers, chunk_size=4096
         )
         total = total.product(Estimate(mean, sem, samples, seed))
-    return Estimate(total.value, total.std_error, samples, seed, {"method": "mc-nested"})
+    return Estimate(total.value, total.std_error, samples, seed)
 
 
 def _hardy_norm_compact(
     f, p: float, spec: ProductSpec, samples: int, seed: int,
     nodes_per_dim: int = 64, replicates: int = 16, workers: int = 1,
-) -> tuple[Estimate, Estimate]:
-    """(||T f||_p, ||f||_p) for a compactly supported f under the ball-average
-    operator, from one shared sample set.
+) -> Estimate:
+    """||T f||_p / ||f||_p for a compactly supported f under the ball-average
+    operator, with both norms taken from one shared sample set.
 
     T f depends on x only through the radii, and the inner integral saturates
     once a radius clears the support, so the norm splits over subsets of
     "inside" factors: quadrature over [0, S_i] on cumulative integrals of f
     (estimated by binned prefix sums of the Monte Carlo sample) plus exact
-    power tails.  Standard errors come from replicate spread.
+    power tails.  The standard error comes from the replicates' spread.
     """
     S = [float(s) for s in f.support_radii()]
     if any(math.isinf(s) or s <= 0 for s in S):
@@ -534,7 +518,8 @@ def _hardy_norm_compact(
         fp = float(np.mean(np.abs(np.asarray(f(pts), dtype=float)) ** p / dens))
         bins.append((hist, fp))
 
-    def norms_from(hist: np.ndarray, fp_mean: float, n_samp: int) -> tuple[float, float]:
+    def tf_power(hist: np.ndarray, n_samp: int) -> float:
+        """||T f||_p^p from one importance-weighted histogram."""
         cum = hist
         for ax in range(m):
             cum = np.cumsum(cum, axis=ax)
@@ -551,64 +536,25 @@ def _hardy_norm_compact(
                 else:
                     term *= taus[i]
             J += term * float(I)
-        F = fp_mean
-        return J, F
+        return J
 
-    hist_full = sum(h for h, _ in bins)
-    fp_full = sum(v for _, v in bins) / replicates
-    J_full, F_full = norms_from(hist_full, fp_full, per_rep * replicates)
+    J_full = tf_power(sum(h for h, _ in bins), per_rep * replicates)
+    F_full = sum(v for _, v in bins) / replicates
     if F_full <= 0.0:
         raise ValueError("zero norm: the function vanishes on its sample")
-    reps_q, reps_T, reps_F = [], [], []
-    for h, v in bins:
-        Jc, Fc = norms_from(h, v, per_rep)
-        reps_T.append(Jc)
-        reps_F.append(Fc)
-        if Fc > 0:
-            reps_q.append((Jc / Fc) ** (1.0 / p))
-    scale = math.sqrt(max(len(reps_q), 1))
-    T_est = Estimate(
-        J_full ** (1.0 / p),
-        float(np.std(np.array(reps_T) ** (1.0 / p), ddof=1) / scale) if len(reps_T) > 1 else 0.0,
-        per_rep * replicates, seed, {"method": "mc-compact"},
-    )
-    F_est = Estimate(
-        F_full ** (1.0 / p),
-        float(np.std(np.array(reps_F) ** (1.0 / p), ddof=1) / scale) if len(reps_F) > 1 else 0.0,
-        per_rep * replicates, seed,
-    )
-    q_reps = np.asarray(reps_q)
-    q_full = (J_full / F_full) ** (1.0 / p)
-    q_sem = float(np.std(q_reps, ddof=1) / scale) if len(q_reps) > 1 else 0.0
-    T_est.meta["quotient"] = q_full
-    T_est.meta["quotient_std_error"] = q_sem
-    return T_est, F_est
+    q_reps = np.asarray([(tf_power(h, per_rep) / v) ** (1.0 / p) for h, v in bins if v > 0])
+    q_sem = float(np.std(q_reps, ddof=1) / math.sqrt(len(q_reps))) if len(q_reps) > 1 else 0.0
+    return Estimate((J_full / F_full) ** (1.0 / p), q_sem, per_rep * replicates, seed)
 
 
 def _radial_hardy_norm(f, p: float, spec: ProductSpec, tol: float) -> float:
     """||T f||_p by per-factor quadrature: the image profile is itself
     computed by inner quadrature, so this route never touches the closed
     forms it is used to validate."""
-    profiles = f.radial_profiles()
     normp = 1.0
-    for dims, (F, a, b) in zip(spec.factors, profiles):
-        Q = dims.Q
-
-        def avg(Rv: np.ndarray) -> np.ndarray:
-            out = np.empty(Rv.shape[0])
-            for j, R in enumerate(Rv):
-                hi = min(R, b)
-                if hi <= a:
-                    out[j] = 0.0
-                    continue
-                inner = dims.omega * integrate_1d(
-                    lambda s: np.asarray(F(s), dtype=float) * s ** (Q - 1),
-                    a, hi, tol=tol * 1e-2, singular_lower=(a == 0.0),
-                )
-                out[j] = inner / (dims.ball_volume * R**Q)
-            return np.abs(out) ** p * Rv ** (Q - 1)
-
-        normp *= dims.omega * integrate_semi_infinite(avg, 0.0, tol=tol, singular_lower=True)
+    for dims, (F, a, b) in zip(spec.factors, f.radial_profiles()):
+        avg = nodewise(lambda R: _radial_ball_average(F, a, b, dims, R, tol * 1e-2))
+        normp *= radial_integral(lambda Rv: np.abs(avg(Rv)) ** p, dims, math.inf, tol)
     return normp ** (1.0 / p)
 
 
@@ -623,33 +569,21 @@ def _weighted_radial_norm(
     for dims, beta, a in zip(spec.factors, f.betas, phi.exponents):
         Q = dims.Q
 
-        if adjoint:
-            def prof(Rv: np.ndarray) -> np.ndarray:
-                out = np.empty(Rv.shape[0])
-                for j, R in enumerate(Rv):
-                    hi = min(R, 1.0)
-                    if hi <= 0.0:
-                        out[j] = 0.0
-                        continue
-                    out[j] = integrate_1d(
-                        lambda t: (R / t) ** -beta * t ** (a - Q),
-                        0.0, hi, tol=tol * 1e-2, singular_lower=True,
-                    )
-                return np.abs(out) ** p * Rv ** (Q - 1)
-        else:
-            def prof(Rv: np.ndarray) -> np.ndarray:
-                out = np.empty(Rv.shape[0])
-                for j, R in enumerate(Rv):
-                    lo = 1.0 / R
-                    if lo >= 1.0:
-                        out[j] = 0.0
-                        continue
-                    out[j] = integrate_1d(
-                        lambda t: (t * R) ** -beta * t**a, lo, 1.0, tol=tol * 1e-2
-                    )
-                return np.abs(out) ** p * Rv ** (Q - 1)
+        def image(R: float) -> float:
+            # delta_{1/t} (resp. delta_t) of a radius-R point meets the support
+            # |y| > 1 exactly for t < R (resp. t > 1/R)
+            if adjoint:
+                return integrate_1d(
+                    lambda t: (R / t) ** -beta * t ** (a - Q),
+                    0.0, min(R, 1.0), tol=tol * 1e-2, singular_lower=True,
+                )
+            lo = 1.0 / R
+            if lo >= 1.0:
+                return 0.0
+            return integrate_1d(lambda t: (t * R) ** -beta * t**a, lo, 1.0, tol=tol * 1e-2)
 
-        normp *= dims.omega * integrate_semi_infinite(prof, 0.0, tol=tol, singular_lower=True)
+        prof = nodewise(image)
+        normp *= radial_integral(lambda Rv: np.abs(prof(Rv)) ** p, dims, math.inf, tol)
     return normp ** (1.0 / p)
 
 
@@ -686,11 +620,7 @@ def norm_quotient(
                 )
                 den = lp_norm(f, spec, p, method="mc", samples=samples, seed=seed + 101, workers=workers)
                 return nump.powered(1.0 / p).ratio(den)
-            T_est, _ = _hardy_norm_compact(f, p, spec, samples, seed, workers=workers)
-            q = T_est.meta["quotient"]
-            return Estimate(
-                q, T_est.meta["quotient_std_error"], T_est.samples, seed, {"method": "mc-compact"}
-            )
+            return _hardy_norm_compact(f, p, spec, samples, seed, workers=workers)
         raise ValueError(f"unknown method {method!r}")
     if operator in ("weighted-hardy", "weighted-cesaro"):
         if phi is None:
@@ -744,17 +674,8 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
     nonzero.  Anything else falls back to uniform sampling of the support
     polyball.  `density(pts)` works at arbitrary points (zero off the
     proposal's support)."""
-    from .funcs import BumpMixture
-    from .hgroup import distance, group_law
-
     if isinstance(f, BumpMixture) and f.bumps:
-        vols = []
-        for bump in f.bumps:
-            v = 1.0
-            for dims, r in zip(spec.factors, bump.radii):
-                v *= dims.ball_volume * r**dims.Q
-            vols.append(v)
-        vols = np.asarray(vols)
+        vols = np.asarray([polyball_volume(spec, bump.radii) for bump in f.bumps])
         total = float(vols.sum())
         probs = vols / total
 
@@ -786,9 +707,7 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
         return draw, density
 
     radii = [s if math.isfinite(s) else 1.0 for s in f.support_radii()]
-    vol = 1.0
-    for dims, r in zip(spec.factors, radii):
-        vol *= dims.ball_volume * r**dims.Q
+    vol = polyball_volume(spec, radii)
 
     def density(pts: list[np.ndarray]) -> np.ndarray:
         inside = np.ones(pts[0].shape[0], dtype=bool)
@@ -824,13 +743,10 @@ def pairing_weighted_hardy(
         pts, dens = sampler(rng, k)
         K = S.shape[0]
         fvals = np.asarray(f(pts), dtype=float)
-        scaled = []
-        for i, dims in enumerate(spec.factors):
-            t = S[:, i]
-            arr = np.repeat(pts[i][:, None, :], K, axis=1)
-            arr[:, :, : 2 * dims.n] *= t[None, :, None]
-            arr[:, :, 2 * dims.n] *= (t * t)[None, :]
-            scaled.append(arr.reshape(k * K, dims.dim))
+        scaled = [
+            dilate_arrays(S[:, i], pts[i][:, None, :], dims.n).reshape(k * K, dims.dim)
+            for i, dims in enumerate(spec.factors)
+        ]
         gvals = np.asarray(g(scaled), dtype=float).reshape(k, K)
         pg = gvals @ (W * phi(S))
         return fvals * pg / dens
@@ -879,11 +795,7 @@ def pairing_weighted_cesaro(
             jac *= (1.0 - lo)[:, None]
             kern /= t**dims.Q
             t_nodes.append(t)
-            lam = 1.0 / t
-            arr = np.repeat(pts[i][:, None, :], K, axis=1)
-            arr[:, :, : 2 * dims.n] *= lam[:, :, None]
-            arr[:, :, 2 * dims.n] *= lam * lam
-            scaled.append(arr.reshape(k * K, dims.dim))
+            scaled.append(dilate_arrays(1.0 / t, pts[i][:, None, :], dims.n).reshape(k * K, dims.dim))
         T = np.stack([t.reshape(-1) for t in t_nodes], axis=1)
         phivals = phi(T).reshape(k, K)
         fvals = np.asarray(f(scaled), dtype=float).reshape(k, K)

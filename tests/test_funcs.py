@@ -14,12 +14,11 @@ from hardylab.funcs import (
     RadialProduct,
     RadializedFunction,
     UnsupportedFamilyError,
-    closed_lp_norm_power,
     evaluate,
     parse_test_function,
-    radialize,
     random_bump_mixture,
 )
+from hardylab import funcs
 from hardylab.hgroup import HPoint, ProductSpec, koranyi_norm
 from hardylab.measure import lp_norm
 
@@ -78,32 +77,32 @@ class TestEvaluate:
 class TestClosedNorms:
     def test_extremal_inside(self):
         f = PowerInside.extremal(SPEC2, 2.0, 0.1)
-        assert closed_lp_norm_power(f, SPEC2, 2.0) ** 2 == pytest.approx(100 * math.pi**4, rel=1e-13)
+        assert f.lp_norm_exact(2.0) ** 2 == pytest.approx(100 * math.pi**4, rel=1e-13)
 
     def test_extremal_outside(self):
         f = PowerOutside.extremal(SPEC2, 2.0, 0.1)
-        assert closed_lp_norm_power(f, SPEC2, 2.0) ** 2 == pytest.approx(100 * math.pi**4, rel=1e-13)
+        assert f.lp_norm_exact(2.0) ** 2 == pytest.approx(100 * math.pi**4, rel=1e-13)
 
     def test_indicator_is_volume(self):
         f = PowerInside(SPEC1, (0.0,))
-        assert closed_lp_norm_power(f, SPEC1, 2.0) ** 2 == pytest.approx(math.pi**2 / 2, rel=1e-14)
+        assert f.lp_norm_exact(2.0) ** 2 == pytest.approx(math.pi**2 / 2, rel=1e-14)
 
     def test_infinite_norm_rejected(self):
         f = PowerInside(SPEC1, (-2.5,))  # alpha*p + Q = -1 < 0
         with pytest.raises(ValueError, match="norm infinite"):
-            closed_lp_norm_power(f, SPEC1, 2.0)
+            f.lp_norm_exact(2.0)
         g = PowerOutside(SPEC1, (1.5,))  # beta*p - Q = -1 < 0
         with pytest.raises(ValueError, match="norm infinite"):
-            closed_lp_norm_power(g, SPEC1, 2.0)
+            g.lp_norm_exact(2.0)
 
     def test_unsupported_family(self):
         f = RadialProduct(SPEC1, (lambda r: r,), ((0.0, 1.0),))
         with pytest.raises(UnsupportedFamilyError):
-            closed_lp_norm_power(f, SPEC1, 2.0)
+            f.lp_norm_exact(2.0)
 
     def test_agreement_with_quadrature_and_mc(self):
         f = PowerInside(SPEC1, (-1.3,))
-        want = closed_lp_norm_power(f, SPEC1, 2.5)
+        want = f.lp_norm_exact(2.5)
         rad = lp_norm(f, SPEC1, 2.5, "radial")
         assert rad.value == pytest.approx(want, rel=1e-8)
         mc = lp_norm(f, SPEC1, 2.5, "mc", samples=60_000, seed=3)
@@ -113,17 +112,21 @@ class TestClosedNorms:
 class TestRadialize:
     def test_fixes_radial_functions(self):
         f = RadialProduct(SPEC1, (lambda r: r,), ((0.0, math.inf),))
-        x = point_at(SPEC1, 0.7)
-        est = radialize(f, x, samples=5_000, seed=1)
-        assert est.within(0.7, sigmas=3.0, atol=1e-12)
+        gf = RadializedFunction(f, inner_samples=5_000, seed=1)
+        assert evaluate(gf, point_at(SPEC1, 0.7)) == pytest.approx(0.7, rel=1e-12)
 
     def test_kills_odd_parts(self):
-        def f(pts):
-            X = pts[0]
-            return 1.0 + X[:, 0] * np.cos(koranyi_norm(X))
+        class OddPart(funcs.TestFunction):
+            spec = SPEC1
 
-        est = radialize(f, point_at(SPEC1, 0.9), samples=60_000, seed=2)
-        assert est.within(1.0, sigmas=3.0)
+            def __call__(self, pts):
+                X = pts[0]
+                return 1.0 + X[:, 0] * np.cos(koranyi_norm(X))
+
+        samples = 60_000
+        gf = RadializedFunction(OddPart(), inner_samples=samples, seed=2)
+        # |X_0 cos| <= |x|_h = 0.9 bounds the spread of the odd part a priori
+        assert abs(evaluate(gf, point_at(SPEC1, 0.9)) - 1.0) <= 3.0 * 0.9 / math.sqrt(samples)
 
     def test_radialized_function_is_deterministic(self):
         f = random_bump_mixture(SPEC1, np.random.default_rng(5))
@@ -135,9 +138,8 @@ class TestRadialize:
 
     def test_product_space_radialization(self):
         f = RadialProduct(SPEC2, (lambda r: r, lambda r: r**2), ((0.0, math.inf),) * 2)
-        x = point_at(SPEC2, 0.5, 2.0)
-        est = radialize(f, x, samples=4_000, seed=3)
-        assert est.within(0.5 * 4.0, sigmas=3.0, atol=1e-10)
+        gf = RadializedFunction(f, inner_samples=4_000, seed=3)
+        assert evaluate(gf, point_at(SPEC2, 0.5, 2.0)) == pytest.approx(0.5 * 4.0, rel=1e-10)
 
 
 class TestDilatedFunction:

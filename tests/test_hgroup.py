@@ -12,10 +12,12 @@ from hardylab.hgroup import (
     ProductSpec,
     ball_volume,
     dilate,
+    dilate_arrays,
     distance,
     group_law,
     inverse,
     koranyi_norm,
+    polyball_volume,
     sample_unit_ball,
     sample_unit_sphere,
     unit_ball_volume,
@@ -93,6 +95,40 @@ class TestDilate:
             dilate(-2.0, hp(1, 0, 0))
 
 
+def _in_place_dilation(r, x, n):
+    """Per-coordinate in-place scaling of a copy of x, broadcast up front."""
+    out = np.array(np.broadcast_to(x, np.broadcast_shapes(x.shape[:-1], np.shape(r)) + x.shape[-1:]))
+    out[..., : 2 * n] *= np.asarray(r)[..., None]
+    out[..., 2 * n] *= np.asarray(r) * np.asarray(r)
+    return out
+
+
+class TestDilateArrays:
+    N, K, k, n = 7, 5, 3, 2
+
+    @pytest.mark.parametrize("r_shape, x_shape", [
+        ((), (N, 2 * n + 1)),
+        ((N,), (N, 2 * n + 1)),
+        ((N, 1), (N, K, 2 * n + 1)),
+        ((K,), (k, 1, 2 * n + 1)),
+        ((k, K), (k, 1, 2 * n + 1)),
+    ])
+    def test_bitwise_equal_to_in_place_scaling(self, r_shape, x_shape):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=x_shape) * 3.0
+        r = rng.uniform(0.01, 10.0, size=r_shape)
+        got = dilate_arrays(r, x, self.n)
+        want = _in_place_dilation(r, x, self.n)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_fresh_array_and_zero_radius(self):
+        x = np.array([[1.0, -2.0, 3.0]])
+        out = dilate_arrays(0.0, x, 1)
+        assert out is not x and x.tolist() == [[1.0, -2.0, 3.0]]
+        assert np.all(out == 0.0)
+
+
 class TestKoranyiNorm:
     def test_unit_horizontal(self):
         assert koranyi_norm(hp(1, 0, 0)) == 1.0
@@ -159,6 +195,15 @@ class TestVolumes:
         assert ball_volume(d, 2.0) == pytest.approx(8 * math.pi**2, rel=1e-14)
         with pytest.raises(ValueError):
             ball_volume(d, 0.0)
+
+    def test_polyball_is_product_of_balls(self):
+        spec = ProductSpec.of_orders(1, 2)
+        want = ball_volume(GroupDims(1), 0.5) * ball_volume(GroupDims(2), 1.7)
+        assert polyball_volume(spec, (0.5, 1.7)) == want
+        assert polyball_volume(spec, np.array([0.5, 1.7])) == want
+        for radii in ((1.0, 0.0), (-1.0, 1.0)):
+            with pytest.raises(ValueError):
+                polyball_volume(spec, radii)
 
     def test_alt_normalization_is_doubled(self):
         for n in (1, 2, 3):

@@ -160,7 +160,8 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="truncation"):
             lp_norm(f, SPEC1, 2.0, "mc", samples=2_000, seed=0)
         est = lp_norm(f, SPEC1, 2.0, "mc", samples=2_000, seed=0, truncation=8.0)
-        assert est.meta["truncation_radii"] == [8.0]
+        cut = RadialProduct(SPEC1, (lambda r: np.exp(-r),), ((0.0, 8.0),))
+        assert est == lp_norm(cut, SPEC1, 2.0, "mc", samples=2_000, seed=0)
 
     def test_p_validation(self):
         f = PowerInside(SPEC1, (0.0,))
