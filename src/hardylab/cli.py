@@ -150,6 +150,12 @@ def _validate(cmd: str, cfg: dict) -> None:
         raise UsageError(f"bad --eps grid: {err}") from err
     if any(not 0.0 < e < 1.0 for e in cfg["eps_list"]):
         raise UsageError("--eps values must lie in (0, 1)")
+    if cmd == "sharpness" and len(set(cfg["eps_list"])) < 2:
+        raise UsageError("--eps needs at least two distinct values for the eps -> 0 fit")
+    if cfg["trials"] < 1:
+        raise UsageError("--trials must be at least 1")
+    if cfg["pairs"] < 1:
+        raise UsageError("--pairs must be at least 1")
     uses_mc = cfg["method"] == "mc" or cmd in (
         "fuzz", "radialize-check", "cesaro-duality", "geometry-check", "volume"
     )
@@ -217,7 +223,7 @@ def _fmt(x) -> str:
 
 def report_to_csv(report: ExperimentReport) -> str:
     params = json.dumps({**report.params, "seed": report.seed},
-                        sort_keys=True, separators=(",", ":"))
+                        sort_keys=True, separators=(",", ":"), allow_nan=False)
     lines = ["experiment,param_json,input,estimate,std_error,oracle,deviation,sigma_multiple,verdict"]
     for row in report.rows:
         cells = [
@@ -257,7 +263,7 @@ def report_to_json(report: ExperimentReport) -> str:
         # across reruns of the same config and seed
         "wall_time_ms": None,
     }
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 def render_svg(report: ExperimentReport) -> str:
@@ -359,3 +365,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

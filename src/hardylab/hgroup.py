@@ -82,11 +82,14 @@ def unit_ball_volume(n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return (
-        math.pi ** (n + 0.5)
-        * math.gamma(n / 2.0)
-        / ((n + 1) * math.gamma(float(n)) * math.gamma((n + 1) / 2.0))
-    )
+    try:
+        return (
+            math.pi ** (n + 0.5)
+            * math.gamma(n / 2.0)
+            / ((n + 1) * math.gamma(float(n)) * math.gamma((n + 1) / 2.0))
+        )
+    except OverflowError as err:
+        raise ValueError(f"the unit-ball volume of H^{n} overflows a float") from err
 
 
 def alt_unit_ball_volume(n: int) -> float:

@@ -64,6 +64,10 @@ SIGMAS and HARD_SIGMAS read INFO and count against the batch's budget."""
 EXCEEDANCE_BUDGET = 0.02
 """Share of a gated batch (at least one row) allowed past SIGMAS: a correct
 implementation still throws occasional excursions across many rows."""
+MIN_BOX_HITS = 25
+"""Fewest expected hits, samples * V_n / 2^(2n+1), for which box rejection
+runs; below it the count cannot test a volume.  The box fills ever less of
+the ball as n grows: at n = 30 a million samples expect 6e-31 hits."""
 
 
 def _row_seed(seed: int, idx: int) -> int:
@@ -655,6 +659,10 @@ def _box_volume_mc(
     uniform points in delta_radius([-1,1]^{2n} x [-1,1]), counting
     |x|_h < radius.  Independent of the samplers."""
     dim = 2 * n + 1
+    expected = samples * hgroup.unit_ball_volume(n) / 2.0**dim
+    if expected < MIN_BOX_HITS:
+        raise ValueError(f"box rejection at n={n} expects {expected:.3g} hits from {samples} "
+                         f"samples; it needs at least {MIN_BOX_HITS}")
     box = 2.0**dim * radius ** (2 * n) * radius**2
     hits = 0
     done = 0

@@ -1,9 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hardylab
 from hardylab import cli
-from hardylab.lab import ExperimentReport
+from hardylab.lab import ExperimentReport, ReportRow
 
 
 def run(argv):
@@ -23,6 +29,12 @@ class TestExitCodes:
         assert run(["sharpness", "--factors", ""]) == 1
         assert run(["sharpness", "--eps", "0.5,2.0"]) == 1
         assert run(["fuzz", "--samples", "10"]) == 1
+        assert run(["fuzz", "--trials", "0", "--samples", "1000"]) == 1
+        assert run(["cesaro-duality", "--pairs", "0", "--samples", "1000"]) == 1
+        assert run(["sharpness", "--eps", "0.1"]) == 1
+        assert run(["sharpness", "--eps", "0.1,0.1"]) == 1
+        assert run(["volume", "--n", "30"]) == 1
+        assert run(["volume", "--n", "200"]) == 1
         assert run(["nonsense"]) == 1
         assert run([]) == 1
         err = capsys.readouterr().err
@@ -41,6 +53,23 @@ class TestExitCodes:
 
     def test_plot_needs_output_path(self):
         assert run(["sharpness", "--method", "closed", "--plot"]) == 1
+
+    def test_box_rejection_floor_keeps_small_geometry_runs(self, tmp_path):
+        # about 48 expected hits at n = 3, above the floor of 25
+        assert run(["geometry-check", "--samples", "1000",
+                    "--output", str(tmp_path / "g.json")]) == 0
+
+    def test_module_entry_point(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(hardylab.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hardylab.cli", "sharpness", "--method", "closed",
+             "--format", "csv"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("experiment,param_json")
+        assert len(lines) > 1 and all(line.startswith("sharpness,") for line in lines[1:])
 
 
 class TestArtifacts:
@@ -92,6 +121,14 @@ class TestArtifacts:
         assert run(base + ["--workers", "1", "--output", str(a)]) == 0
         assert run(base + ["--workers", "3", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_non_finite_values_are_refused(self):
+        rep = ExperimentReport("x", {}, [ReportRow("r", -math.inf)], {}, 0)
+        with pytest.raises(ValueError):
+            cli.report_to_json(rep)
+        rep = ExperimentReport("x", {"bound": math.nan}, [], {}, 0)
+        with pytest.raises(ValueError):
+            cli.report_to_csv(rep)
 
     def test_empty_rows_is_valid_csv(self):
         rep = ExperimentReport("empty", {}, [], {}, 0)
