@@ -197,7 +197,7 @@ def sharpness_sweep(
     closed_q = [closedform.power_family_quotient(e, p, spec) for e in eps_grid]
     lower = [closedform.extremal_lower_bound(e, p, spec) for e in eps_grid]
 
-    estimates: list[float] = []
+    estimates: list[Estimate] = []
     mc_ok = True
     for i, eps in enumerate(eps_grid):
         f = PowerInside.extremal(spec, p, eps)
@@ -217,7 +217,7 @@ def sharpness_sweep(
             mc_ok &= r.verdict == "PASS"
         else:
             raise ValueError(f"unknown method {method!r}")
-        estimates.append(est.value)
+        estimates.append(est)
         rows.append(_row(f"lower-bound eps={eps:g}", lower[i], verdict="INFO"))
 
     # C4 chain: lower bound <= quotient < sharp constant, on the exact values
@@ -231,13 +231,20 @@ def sharpness_sweep(
     )
 
     # linear extrapolation to eps = 0 with a residual guard
-    coeffs = np.polyfit(np.asarray(eps_grid), np.asarray(estimates), 1)
+    values = np.asarray([e.value for e in estimates])
+    coeffs = np.polyfit(np.asarray(eps_grid), values, 1)
     intercept = float(coeffs[1])
-    residual = float(np.max(np.abs(np.polyval(coeffs, eps_grid) - np.asarray(estimates))))
+    residual = float(np.max(np.abs(np.polyval(coeffs, eps_grid) - values)))
     if fit_tol is None:
         fit_tol = 0.01 * sharp + 4.0 * max((r.std_error for r in rows), default=0.0)
-    rows.append(_row("extrapolated quotient eps->0", intercept, oracle=sharp, atol=0.02 * sharp))
+    # The intercept is c . values, with c the intercept row of the fit's
+    # pseudo-inverse; the per-eps estimates are independent.
+    c = np.linalg.pinv(np.column_stack([eps_grid, np.ones(len(eps_grid))]))[1]
+    fit = Estimate(intercept, math.sqrt(sum((ci * e.std_error) ** 2 for ci, e in zip(c, estimates))),
+                   max(e.samples for e in estimates))
     extrap_ok = abs(intercept - sharp) <= 0.02 * sharp
+    rows.append(_row("extrapolated quotient eps->0", fit, oracle=sharp, atol=0.02 * sharp,
+                     verdict="PASS" if extrap_ok else "FAIL"))
     rows.append(_bound_row("extrapolation fit residual", residual, fit_tol))
     summary[f"{tag}:extrapolation-2pct"] = "PASS" if extrap_ok else "FAIL"
     summary["fit-residual-guard"] = rows[-1].verdict

@@ -91,6 +91,22 @@ class TestSharpnessSweep:
         with pytest.raises(ValueError):
             lab.sharpness_sweep(2.0, SPEC1, method="secret")
 
+    def test_extrapolation_error_is_propagated(self):
+        eps = (0.2, 0.1, 0.05)
+        rep = lab.sharpness_sweep(2.0, SPEC1, eps_grid=eps, method="mc",
+                                  samples=20_000, inner_samples=128, seed=5)
+        se = {r.input: r.std_error for r in rep.rows}
+        # intercept weights of the least-squares line through three points
+        xbar = sum(eps) / 3
+        sxx = sum((e - xbar) ** 2 for e in eps)
+        weights = [1 / 3 - xbar * (e - xbar) / sxx for e in eps]
+        want = math.sqrt(sum((w * se[f"quotient eps={e:g}"]) ** 2 for w, e in zip(weights, eps)))
+        assert se["extrapolated quotient eps->0"] == pytest.approx(want, rel=1e-12)
+        assert want > 0.0
+        closed = lab.sharpness_sweep(2.0, SPEC1, eps_grid=eps, method="closed")
+        ext = [r for r in closed.rows if r.input.startswith("extrapolated")][0]
+        assert ext.std_error == 0.0 and ext.sigma_multiple == 0.0
+
 
 class TestBoundFuzz:
     def test_small_run_passes(self):
