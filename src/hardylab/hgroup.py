@@ -149,9 +149,6 @@ class ProductSpec:
     def m(self) -> int:
         return len(self.factors)
 
-    def __iter__(self):
-        return iter(self.factors)
-
 
 def _coerce(x) -> tuple[np.ndarray, int, bool]:
     """Return (array, n, was_hpoint)."""

@@ -35,6 +35,7 @@ from .measure import (
     mc_integrate,
     nodewise,
     radial_integral,
+    subseed,
     substream,
 )
 from .operators import MonomialWeight, Weight
@@ -54,8 +55,6 @@ __all__ = [
 
 DEFAULT_EPS_GRID = (0.2, 0.1, 0.05, 0.025, 0.0125)
 
-_MASK64 = (1 << 64) - 1
-
 SIGMAS = 3.0
 """Standard errors a Monte Carlo row may deviate by and still PASS."""
 HARD_SIGMAS = 4.5
@@ -68,12 +67,6 @@ MIN_BOX_HITS = 25
 """Fewest expected hits, samples * V_n / 2^(2n+1), for which box rejection
 runs; below it the count cannot test a volume.  The box fills ever less of
 the ball as n grows: at n = 30 a million samples expect 6e-31 hits."""
-
-
-def _row_seed(seed: int, idx: int) -> int:
-    """Deterministic 63-bit seed for row idx of an experiment."""
-    ss = np.random.SeedSequence([int(seed) & _MASK64, TAG_EXPERIMENT, idx])
-    return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
 @dataclass
@@ -149,6 +142,16 @@ def _sigma_verdict(sig: float) -> str:
     return "PASS" if sig <= SIGMAS else ("INFO" if sig <= HARD_SIGMAS else "FAIL")
 
 
+def _sigma_row(
+    label: str, value: float, std_error: float, oracle: float, verdict: str | None = None
+) -> ReportRow:
+    """A row read in plain sigmas: |value - oracle| / std_error, 0 when the
+    error is 0.  The verdict is the one given, else `_sigma_verdict`."""
+    dev = value - oracle
+    sig = abs(dev) / std_error if std_error else 0.0
+    return ReportRow(label, value, std_error, oracle, dev, sig, verdict or _sigma_verdict(sig))
+
+
 def _sigma_gate(sigs: list[float]) -> bool:
     """Aggregate verdict for a batch of SIGMAS comparisons: no row past
     HARD_SIGMAS and at most the EXCEEDANCE_BUDGET past SIGMAS."""
@@ -210,7 +213,7 @@ def sharpness_sweep(
         elif method == "mc":
             est = operators.norm_quotient(
                 f, p, spec, method="mc", samples=samples,
-                seed=_row_seed(seed, i), inner_samples=inner_samples, workers=workers,
+                seed=subseed(seed, TAG_EXPERIMENT, i), inner_samples=inner_samples, workers=workers,
             )
             r = _row(f"quotient eps={eps:g}", est, oracle=closed_q[i])
             rows.append(r)
@@ -292,7 +295,7 @@ def bound_fuzz(
         method = "closed" if extra_function.family == "power-inside" else "mc"
         q = operators.norm_quotient(
             extra_function, p, spec, method=method, samples=samples,
-            seed=_row_seed(seed, 999_000), workers=workers,
+            seed=subseed(seed, TAG_EXPERIMENT, 999_000), workers=workers,
         )
         good = below_sharp(q)
         ok &= good
@@ -302,22 +305,19 @@ def bound_fuzz(
         rng = substream(seed, TAG_EXPERIMENT, k)
         f = random_bump_mixture(spec, rng, max_bumps=max_bumps)
         q = operators.norm_quotient(
-            f, p, spec, method="mc", samples=samples, seed=_row_seed(seed, k), workers=workers
+            f, p, spec, method="mc", samples=samples, seed=subseed(seed, TAG_EXPERIMENT, k), workers=workers
         )
         good = below_sharp(q)
         ok &= good
         worst = max(worst, q.value)
-        rows.append(
-            ReportRow(f"trial={k} bumps={len(f.bumps)}", q.value, q.std_error, sharp,
-                      q.value - sharp, abs(q.value - sharp) / q.std_error if q.std_error else 0.0,
-                      "PASS" if good else "FAIL")
-        )
+        rows.append(_sigma_row(f"trial={k} bumps={len(f.bumps)}", q.value, q.std_error, sharp,
+                               "PASS" if good else "FAIL"))
 
     # control: one centered radial bump behaves like a mollified indicator
     centers = tuple(np.zeros(d.dim) for d in spec.factors)
     control = BumpMixture(spec, (Bump(centers, (1.0,) * spec.m, 1.0),))
     qc = operators.norm_quotient(
-        control, p, spec, method="mc", samples=samples, seed=_row_seed(seed, trials), workers=workers
+        control, p, spec, method="mc", samples=samples, seed=subseed(seed, TAG_EXPERIMENT, trials), workers=workers
     )
     control_ok = qc.value < sharp
     ok &= control_ok
@@ -392,18 +392,12 @@ def _ball_diff_average(
     draw_b, bump_density = operators._support_sampler(f, spec)
     vol = polyball_volume(spec, radii)
 
-    def in_ball(pts):
-        inside = np.ones(pts[0].shape[0], dtype=bool)
-        for i, r in enumerate(radii):
-            inside &= koranyi_norm(pts[i]) < r
-        return inside
-
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         k_u = k // 2
         pts_u = [hgroup.sample_ball(dims, rng, float(r), k_u) for dims, r in zip(spec.factors, radii)]
         pts_b, _dens = draw_b(rng, k - k_u)
         pts = [np.concatenate([a, b], axis=0) for a, b in zip(pts_u, pts_b)]
-        mask = in_ball(pts)
+        mask = operators._in_polyball(pts, radii)
         q = 0.5 * mask / vol + 0.5 * bump_density(pts)
         vals = np.zeros(k)
         if mask.any():
@@ -412,8 +406,7 @@ def _ball_diff_average(
             vals[mask] = h / q[mask]
         return vals / vol
 
-    mean, sem = chunked_mean(draw, samples, seed, TAG_EXPERIMENT, chunk_size=8192)
-    return Estimate(mean, sem, samples, seed)
+    return chunked_mean(draw, samples, seed, TAG_EXPERIMENT, chunk_size=8192)
 
 
 def radialization_check(
@@ -440,29 +433,22 @@ def radialization_check(
         # centers near the origin so the spherical averages and ball averages
         # exchange non-negligible mass; far-flung bumps only compare 0 with 0
         f = random_bump_mixture(spec, rng, max_bumps=3, radius_range=(0.4, 1.0), center_radius=0.5)
-        gf = RadializedFunction(f, inner_samples=inner_samples, seed=_row_seed(seed, 3 * k))
+        gf = RadializedFunction(f, inner_samples=inner_samples, seed=subseed(seed, TAG_EXPERIMENT, 3 * k))
         sup = f.support_radii()
         for j in range(points_per_trial):
             radii = [rng.uniform(0.6, 1.1) * s for s in sup]
             x = ProductPoint.from_radii(spec, radii)
-            pf = operators.hardy_eval(
-                f, x, method="mc", samples=samples, seed=_row_seed(seed, 3 * k + 1 + j), workers=workers
-            )
-            diff = _ball_diff_average(f, gf, spec, radii, samples, _row_seed(seed, 3 * k + 1 + j))
-            sig = abs(diff.value) / diff.std_error if diff.std_error else 0.0
-            point_sigs.append(sig)
-            rows.append(
-                ReportRow(f"trial={k} point={j} ball-avg(g_f - f) (f-avg {pf.value:.3g})",
-                          diff.value, diff.std_error, 0.0, diff.value, sig, _sigma_verdict(sig))
-            )
-        ng, nf, sig_rel = _sphere_profile_norms(f, p, spec, _row_seed(seed, 3 * k + 2))
+            point_seed = subseed(seed, TAG_EXPERIMENT, 3 * k + 1 + j)
+            pf = operators.hardy_eval(f, x, method="mc", samples=samples, seed=point_seed, workers=workers)
+            diff = _ball_diff_average(f, gf, spec, radii, samples, point_seed)
+            rows.append(_sigma_row(f"trial={k} point={j} ball-avg(g_f - f) (f-avg {pf.value:.3g})",
+                                   diff.value, diff.std_error, 0.0))
+            point_sigs.append(rows[-1].sigma_multiple)
+        ng, nf, sig_rel = _sphere_profile_norms(f, p, spec, subseed(seed, TAG_EXPERIMENT, 3 * k + 2))
         good = _within_bound(ng, nf, sig_rel)
         ok &= good
-        rows.append(
-            ReportRow(f"trial={k} norm contraction ||g_f|| <= ||f||", ng, nf * sig_rel,
-                      nf, ng - nf, abs(ng - nf) / (nf * sig_rel) if nf else 0.0,
-                      "PASS" if good else "FAIL")
-        )
+        rows.append(_sigma_row(f"trial={k} norm contraction ||g_f|| <= ||f||", ng, nf * sig_rel, nf,
+                               "PASS" if good else "FAIL"))
     ok &= _sigma_gate(point_sigs)
     summary = {"C6:radialization": "PASS" if ok else "FAIL"}
     params = {
@@ -492,11 +478,7 @@ def duality_check(
     how the adjoint family quotients approach the adjoint characteristic."""
     t0 = time.perf_counter()
     q_exp = p / (p - 1.0)
-    gate = operators.weight_bound_integral(phi, q_exp, spec, "cesaro")
-    if math.isinf(gate):
-        raise operators.UnboundedOperatorError(
-            "unbounded operator: adjoint characteristic diverges at the dual exponent"
-        )
+    operators._require_bounded(phi, q_exp, spec, "cesaro")
     rows: list[ReportRow] = []
     ok = True
     ind = PowerInside(spec, (0.0,) * spec.m)
@@ -509,8 +491,10 @@ def duality_check(
         rhs_q = _indicator_pairing_quad(phi, spec, adjoint=True)
         r1 = _row("indicator pairing <f,Pg> (quadrature)", lhs_q, oracle=oracle, atol=1e-8)
         r2 = _row("indicator pairing <g,P*f> (quadrature)", rhs_q, oracle=oracle, atol=1e-8)
-        lhs_mc = operators.pairing_weighted_hardy(ind, ind, phi, spec, samples, _row_seed(seed, 1), workers)
-        rhs_mc = operators.pairing_weighted_cesaro(ind, ind, phi, spec, q_exp, samples, _row_seed(seed, 2), workers)
+        lhs_mc = operators.pairing_weighted_hardy(ind, ind, phi, spec, samples,
+                                                  subseed(seed, TAG_EXPERIMENT, 1), workers)
+        rhs_mc = operators.pairing_weighted_cesaro(ind, ind, phi, spec, q_exp, samples,
+                                                   subseed(seed, TAG_EXPERIMENT, 2), workers)
         r3 = _row("indicator pairing <f,Pg> (mc)", lhs_mc, oracle=oracle, atol=1e-9)
         r4 = _row("indicator pairing <g,P*f> (mc)", rhs_mc, oracle=oracle, atol=1e-9)
         rows += [r1, r2, r3, r4]
@@ -521,15 +505,13 @@ def duality_check(
         rng = substream(seed, TAG_EXPERIMENT, 9000 + k)
         f = random_bump_mixture(spec, rng, max_bumps=3, radius_range=(0.5, 1.0), center_radius=0.3)
         g = random_bump_mixture(spec, rng, max_bumps=3, radius_range=(0.5, 1.0), center_radius=0.3)
-        lhs = operators.pairing_weighted_hardy(f, g, phi, spec, samples, _row_seed(seed, 10 + 2 * k), workers)
-        rhs = operators.pairing_weighted_cesaro(g, f, phi, spec, q_exp, samples, _row_seed(seed, 11 + 2 * k), workers)
-        se = math.hypot(lhs.std_error, rhs.std_error)
-        sig = abs(lhs.value - rhs.value) / se if se else 0.0
-        pair_sigs.append(sig)
-        rows.append(
-            ReportRow(f"bump pair={k} pairing match", lhs.value, se, rhs.value,
-                      lhs.value - rhs.value, sig, _sigma_verdict(sig))
-        )
+        lhs = operators.pairing_weighted_hardy(f, g, phi, spec, samples,
+                                               subseed(seed, TAG_EXPERIMENT, 10 + 2 * k), workers)
+        rhs = operators.pairing_weighted_cesaro(g, f, phi, spec, q_exp, samples,
+                                                subseed(seed, TAG_EXPERIMENT, 11 + 2 * k), workers)
+        rows.append(_sigma_row(f"bump pair={k} pairing match", lhs.value,
+                               math.hypot(lhs.std_error, rhs.std_error), rhs.value))
+        pair_sigs.append(rows[-1].sigma_multiple)
     ok &= _sigma_gate(pair_sigs)
 
     # adjoint norm conjecture, reported as INFO only
@@ -624,10 +606,8 @@ def weighted_sharpness(
         ok &= good
         rows.append(_row(f"quotient eps={e:g}", quot, oracle=c_phi,
                          verdict="PASS" if good else "FAIL"))
-        rows.append(ReportRow(f"rigorous-bound eps={e:g}", bound, 0.0, c_phi,
-                              bound - c_phi, 0.0, "INFO"))
-        rows.append(ReportRow(f"uncorrected-bound eps={e:g}", uncorrected, 0.0, c_phi,
-                              uncorrected - c_phi, 0.0, "INFO"))
+        rows.append(_sigma_row(f"rigorous-bound eps={e:g}", bound, 0.0, c_phi, "INFO"))
+        rows.append(_sigma_row(f"uncorrected-bound eps={e:g}", uncorrected, 0.0, c_phi, "INFO"))
 
     e_min = eps_grid[-1]
     b_min = closedform.weighted_extremal_bound(phi.exponents, e_min, p, spec)
@@ -659,9 +639,7 @@ def weighted_sharpness(
 # ---------------------------------------------------------------------------
 
 
-def _box_volume_mc(
-    n: int, samples: int, rng: np.random.Generator, radius: float = 1.0
-) -> tuple[float, float]:
+def _box_volume_mc(n: int, samples: int, rng: np.random.Generator, radius: float = 1.0) -> Estimate:
     """Volume of the Koranyi ball of the given radius by plain box rejection:
     uniform points in delta_radius([-1,1]^{2n} x [-1,1]), counting
     |x|_h < radius.  Independent of the samplers."""
@@ -680,23 +658,20 @@ def _box_volume_mc(
         hits += int(np.count_nonzero(koranyi_norm(pts) < radius))
         done += k
     frac = hits / samples
-    vol = frac * box
-    se = box * math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
-    return vol, se
+    return Estimate(frac * box, box * math.sqrt(max(frac * (1.0 - frac), 0.0) / samples), samples)
 
 
 def _volume_rows(
-    n: int, samples: int, rng: np.random.Generator, seed: int, method: str = "", of_n: str = ""
+    n: int, samples: int, rng: np.random.Generator, method: str = "", of_n: str = ""
 ) -> list[ReportRow]:
     """The box-rejection unit-ball volume against the closed form, and its
     ratio to the alternative normalization (INFO)."""
-    vol, se = _box_volume_mc(n, samples, rng)
+    vol = _box_volume_mc(n, samples, rng)
     alt = hgroup.alt_unit_ball_volume(n)
     return [
-        _row(f"unit ball volume n={n}{method}", Estimate(vol, se, samples, seed),
-             oracle=hgroup.unit_ball_volume(n)),
+        _row(f"unit ball volume n={n}{method}", vol, oracle=hgroup.unit_ball_volume(n)),
         ReportRow(f"volume ratio to alternative normalization{of_n}",
-                  vol / alt, se / alt, 0.5, vol / alt - 0.5, 0.0, "INFO"),
+                  vol.value / alt, vol.std_error / alt, 0.5, vol.value / alt - 0.5, 0.0, "INFO"),
     ]
 
 
@@ -749,14 +724,14 @@ def geometry_selftest(
 
     # Monte Carlo volumes vs the derived constants; alt-normalization ratio
     for i, nn in enumerate(ns):
-        rows += _volume_rows(nn, samples, substream(seed, TAG_EXPERIMENT, 100 + i), seed,
+        rows += _volume_rows(nn, samples, substream(seed, TAG_EXPERIMENT, 100 + i),
                              f" (box rejection, {samples} samples)", f" n={nn}")
 
     # measure scaling |delta_r E| = r^Q |E| via box rejection at radius r
     r_dil = 1.7
-    vol_scaled, se_scaled = _box_volume_mc(n, samples, substream(seed, TAG_EXPERIMENT, 200), r_dil)
     rows.append(_row(f"measure scaling |B(0,{r_dil})| = r^Q V_Q",
-                     Estimate(vol_scaled, se_scaled, samples, seed), oracle=ball_volume(dims, r_dil)))
+                     _box_volume_mc(n, samples, substream(seed, TAG_EXPERIMENT, 200), r_dil),
+                     oracle=ball_volume(dims, r_dil)))
 
     # polar identity: 1D radial quadrature vs Monte Carlo for exp(-r^4)
     spec1 = ProductSpec.of_orders(1)
@@ -764,7 +739,7 @@ def geometry_selftest(
     trunc = 2.7  # exp(-2.7^4) ~ 1e-24: truncation far below Monte Carlo noise
     est = mc_integrate(
         lambda pts: np.exp(-koranyi_norm(pts[0]) ** 4), spec1, [trunc],
-        min(samples, 400_000), _row_seed(seed, 300),
+        min(samples, 400_000), subseed(seed, TAG_EXPERIMENT, 300),
     )
     rows.append(_row("polar identity: quadrature vs mc for exp(-r^4)", est, oracle=quad))
 
@@ -777,7 +752,7 @@ def volume_check(n: int, samples: int = 1_000_000, seed: int = 0) -> ExperimentR
     """Box-rejection volume of the unit Koranyi ball against the closed form,
     with the alternative-normalization ratio flagged."""
     t0 = time.perf_counter()
-    rows = _volume_rows(n, samples, substream(seed, TAG_EXPERIMENT, 0), seed)
+    rows = _volume_rows(n, samples, substream(seed, TAG_EXPERIMENT, 0))
     summary = {"C9:volume": rows[0].verdict}
     params = {"n": n, "samples": samples,
               "derived_volume": hgroup.unit_ball_volume(n),

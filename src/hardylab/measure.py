@@ -26,6 +26,7 @@ __all__ = [
     "IntegrationError",
     "IntegrandError",
     "substream",
+    "subseed",
     "mc_integrate",
     "integrate_1d",
     "nodewise",
@@ -81,7 +82,6 @@ class Estimate:
     value: float
     std_error: float = 0.0
     samples: int = 0
-    seed: int = 0
 
     @classmethod
     def exact(cls, value: float) -> "Estimate":
@@ -95,32 +95,27 @@ class Estimate:
         return self.value
 
     def scaled(self, c: float) -> "Estimate":
-        return Estimate(self.value * c, abs(c) * self.std_error, self.samples, self.seed)
+        return Estimate(self.value * c, abs(c) * self.std_error, self.samples)
 
     def powered(self, q: float) -> "Estimate":
         """Delta-method propagation through value**q (value > 0)."""
         v = self.value**q
         se = abs(q) * self.value ** (q - 1.0) * self.std_error if self.value > 0 else 0.0
-        return Estimate(v, se, self.samples, self.seed)
+        return Estimate(v, se, self.samples)
+
+    def _combined(self, other: "Estimate", v: float) -> "Estimate":
+        """v with the independent relative errors of self and other added in
+        quadrature."""
+        rel = math.hypot(*(e.std_error / e.value if e.value != 0 else 0.0 for e in (self, other)))
+        return Estimate(v, abs(v) * rel, max(self.samples, other.samples))
 
     def ratio(self, other: "Estimate") -> "Estimate":
-        """Quotient with independent relative errors added in quadrature."""
         if other.value == 0.0:
             raise ZeroDivisionError("zero norm in quotient")
-        v = self.value / other.value
-        rel = math.hypot(
-            self.std_error / self.value if self.value != 0 else 0.0,
-            other.std_error / other.value,
-        )
-        return Estimate(v, abs(v) * rel, max(self.samples, other.samples), self.seed)
+        return self._combined(other, self.value / other.value)
 
     def product(self, other: "Estimate") -> "Estimate":
-        v = self.value * other.value
-        rel = math.hypot(
-            self.std_error / self.value if self.value != 0 else 0.0,
-            other.std_error / other.value if other.value != 0 else 0.0,
-        )
-        return Estimate(v, abs(v) * rel, max(self.samples, other.samples), self.seed)
+        return self._combined(other, self.value * other.value)
 
     def tolerance(self, target: float, sigmas: float = 3.0, atol: float = 0.0) -> float:
         """Largest |value - target| that `within` accepts: sigmas standard
@@ -132,12 +127,21 @@ class Estimate:
         return abs(self.value - target) <= self.tolerance(target, sigmas, atol)
 
 
+def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+    return np.random.SeedSequence([int(seed) & _MASK64] + [int(p) & _MASK64 for p in path])
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Counter-based substream for (seed, *path): a Philox generator keyed by
     the SeedSequence hash of the path.  Independent of call order."""
-    entropy = [int(seed) & _MASK64] + [int(p) & _MASK64 for p in path]
-    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    key = _seed_sequence(seed, path).generate_state(2, np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def subseed(seed: int, *path: int) -> int:
+    """Deterministic 63-bit seed for (seed, *path), from the same hash as
+    `substream`; experiments give each report row its own."""
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0] >> 1)
 
 
 def _chunk_sizes(samples: int, chunk_size: int) -> list[int]:
@@ -155,10 +159,10 @@ def chunked_mean(
     tag: int,
     workers: int = 1,
     chunk_size: int = 65536,
-) -> tuple[float, float]:
-    """Mean and standard error of the mean of `draw(rng, size) -> values`
-    over `samples` draws, accumulated chunk by chunk in fixed order.  The
-    error is the statistical one, sqrt(sum (v - mean)^2) / samples, which is
+) -> Estimate:
+    """Mean of `draw(rng, size) -> values` over `samples` draws, with its
+    standard error, accumulated chunk by chunk in fixed order.  The error is
+    the statistical one, sqrt(sum (v - mean)^2) / samples, which is
     0 up to rounding for a constant integrand."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -194,9 +198,7 @@ def chunked_mean(
         m2 += c
         done += size
     n = float(samples)
-    mean = s1 / n
-    sem = math.sqrt(m2 / n / n)
-    return mean, sem
+    return Estimate(s1 / n, math.sqrt(m2 / n / n), samples)
 
 
 def mc_integrate(
@@ -234,8 +236,7 @@ def mc_integrate(
             raise IntegrandError(f"non-finite integrand value {vals[i]} at sample {where}")
         return vals
 
-    mean, sem = chunked_mean(draw, samples, seed, TAG_MC, workers=workers, chunk_size=chunk_size)
-    return Estimate(mean * volume, sem * volume, samples, seed)
+    return chunked_mean(draw, samples, seed, TAG_MC, workers=workers, chunk_size=chunk_size).scaled(volume)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +269,11 @@ def _power_closeout(g, endpoint: float, lo: float, hi: float) -> tuple[float, fl
     g ~ c * s^gamma against the distance s from the endpoint.  Exact for pure
     power behavior; the panel is tiny by the time this is invoked."""
     width = hi - lo
+    s1, s2 = 0.125 * width, 0.5 * width
     if endpoint <= lo:  # singularity at the lower end
-        s1, s2 = 0.125 * width, 0.5 * width
         t1, t2 = endpoint + s1, endpoint + s2
         span = hi - endpoint
     else:  # singularity at the upper end
-        s1, s2 = 0.125 * width, 0.5 * width
         t1, t2 = endpoint - s1, endpoint - s2
         span = endpoint - lo
     g1 = float(np.asarray(g(np.array([t1])))[0])
@@ -355,26 +355,6 @@ def integrate_1d(
         push(mid, b)
 
 
-def integrate_semi_infinite(
-    g,
-    lo: float,
-    tol: float = 1e-10,
-    max_panels: int = 4096,
-    singular_lower: bool = False,
-) -> float:
-    """Integral of g over [lo, inf) via the substitution r = lo + u/(1-u)."""
-
-    def h(u: np.ndarray) -> np.ndarray:
-        u = np.minimum(u, 1.0 - 2.0**-52)  # keep r finite at rounded nodes
-        r = lo + u / (1.0 - u)
-        return np.asarray(g(r), dtype=float) / (1.0 - u) ** 2
-
-    return integrate_1d(
-        h, 0.0, 1.0, tol=tol, max_panels=max_panels,
-        singular_lower=singular_lower, singular_upper=True,
-    )
-
-
 def nodewise(inner):
     """Vectorize a scalar inner integral over the nodes of an outer rule:
     nodewise(inner)(R) is [inner(R_0), inner(R_1), ...].  Every nested
@@ -392,7 +372,8 @@ def radial_integral(
     """omega_Q * integral of profile(r) * r^(Q-1) over [lower, upper].
 
     This is the polar-coordinate form of an integral of a radial function
-    over H^n; upper may be math.inf, handled by the u/(1-u) substitution.
+    over H^n; upper may be math.inf, handled by the substitution
+    r = lower + u/(1-u) on u in [0, 1).
     """
     Q = dims.Q
 
@@ -400,7 +381,12 @@ def radial_integral(
         return np.asarray(profile(r), dtype=float) * r ** (Q - 1)
 
     if math.isinf(upper):
-        val = integrate_semi_infinite(g, lower, tol=tol, singular_lower=(lower == 0.0))
+
+        def h(u: np.ndarray) -> np.ndarray:
+            u = np.minimum(u, 1.0 - 2.0**-52)  # keep r finite at rounded nodes
+            return g(lower + u / (1.0 - u)) / (1.0 - u) ** 2
+
+        val = integrate_1d(h, 0.0, 1.0, tol=tol, singular_lower=(lower == 0.0), singular_upper=True)
     else:
         if not upper > lower:
             return 0.0
@@ -451,8 +437,7 @@ def _power_norm_mc(f, spec: ProductSpec, p: float, samples: int, seed: int, work
                 w *= c * r**-gam
         return w
 
-    mean, sem = chunked_mean(draw, samples, seed, TAG_POWER_NORM, workers=workers)
-    return Estimate(mean, sem, samples, seed)
+    return chunked_mean(draw, samples, seed, TAG_POWER_NORM, workers=workers)
 
 
 def lp_norm(

@@ -122,21 +122,6 @@ class GeneralWeight(Weight):
         return np.asarray(self.fn(T), dtype=float)
 
 
-class _TableWeight(GeneralWeight):
-    """Product of per-factor linearly interpolated tables."""
-
-    def __init__(self, tables: list[tuple[np.ndarray, np.ndarray]], label: str):
-        self.tables = tables
-
-        def fn(T: np.ndarray) -> np.ndarray:
-            out = np.ones(T.shape[0])
-            for i, (grid, vals) in enumerate(self.tables):
-                out = out * np.interp(T[:, i], grid, vals)
-            return out
-
-        super().__init__(fn, len(tables), label)
-
-
 def parse_weight(text: str, m: int) -> Weight:
     """Parse the CLI's weight forms: `one`, `monomial:a1,...`, `table:<file>`."""
     if text == "one":
@@ -160,7 +145,14 @@ def parse_weight(text: str, m: int) -> Weight:
             if np.any(vals < 0):
                 raise ValueError("weights must be nonnegative")
             tables.append((grid, vals))
-        return _TableWeight(tables, f"table:{rest}")
+
+        def product_of_tables(T: np.ndarray) -> np.ndarray:
+            out = np.ones(T.shape[0])
+            for i, (grid, vals) in enumerate(tables):
+                out = out * np.interp(T[:, i], grid, vals)
+            return out
+
+        return GeneralWeight(product_of_tables, m, f"table:{rest}")
     raise ValueError(f"unknown weight spec {text!r}")
 
 
@@ -269,10 +261,7 @@ def weighted_hardy_eval(
         return np.asarray(f(_scaled_points(x, T, spec)), dtype=float) * phi(T)
 
     if method == "mc":
-        mean, sem = chunked_mean(
-            lambda rng, k: g(rng.random((k, spec.m))), samples, seed, TAG_NESTED, workers=workers
-        )
-        return Estimate(mean, sem, samples, seed)
+        return chunked_mean(lambda rng, k: g(rng.random((k, spec.m))), samples, seed, TAG_NESTED, workers=workers)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     try:
@@ -316,11 +305,7 @@ def weighted_cesaro_eval(
     """
     radii = _check_point(f, x)
     spec = f.spec
-    cphi = weight_bound_integral(phi, p, spec, "cesaro")
-    if math.isinf(cphi):
-        raise UnboundedOperatorError(
-            "unbounded operator: the adjoint characteristic integral diverges"
-        )
+    _require_bounded(phi, p, spec, "cesaro")
     # trim to the t-region where the inversely dilated point can meet the support
     intervals = []
     try:
@@ -350,8 +335,7 @@ def weighted_cesaro_eval(
         def draw(rng: np.random.Generator, k: int) -> np.ndarray:
             return g(los + rng.random((k, spec.m)) * widths) * vol
 
-        mean, sem = chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers)
-        return Estimate(mean, sem, samples, seed)
+        return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     if profiles is not None and phi.is_monomial:
@@ -393,6 +377,15 @@ def weight_bound_integral(phi: Weight, p: float, spec: ProductSpec, kind: str) -
         return _iterated_cube(g, [(0.0, 1.0)] * spec.m, 1e-9)
     except IntegrationError:
         return math.inf
+
+
+def _require_bounded(phi: Weight, p: float, spec: ProductSpec, kind: str) -> None:
+    """Refuse a weight whose characteristic integral of the given kind
+    diverges at exponent p: the operator is then unbounded on L^p."""
+    if math.isinf(weight_bound_integral(phi, p, spec, kind)):
+        raise UnboundedOperatorError(
+            f"unbounded operator: the {kind} characteristic integral diverges at p={p:g}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +453,8 @@ def _nested_power_norm(
                 out[~pick] = (2.0 * dims.omega / g_out) * R ** (Q + g_out) * prod_means
             return out
 
-        mean, sem = chunked_mean(
-            draw, samples, seed + fi, TAG_NESTED, workers=workers, chunk_size=4096
-        )
-        total = total.product(Estimate(mean, sem, samples, seed))
-    return Estimate(total.value, total.std_error, samples, seed)
+        total = total.product(chunked_mean(draw, samples, seed + fi, TAG_NESTED, workers=workers, chunk_size=4096))
+    return total
 
 
 def _hardy_norm_compact(
@@ -508,14 +498,14 @@ def _hardy_norm_compact(
     for c in range(replicates):
         rng = substream(seed, TAG_COMPACT, c)
         pts, dens = sampler(rng, per_rep)
-        vals = np.asarray(f(pts), dtype=float) / dens
+        fv = np.asarray(f(pts), dtype=float)
         idx = [
             np.searchsorted(nodes[i], koranyi_norm(pts[i]), side="left")
             for i in range(m)
         ]
         hist = np.zeros(tuple(g + 2 for g in G))
-        np.add.at(hist, tuple(idx), vals)
-        fp = float(np.mean(np.abs(np.asarray(f(pts), dtype=float)) ** p / dens))
+        np.add.at(hist, tuple(idx), fv / dens)
+        fp = float(np.mean(np.abs(fv) ** p / dens))
         bins.append((hist, fp))
 
     def tf_power(hist: np.ndarray, n_samp: int) -> float:
@@ -544,7 +534,7 @@ def _hardy_norm_compact(
         raise ValueError("zero norm: the function vanishes on its sample")
     q_reps = np.asarray([(tf_power(h, per_rep) / v) ** (1.0 / p) for h, v in bins if v > 0])
     q_sem = float(np.std(q_reps, ddof=1) / math.sqrt(len(q_reps))) if len(q_reps) > 1 else 0.0
-    return Estimate((J_full / F_full) ** (1.0 / p), q_sem, per_rep * replicates, seed)
+    return Estimate((J_full / F_full) ** (1.0 / p), q_sem, per_rep * replicates)
 
 
 def _radial_hardy_norm(f, p: float, spec: ProductSpec, tol: float) -> float:
@@ -626,11 +616,7 @@ def norm_quotient(
         if phi is None:
             raise ValueError("weighted quotients need a weight")
         adjoint = operator == "weighted-cesaro"
-        cphi = weight_bound_integral(phi, p, spec, "cesaro" if adjoint else "hardy")
-        if math.isinf(cphi):
-            raise UnboundedOperatorError(
-                "unbounded operator: the characteristic integral diverges"
-            )
+        _require_bounded(phi, p, spec, "cesaro" if adjoint else "hardy")
         if method == "closed":
             if f.family != "power-outside" or not phi.is_monomial:
                 raise UnsupportedFamilyError(
@@ -662,6 +648,15 @@ def _tensor_nodes(m: int):
     S1, S2 = np.meshgrid(s, s, indexing="ij")
     W = np.outer(w, w).ravel()
     return np.column_stack([S1.ravel(), S2.ravel()]), W
+
+
+def _in_polyball(pts: list[np.ndarray], radii) -> np.ndarray:
+    """Mask of the points inside the polyball of the given radii (open balls
+    about the origin)."""
+    inside = np.ones(pts[0].shape[0], dtype=bool)
+    for x, r in zip(pts, radii):
+        inside &= koranyi_norm(x) < r
+    return inside
 
 
 def _support_sampler(f: TestFunction, spec: ProductSpec):
@@ -710,10 +705,7 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
     vol = polyball_volume(spec, radii)
 
     def density(pts: list[np.ndarray]) -> np.ndarray:
-        inside = np.ones(pts[0].shape[0], dtype=bool)
-        for i, r in enumerate(radii):
-            inside &= koranyi_norm(pts[i]) < r
-        return inside.astype(float) / vol
+        return _in_polyball(pts, radii) / vol
 
     def draw(rng: np.random.Generator, k: int):
         pts = [sample_ball(dims, rng, r, k) for dims, r in zip(spec.factors, radii)]
@@ -751,8 +743,7 @@ def pairing_weighted_hardy(
         pg = gvals @ (W * phi(S))
         return fvals * pg / dens
 
-    mean, sem = chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)
-    return Estimate(mean, sem, samples, seed)
+    return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)
 
 
 def pairing_weighted_cesaro(
@@ -770,11 +761,7 @@ def pairing_weighted_cesaro(
     affine-mapped Gauss-Legendre nodes, which keeps indicator-type f exact."""
     if spec.m > 2:
         raise NotImplementedError("pairings implemented for m <= 2")
-    cphi = weight_bound_integral(phi, p, spec, "cesaro")
-    if math.isinf(cphi):
-        raise UnboundedOperatorError(
-            "unbounded operator: the adjoint characteristic integral diverges"
-        )
+    _require_bounded(phi, p, spec, "cesaro")
     S, W = _tensor_nodes(spec.m)
     sup = f.support_radii()
     sampler, _ = _support_sampler(g, spec)
@@ -802,5 +789,4 @@ def pairing_weighted_cesaro(
         inner = (fvals * phivals * kern * jac) @ W
         return gvals * inner / dens
 
-    mean, sem = chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)
-    return Estimate(mean, sem, samples, seed)
+    return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)

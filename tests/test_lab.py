@@ -22,41 +22,53 @@ def verdicts_ok(report):
 
 class TestRow:
     def test_zero_error_row_passes_at_a_few_ulp(self):
-        r = lab._row("constant integrand", Estimate(1.0 - 0.8, 0.0, 40_000, 5), oracle=0.2)
+        r = lab._row("constant integrand", Estimate(1.0 - 0.8, 0.0, 40_000), oracle=0.2)
         assert r.verdict == "PASS"
         assert r.deviation != 0.0
         assert 0.0 < r.sigma_multiple <= 3.0
 
     def test_zero_error_row_fails_at_relative_1e_12(self):
-        r = lab._row("constant integrand", Estimate(0.2 * (1 + 1e-12), 0.0, 40_000, 5), oracle=0.2)
+        r = lab._row("constant integrand", Estimate(0.2 * (1 + 1e-12), 0.0, 40_000), oracle=0.2)
         assert r.verdict == "FAIL"
         assert r.sigma_multiple > 3.0
 
     def test_rounding_scale_error_reads_against_the_rounding_term(self):
         # a standard error far below rounding must not inflate the sigma count
-        r = lab._row("near-constant", Estimate(1.0 - 0.8, 1e-20, 40_000, 5), oracle=0.2)
+        r = lab._row("near-constant", Estimate(1.0 - 0.8, 1e-20, 40_000), oracle=0.2)
         assert r.verdict == "PASS"
         assert r.sigma_multiple <= 3.0
 
     def test_zero_error_row_reads_against_atol(self):
         # the duality indicator row: constant integrand, many-ulp summation
         # rounding, gated by atol
-        est = Estimate(0.2 + 1e-14, 1e-18, 20_000, 5)
+        est = Estimate(0.2 + 1e-14, 1e-18, 20_000)
         r = lab._row("indicator", est, oracle=0.2, atol=1e-9)
         assert r.verdict == "PASS"
         assert 0.0 < r.sigma_multiple < 1e-3
         assert lab._row("indicator", est, oracle=0.2).sigma_multiple > 3.0
 
     def test_statistical_row_reads_plain_sigmas(self):
-        r = lab._row("mc", Estimate(1.02, 0.01, 1_000, 0), oracle=1.0)
+        r = lab._row("mc", Estimate(1.02, 0.01, 1_000), oracle=1.0)
         assert r.sigma_multiple == abs(1.02 - 1.0) / 0.01
         assert r.verdict == "PASS"
-        assert lab._row("mc", Estimate(1.04, 0.01, 1_000, 0), oracle=1.0).verdict == "FAIL"
+        assert lab._row("mc", Estimate(1.04, 0.01, 1_000), oracle=1.0).verdict == "FAIL"
 
     def test_exact_row_gated_by_atol(self):
         r = lab._row("quadrature", 1.0 + 1e-9, oracle=1.0, atol=1e-8)
         assert r.verdict == "PASS" and r.sigma_multiple == 0.0
         assert lab._row("quadrature", 1.0 + 1e-7, oracle=1.0, atol=1e-8).verdict == "FAIL"
+
+
+class TestSigmaRow:
+    def test_zero_error_reads_zero_sigma(self):
+        r = lab._sigma_row("bound", 0.41, 0.0, 0.5, "INFO")
+        assert r.sigma_multiple == 0.0 and r.deviation == 0.41 - 0.5 and r.verdict == "INFO"
+
+    @pytest.mark.parametrize("dev, verdict", [(0.02, "PASS"), (-0.04, "INFO"), (0.06, "FAIL")])
+    def test_default_verdict_follows_sigma_verdict(self, dev, verdict):
+        r = lab._sigma_row("pair", dev, 0.01, 0.0)
+        assert r.sigma_multiple == abs(dev) / 0.01
+        assert r.verdict == lab._sigma_verdict(r.sigma_multiple) == verdict
 
 
 class TestSharpnessSweep:

@@ -16,7 +16,9 @@ from hardylab.measure import (
     lp_norm,
     mc_integrate,
     radial_integral,
+    TAG_EXPERIMENT,
     rounding_error,
+    subseed,
     substream,
 )
 
@@ -175,14 +177,14 @@ class TestEstimate:
         assert e.is_exact and e.std_error == 0.0 and e.samples == 0
 
     def test_ratio_propagation(self):
-        a = Estimate(4.0, 0.04, 100, 0)
-        b = Estimate(2.0, 0.02, 100, 0)
+        a = Estimate(4.0, 0.04, 100)
+        b = Estimate(2.0, 0.02, 100)
         r = a.ratio(b)
         assert r.value == 2.0
         assert r.std_error == pytest.approx(2.0 * math.hypot(0.01, 0.01), rel=1e-12)
 
     def test_powered(self):
-        a = Estimate(4.0, 0.4, 100, 0)
+        a = Estimate(4.0, 0.4, 100)
         h = a.powered(0.5)
         assert h.value == 2.0
         assert h.std_error == pytest.approx(0.5 * 4.0**-0.5 * 0.4, rel=1e-12)
@@ -193,6 +195,13 @@ class TestEstimate:
         c = substream(42, 1, 3).random(5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [0, 5, -3, 2**63, 2**64 + 7])
+    def test_subseed_matches_the_row_seed_formula(self, seed):
+        # the 63-bit row seeds the experiments have always used
+        for idx in (0, 1, 3 * 7 + 2, 999_000):
+            ss = np.random.SeedSequence([seed & ((1 << 64) - 1), TAG_EXPERIMENT, idx])
+            assert subseed(seed, TAG_EXPERIMENT, idx) == int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
 def near_constant(rng, k):
@@ -214,24 +223,25 @@ class TestChunkedMean:
     def test_near_constant_multi_chunk_error(self):
         # a spread of 1e-9 on a mean of 1, which uncentred sums lose to cancellation
         n = 200_000
-        mean, se = chunked_mean(near_constant, n, seed=3, tag=11, chunk_size=65_536)
+        est = chunked_mean(near_constant, n, seed=3, tag=11, chunk_size=65_536)
         vals = np.concatenate(all_draws(near_constant, n, 3, 11, 65_536))
-        assert se == pytest.approx(np.std(vals) / math.sqrt(n), rel=1e-6)
-        assert mean == pytest.approx(1.0, abs=1e-11)
+        assert est.std_error == pytest.approx(np.std(vals) / math.sqrt(n), rel=1e-6)
+        assert est.value == pytest.approx(1.0, abs=1e-11)
+        assert est.samples == n
 
     def test_constant_multi_chunk_error_is_rounding_scale(self):
-        mean, se = chunked_mean(constant, 200_000, seed=3, tag=11, chunk_size=65_536)
-        assert mean == pytest.approx(0.2, rel=1e-15)
-        assert se <= math.ulp(0.2)
+        est = chunked_mean(constant, 200_000, seed=3, tag=11, chunk_size=65_536)
+        assert est.value == pytest.approx(0.2, rel=1e-15)
+        assert est.std_error <= math.ulp(0.2)
 
     def test_mean_is_ordered_sum_of_chunk_sums(self):
         draw = lambda rng, k: rng.random(k) ** 3
         n = 150_000
-        mean, _ = chunked_mean(draw, n, seed=8, tag=11, chunk_size=40_000)
+        est = chunked_mean(draw, n, seed=8, tag=11, chunk_size=40_000)
         total = 0.0
         for chunk in all_draws(draw, n, 8, 11, 40_000):
             total += float(chunk.sum())
-        assert mean == total / n
+        assert est.value == total / n
 
     @pytest.mark.parametrize("draw", [near_constant, constant])
     def test_worker_count_invariance(self, draw):
@@ -243,15 +253,15 @@ class TestChunkedMean:
 class TestWithin:
     def test_zero_error_passes_at_a_few_ulp(self):
         # 1 - 0.8 is 2 ulp short of 0.2: a constant integrand's exact answer
-        est = Estimate(1.0 - 0.8, 0.0, 40_000, 5)
+        est = Estimate(1.0 - 0.8, 0.0, 40_000)
         assert est.value != 0.2
         assert est.within(0.2)
-        assert Estimate(0.2 + 4 * math.ulp(0.2), 0.0, 40_000, 5).within(0.2)
+        assert Estimate(0.2 + 4 * math.ulp(0.2), 0.0, 40_000).within(0.2)
 
     def test_zero_error_fails_at_relative_1e_12(self):
         for target in (0.2, 1.0, 3.0e5):
-            assert not Estimate(target * (1.0 + 1e-12), 0.0, 40_000, 5).within(target)
-            assert not Estimate(target * (1.0 - 1e-12), 0.0, 40_000, 5).within(target)
+            assert not Estimate(target * (1.0 + 1e-12), 0.0, 40_000).within(target)
+            assert not Estimate(target * (1.0 - 1e-12), 0.0, 40_000).within(target)
 
     def test_rounding_term_scale(self):
         for x in (0.2, 1.0, 7.5e3):
@@ -260,12 +270,12 @@ class TestWithin:
         assert rounding_error(0.5, -2.0) == ROUNDING_ULPS * math.ulp(2.0)
 
     def test_non_finite_target_never_passes(self):
-        assert not Estimate(1.0, 0.0, 100, 0).within(math.inf)
-        assert not Estimate(1.0, 0.0, 100, 0).within(math.nan)
+        assert not Estimate(1.0, 0.0, 100).within(math.inf)
+        assert not Estimate(1.0, 0.0, 100).within(math.nan)
         assert rounding_error(1.0, math.inf) == 0.0
 
     def test_statistical_error_still_gates(self):
-        est = Estimate(1.0, 0.01, 1000, 0)
+        est = Estimate(1.0, 0.01, 1000)
         assert est.within(1.029)
         assert not est.within(1.031)
         assert est.tolerance(1.0) == 0.03 + rounding_error(1.0, 1.0)
