@@ -55,97 +55,72 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hardylab", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     common = _Parser(add_help=False)
-    common.add_argument("--p", type=float, default=None, help="Lebesgue exponent in (1, inf)")
-    common.add_argument("--factors", type=str, default=None,
+    common.add_argument("--p", type=float, default=2.0, help="Lebesgue exponent in (1, inf)")
+    common.add_argument("--factors", type=str, default="1",
                         help="comma-separated group orders, e.g. 1,1")
-    common.add_argument("--eps", type=str, default=None, help="comma-separated eps grid")
-    common.add_argument("--weight", type=str, default=None,
+    common.add_argument("--eps", type=str, default=",".join(str(e) for e in DEFAULT_EPS_GRID),
+                        help="comma-separated eps grid")
+    common.add_argument("--weight", type=str, default="monomial:3",
                         help="weight spec: one | monomial:a1,... | table:<file>")
     common.add_argument("--function", type=str, default=None,
                         help="test function: power-inside:a1,... | power-outside:b1,... "
                              "| bumps:<file> (extra scored row in `fuzz`)")
-    common.add_argument("--method", type=str, default=None, choices=("closed", "radial", "mc"))
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--inner-samples", type=int, default=None, dest="inner_samples")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--trials", type=int, default=None)
-    common.add_argument("--pairs", type=int, default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--n", type=int, default=None, help="group order (volume subcommand)")
-    common.add_argument("--workers", type=int, default=None)
-    common.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-    common.add_argument("--output", type=str, default=None, help="output path, '-' for stdout")
-    common.add_argument("--plot", action="store_true", default=None,
+    common.add_argument("--method", type=str, default="closed", choices=("closed", "radial", "mc"))
+    common.add_argument("--samples", type=int, default=100_000)
+    common.add_argument("--inner-samples", type=int, default=768, dest="inner_samples")
+    # argparse passes a string default through `type`, so a bad HARDYLAB_SEED
+    # is a usage error like a bad flag
+    common.add_argument("--seed", type=int, default=os.environ.get("HARDYLAB_SEED") or 0)
+    common.add_argument("--trials", type=int, default=50)
+    common.add_argument("--pairs", type=int, default=20)
+    common.add_argument("--n", type=int, default=1, help="group order (volume subcommand)")
+    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--format", type=str, default="json", choices=("csv", "json"))
+    common.add_argument("--output", type=str, default="-", help="output path, '-' for stdout")
+    common.add_argument("--plot", action="store_true",
                         help="also write an SVG convergence plot next to the output")
-    common.add_argument("--config", type=str, default=None, help="JSON config file")
+    common.add_argument("--config", type=str, default=None,
+                        help="JSON config file; its keys are flag names")
     for name in SUBCOMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
 
 
-_DEFAULTS = {
-    "p": 2.0,
-    "factors": "1",
-    "eps": ",".join(str(e) for e in DEFAULT_EPS_GRID),
-    "weight": "monomial:3",
-    "function": None,
-    "method": "closed",
-    "samples": 100_000,
-    "inner_samples": 768,
-    "trials": 50,
-    "pairs": 20,
-    "tol": 1e-10,
-    "n": 1,
-    "workers": 1,
-    "format": "json",
-    "output": "-",
-    "plot": False,
-}
-
-
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flag values over config-file values over defaults."""
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise UsageError(f"cannot read config file: {err}") from err
-        if not isinstance(cfg, dict):
-            raise UsageError("config file must hold a JSON object")
-    out = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in cfg:
-            out[key] = cfg[key]
-        else:
-            out[key] = default
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    elif "seed" in cfg:
-        out["seed"] = int(cfg["seed"])
-    elif os.environ.get("HARDYLAB_SEED"):
-        out["seed"] = int(os.environ["HARDYLAB_SEED"])
-    else:
-        out["seed"] = 0
-    return out
+def _config_flags(path: str) -> list[str]:
+    """The flags a config file stands for: key k with value v becomes
+    --k=v (underscores read as hyphens), true a bare --k, and false or null
+    no flag at all."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise UsageError(f"cannot read config file: {err}") from err
+    if not isinstance(cfg, dict):
+        raise UsageError("config file must hold a JSON object")
+    flags = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False and value is not None:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def _validate(cmd: str, cfg: dict) -> None:
     if not 1.0 < cfg["p"] < math.inf:
         raise UsageError(f"--p must lie in (1, inf), got {cfg['p']}")
     try:
-        factors = [int(v) for v in str(cfg["factors"]).split(",") if v != ""]
+        factors = [int(v) for v in cfg["factors"].split(",") if v != ""]
     except ValueError as err:
         raise UsageError(f"bad --factors: {err}") from err
     if not factors or any(n < 1 for n in factors):
         raise UsageError("--factors needs at least one positive group order")
     cfg["factors_list"] = factors
+    if cmd == "cesaro-duality" and len(factors) > 2:
+        raise UsageError("cesaro-duality pairings support at most 2 factors")
     try:
-        cfg["eps_list"] = [float(v) for v in str(cfg["eps"]).split(",") if v != ""]
+        cfg["eps_list"] = [float(v) for v in cfg["eps"].split(",") if v != ""]
     except ValueError as err:
         raise UsageError(f"bad --eps grid: {err}") from err
     if any(not 0.0 < e < 1.0 for e in cfg["eps_list"]):
@@ -163,7 +138,7 @@ def _validate(cmd: str, cfg: dict) -> None:
         raise UsageError("--samples must be at least 1000 for Monte Carlo runs")
     if cfg["n"] < 1:
         raise UsageError("--n must be a positive integer")
-    if cfg["plot"] and cfg["output"] in (None, "-"):
+    if cfg["plot"] and cfg["output"] == "-":
         raise UsageError("--plot needs an --output path for the SVG sibling file")
 
 
@@ -339,13 +314,19 @@ def emit_report(report: ExperimentReport, fmt: str, path: str, plot: bool = Fals
 def run(argv) -> int:
     parser = build_parser()
     try:
+        argv = list(argv)
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required: " + ", ".join(SUBCOMMANDS))
-        cfg = _resolve(args)
+        if args.config:
+            # the config file's flags go right after the subcommand, so the
+            # command line's own flags, parsed after them, win
+            i = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:i] + _config_flags(args.config) + argv[i:])
+        cfg = vars(args)
         _validate(args.command, cfg)
         report = _dispatch(args.command, cfg)
-        emit_report(report, cfg["format"], cfg["output"], plot=bool(cfg["plot"]))
+        emit_report(report, cfg["format"], cfg["output"], plot=cfg["plot"])
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

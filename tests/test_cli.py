@@ -35,6 +35,7 @@ class TestExitCodes:
         assert run(["sharpness", "--eps", "0.1,0.1"]) == 1
         assert run(["volume", "--n", "30"]) == 1
         assert run(["volume", "--n", "200"]) == 1
+        assert run(["cesaro-duality", "--factors", "1,1,1", "--weight", "monomial:4,4,4"]) == 1
         assert run(["nonsense"]) == 1
         assert run([]) == 1
         err = capsys.readouterr().err
@@ -174,6 +175,29 @@ class TestConfigPrecedence:
              "--output", str(out)])
         rep = json.loads(out.read_text())
         assert rep["seed"] == 321
+
+    @pytest.mark.parametrize("config", [{"samples": "abc"}, {"format": "xml"}, {"sampels": 5}])
+    def test_config_values_are_checked_like_flags(self, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["volume", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 1
+
+    def test_config_and_flags_write_the_same_bytes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 2, "method": "closed", "plot": False, "function": None}))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["sharpness", "--config", str(cfg), "--output", str(a)]) == 0
+        assert run(["sharpness", "--p", "2", "--method", "closed", "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_config_seed_zero_is_kept(self, tmp_path, monkeypatch):
+        # 0 == False: a config value of 0 must still become a flag
+        monkeypatch.setenv("HARDYLAB_SEED", "321")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0, "n": 1, "samples": 20_000}))
+        out = tmp_path / "r.json"
+        assert run(["volume", "--config", str(cfg), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == 0
 
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
