@@ -30,6 +30,7 @@ from .hgroup import GroupDims, ProductSpec, ball_volume, dilate_arrays, koranyi_
 from .measure import (
     Estimate,
     TAG_EXPERIMENT,
+    TAG_SPHERE,
     chunked_mean,
     integrate_1d,
     mc_integrate,
@@ -365,14 +366,12 @@ def _sphere_profile_norms(
     acc_g = 0.0
     acc_f = 0.0
     for idx in idx_iter:
-        rng = substream(seed, TAG_EXPERIMENT, *[int(i) for i in idx])
+        rng = substream(seed, TAG_SPHERE, *[int(i) for i in idx])
         pts = []
         wprod = 1.0
         for (r_ax, w_ax), i, dims in zip(axes, idx, spec.factors):
             sph = hgroup.sample_unit_sphere(dims, rng, size=sphere_samples)
-            sph[:, : 2 * dims.n] *= r_ax[i]
-            sph[:, 2 * dims.n] *= r_ax[i] ** 2
-            pts.append(sph)
+            pts.append(dilate_arrays(r_ax[i], sph, dims.n))
             wprod *= w_ax[i]
         vals = np.asarray(f(pts), dtype=float)
         acc_g += wprod * abs(float(vals.mean())) ** p

@@ -43,6 +43,7 @@ TAG_RADIALIZE = 13
 TAG_NESTED = 14
 TAG_COMPACT = 15
 TAG_EXPERIMENT = 16
+TAG_SPHERE = 17
 
 
 class IntegrationError(RuntimeError):

@@ -1,10 +1,13 @@
 import math
+import sys
+from collections import Counter
 
 import pytest
 
 from hardylab import closedform as cf
 from hardylab import lab
 from hardylab.hgroup import ProductSpec
+from hardylab import measure
 from hardylab.measure import Estimate
 from hardylab.operators import MonomialWeight
 
@@ -202,3 +205,34 @@ class TestGeometry:
         a = lab.volume_check(2, samples=100_000, seed=1)
         b = lab.volume_check(2, samples=100_000, seed=1)
         assert a.rows[0].estimate == b.rows[0].estimate
+
+
+def test_no_substream_key_is_drawn_twice(monkeypatch):
+    """Rows gated as independent must draw from disjoint Philox streams: no
+    experiment may key two substreams alike."""
+    mask = (1 << 64) - 1
+    original = measure.substream
+    keys = []
+
+    def recording(seed, *path):
+        keys.append((seed & mask, *(p & mask for p in path)))
+        return original(seed, *path)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hardylab") and getattr(mod, "substream", None) is original:
+            monkeypatch.setattr(mod, "substream", recording)
+    runs = {
+        "radialization m=1": lambda: lab.radialization_check(3, 2.0, SPEC1, samples=2_000,
+                                                             inner_samples=16, seed=1),
+        "fuzz m=2": lambda: lab.bound_fuzz(2, 2.0, SPEC2, samples=4_000, seed=1),
+        "duality": lambda: lab.duality_check(MonomialWeight((4.0,)), 2.0, SPEC1, pairs=2,
+                                             samples=2_000, seed=1),
+        "sharpness mc": lambda: lab.sharpness_sweep(2.0, SPEC1, eps_grid=(0.2, 0.1), method="mc",
+                                                    samples=4_000, inner_samples=16, seed=1),
+        "geometry": lambda: lab.geometry_selftest(seed=1, samples=20_000, triples=1_000),
+    }
+    for name, run in runs.items():
+        keys.clear()
+        run()
+        repeated = [k for k, c in Counter(keys).items() if c > 1]
+        assert keys and not repeated, f"{name}: {len(repeated)} of {len(keys)} keys drawn twice"
