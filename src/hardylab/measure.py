@@ -36,7 +36,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# substream tags, one per call site that derives chunk streams
+# substream tags, one per call site that derives streams
 TAG_MC = 11
 TAG_POWER_NORM = 12
 TAG_RADIALIZE = 13
