@@ -261,14 +261,23 @@ class BumpMixture(TestFunction):
     family: str = field(default="bump-mixture", init=False)
 
     def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
+        return self.values_and_counts(pts)[0]
+
+    def values_and_counts(self, pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """f(pts) and, per point, the number of bump product balls that
+        contain it, both from one distance per bump and factor."""
         total = np.zeros(pts[0].shape[0])
+        count = np.zeros(pts[0].shape[0])
         for bump in self.bumps:
             acc = np.full(pts[0].shape[0], bump.coefficient)
+            inside = np.ones(pts[0].shape[0], dtype=bool)
             for center, radius, X in zip(bump.centers, bump.radii, pts):
                 d = hgroup.distance(X, center)
                 acc = acc * _bump_profile(d / radius)
+                inside &= d < radius
             total += acc
-        return total
+            count += inside
+        return total, count
 
     def support_radii(self) -> tuple[float, ...]:
         # |x_i| <= |c_i| + r_i on the support, by the triangle inequality

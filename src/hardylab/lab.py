@@ -394,14 +394,15 @@ def _ball_diff_average(
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         k_u = k // 2
         pts_u = [hgroup.sample_ball(dims, rng, float(r), k_u) for dims, r in zip(spec.factors, radii)]
-        pts_b, _dens = draw_b(rng, k - k_u)
+        pts_b, _dens, _fv = draw_b(rng, k - k_u)
         pts = [np.concatenate([a, b], axis=0) for a, b in zip(pts_u, pts_b)]
         mask = operators._in_polyball(pts, radii)
-        q = 0.5 * mask / vol + 0.5 * bump_density(pts)
+        dens_b, fv = bump_density(pts)
+        q = 0.5 * mask / vol + 0.5 * dens_b
         vals = np.zeros(k)
         if mask.any():
             sub = [a[mask] for a in pts]
-            h = np.asarray(gf(sub), dtype=float) - np.asarray(f(sub), dtype=float)
+            h = np.asarray(gf(sub), dtype=float) - fv[mask]
             vals[mask] = h / q[mask]
         return vals / vol
 

@@ -153,6 +153,16 @@ def _chunk_sizes(samples: int, chunk_size: int) -> list[int]:
     return sizes
 
 
+def _ordered_map(fn, count: int, workers: int = 1) -> list:
+    """[fn(0), ..., fn(count - 1)], on up to `workers` threads.  The results
+    come back in index order, so a reduction over them is bit-identical for
+    any worker count as long as fn(k) depends on k alone."""
+    if workers > 1 and count > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, range(count)))
+    return [fn(k) for k in range(count)]
+
+
 def chunked_mean(
     draw,
     samples: int,
@@ -179,11 +189,7 @@ def chunked_mean(
         dev *= dev
         return s, float(dev.sum())
 
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(len(sizes))))
-    else:
-        parts = [run(k) for k in range(len(sizes))]
+    parts = _ordered_map(run, len(sizes), workers)
 
     # Merge the chunks' sums and centred sums of squares in fixed order (bit-
     # identical for any worker count) with the pairwise update of Chan, Golub

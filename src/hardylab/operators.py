@@ -26,7 +26,6 @@ from .hgroup import (
     ProductSpec,
     ball_volume,
     dilate_arrays,
-    distance,
     group_law,
     koranyi_norm,
     polyball_volume,
@@ -37,6 +36,7 @@ from .measure import (
     IntegrationError,
     TAG_COMPACT,
     TAG_NESTED,
+    _ordered_map,
     chunked_mean,
     integrate_1d,
     lp_norm,
@@ -494,19 +494,18 @@ def _hardy_norm_compact(
         weights.append(np.concatenate(ws))
     G = [len(x) for x in nodes]
 
-    bins = []  # per replicate: (m-dim importance-weighted histogram, ||f||_p^p estimate)
-    for c in range(replicates):
-        rng = substream(seed, TAG_COMPACT, c)
-        pts, dens = sampler(rng, per_rep)
-        fv = np.asarray(f(pts), dtype=float)
+    def replicate(c: int) -> tuple[np.ndarray, float]:
+        """(m-dim importance-weighted histogram, ||f||_p^p estimate) of replicate c."""
+        pts, dens, fv = sampler(substream(seed, TAG_COMPACT, c), per_rep)
         idx = [
             np.searchsorted(nodes[i], koranyi_norm(pts[i]), side="left")
             for i in range(m)
         ]
         hist = np.zeros(tuple(g + 2 for g in G))
         np.add.at(hist, tuple(idx), fv / dens)
-        fp = float(np.mean(np.abs(fv) ** p / dens))
-        bins.append((hist, fp))
+        return hist, float(np.mean(np.abs(fv) ** p / dens))
+
+    bins = _ordered_map(replicate, replicates, workers)
 
     def tf_power(hist: np.ndarray, n_samp: int) -> float:
         """||T f||_p^p from one importance-weighted histogram."""
@@ -662,26 +661,26 @@ def _in_polyball(pts: list[np.ndarray], radii) -> np.ndarray:
 def _support_sampler(f: TestFunction, spec: ProductSpec):
     """(draw, density) pair for sampling the support of f with a known law.
 
+    `draw(rng, k)` returns `(pts, dens, values)`: k points, the proposal
+    density at each, and f at each, so no caller evaluates f on them again.
+    `density(pts)` returns `(dens, values)` at arbitrary points, the density
+    being zero off the proposal's support.
+
     Bump mixtures are sampled from the union of their product balls (pick a
     bump proportionally to its ball volume, left-translate a centered ball
     sample); the mixture density at a point only needs ball-membership
-    counts, so the weights are exact and every sample lands where f can be
-    nonzero.  Anything else falls back to uniform sampling of the support
-    polyball.  `density(pts)` works at arbitrary points (zero off the
-    proposal's support)."""
+    counts, which `BumpMixture.values_and_counts` returns with f from the
+    same distances, so the weights are exact and every sample lands where f
+    can be nonzero.  Anything else falls back to uniform sampling of the
+    support polyball."""
     if isinstance(f, BumpMixture) and f.bumps:
         vols = np.asarray([polyball_volume(spec, bump.radii) for bump in f.bumps])
         total = float(vols.sum())
         probs = vols / total
 
-        def density(pts: list[np.ndarray]) -> np.ndarray:
-            count = np.zeros(pts[0].shape[0])
-            for bump in f.bumps:
-                inside = np.ones(pts[0].shape[0], dtype=bool)
-                for i in range(spec.m):
-                    inside &= distance(pts[i], bump.centers[i]) < bump.radii[i]
-                count += inside
-            return count / total
+        def density(pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+            values, count = f.values_and_counts(pts)
+            return count / total, values
 
         def draw(rng: np.random.Generator, k: int):
             choice = rng.choice(len(probs), size=k, p=probs)
@@ -696,20 +695,20 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
                     z = sample_ball(dims, rng, bump.radii[i], kk)
                     arr[mask] = group_law(bump.centers[i][None, :], z)
                 pts.append(arr)
-            dens = np.maximum(density(pts), 1.0 / total)  # drawn points are inside
-            return pts, dens
+            dens, values = density(pts)
+            return pts, np.maximum(dens, 1.0 / total), values  # drawn points are inside
 
         return draw, density
 
     radii = [s if math.isfinite(s) else 1.0 for s in f.support_radii()]
     vol = polyball_volume(spec, radii)
 
-    def density(pts: list[np.ndarray]) -> np.ndarray:
-        return _in_polyball(pts, radii) / vol
+    def density(pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        return _in_polyball(pts, radii) / vol, np.asarray(f(pts), dtype=float)
 
     def draw(rng: np.random.Generator, k: int):
         pts = [sample_ball(dims, rng, r, k) for dims, r in zip(spec.factors, radii)]
-        return pts, np.full(k, 1.0 / vol)
+        return pts, np.full(k, 1.0 / vol), np.asarray(f(pts), dtype=float)
 
     return draw, density
 
@@ -732,9 +731,8 @@ def pairing_weighted_hardy(
     sampler, _ = _support_sampler(f, spec)
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
-        pts, dens = sampler(rng, k)
+        pts, dens, fvals = sampler(rng, k)
         K = S.shape[0]
-        fvals = np.asarray(f(pts), dtype=float)
         scaled = [
             dilate_arrays(S[:, i], pts[i][:, None, :], dims.n).reshape(k * K, dims.dim)
             for i, dims in enumerate(spec.factors)
@@ -767,9 +765,8 @@ def pairing_weighted_cesaro(
     sampler, _ = _support_sampler(g, spec)
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
-        pts, dens = sampler(rng, k)
+        pts, dens, gvals = sampler(rng, k)
         K = S.shape[0]
-        gvals = np.asarray(g(pts), dtype=float)
         t_nodes = []
         jac = np.ones((k, K))
         kern = np.ones((k, K))

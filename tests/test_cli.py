@@ -123,6 +123,15 @@ class TestArtifacts:
         assert run(base + ["--workers", "3", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fuzz_is_byte_identical_across_workers(self, tmp_path):
+        # the compact estimator's replicates run on the pool (C10 for C5)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        base = ["fuzz", "--factors", "1,1", "--trials", "2", "--samples", "8000",
+                "--seed", "6", "--format", "json"]
+        assert run(base + ["--workers", "1", "--output", str(a)]) == 0
+        assert run(base + ["--workers", "2", "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_non_finite_values_are_refused(self):
         rep = ExperimentReport("x", {}, [ReportRow("r", -math.inf)], {}, 0)
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from hardylab.funcs import (
     random_bump_mixture,
 )
 from hardylab import funcs
-from hardylab.hgroup import HPoint, ProductSpec, koranyi_norm
+from hardylab.hgroup import HPoint, ProductSpec, distance, koranyi_norm
 from hardylab.measure import lp_norm
 
 SPEC1 = ProductSpec.of_orders(1)
@@ -197,3 +197,21 @@ class TestRandomMixtures:
         vals = f(pts)
         outside = koranyi_norm(pts[0]) > S
         assert np.all(vals[outside] == 0.0)
+
+    def test_values_and_counts_match_a_per_bump_loop(self):
+        rng = np.random.default_rng(14)
+        f = BumpMixture(SPEC2, tuple(
+            Bump(tuple(rng.normal(scale=0.2, size=(2, 3))), tuple(rng.uniform(0.5, 1.0, 2)), c)
+            for c in (1.0, -0.5, 0.3)
+        ))
+        pts = [rng.normal(scale=0.8, size=(4_000, 3)) for _ in range(2)]
+        values, counts = f.values_and_counts(pts)
+        loop = np.zeros(4_000)
+        for bump in f.bumps:
+            inside = np.ones(4_000, dtype=bool)
+            for center, radius, X in zip(bump.centers, bump.radii, pts):
+                inside &= distance(X, center) < radius
+            loop += inside
+        assert np.array_equal(counts, loop)
+        assert counts.max() >= 2  # the overlapping bumps are exercised
+        assert np.array_equal(values, f(pts))

@@ -195,6 +195,12 @@ class TestNormQuotient:
         q = ops.norm_quotient(f, 2.0, SPEC1, method="mc", samples=40_000, seed=13)
         assert q.value < 2.0
 
+    def test_compact_estimate_is_worker_invariant(self):
+        f = random_bump_mixture(SPEC2, np.random.default_rng(15))
+        runs = [ops._hardy_norm_compact(f, 2.0, SPEC2, 8_000, seed=15, workers=w) for w in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0].std_error > 0.0
+
     def test_zero_norm_rejected(self):
         zero = BumpMixture(SPEC1, ())
         with pytest.raises(ValueError, match="zero norm|vanishes"):
