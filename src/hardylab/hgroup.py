@@ -218,12 +218,25 @@ def koranyi_norm(x):
 
 
 def distance(p, q):
-    """Left-invariant distance d(p, q) = |q^{-1} o p|_h."""
-    pa, pn, _ = _coerce(p)
+    """Left-invariant distance d(p, q) = |q^{-1} o p|_h, fused into one pass.
+
+    With the horizontal difference h = p_h - q_h and the symplectic map
+    J q = (-q_{n+1..2n}, q_{1..n}), the vertical part of q^{-1} o p is
+    p_t - q_t + p_h . (2 J q) = p_t - q_t + h . (2 J q), since q . J q = 0.
+    Then d = sqrt(sqrt(|h|^4 + v^2)).  Writing the cross term through h
+    keeps d(x, x) exactly 0.  A single point q makes it a matrix-vector
+    product; q may also be a batch that broadcasts against p."""
+    pa, n, _ = _coerce(p)
     qa, qn, _ = _coerce(q)
-    if pn != qn:
-        raise ValueError(f"dimension mismatch: n={pn} vs n={qn}")
-    return koranyi_norm(_law_arrays(-qa, pa, pn))
+    if n != qn:
+        raise ValueError(f"dimension mismatch: n={n} vs n={qn}")
+    h = pa[..., : 2 * n] - qa[..., : 2 * n]
+    horiz = np.einsum("...i,...i->...", h, h)
+    jq = 2.0 * np.concatenate([-qa[..., n : 2 * n], qa[..., :n]], axis=-1)
+    cross = h @ jq if qa.ndim == 1 else np.einsum("...i,...i->...", h, jq)
+    vert = pa[..., 2 * n] - qa[..., 2 * n] + cross
+    val = np.sqrt(np.sqrt(horiz * horiz + vert * vert))
+    return float(val) if val.ndim == 0 else val
 
 
 def ball_volume(dims: GroupDims, r: float) -> float:

@@ -30,6 +30,7 @@ from .hgroup import (
     koranyi_norm,
     polyball_volume,
     sample_ball,
+    sample_unit_ball,
 )
 from .measure import (
     Estimate,
@@ -667,8 +668,9 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
     being zero off the proposal's support.
 
     Bump mixtures are sampled from the union of their product balls (pick a
-    bump proportionally to its ball volume, left-translate a centered ball
-    sample); the mixture density at a point only needs ball-membership
+    bump proportionally to its ball volume, then per factor dilate one
+    unit-ball sample by the chosen bump's radius and left-translate it to
+    its centre); the mixture density at a point only needs ball-membership
     counts, which `BumpMixture.values_and_counts` returns with f from the
     same distances, so the weights are exact and every sample lands where f
     can be nonzero.  Anything else falls back to uniform sampling of the
@@ -682,19 +684,15 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
             values, count = f.values_and_counts(pts)
             return count / total, values
 
+        centers = [np.stack([bump.centers[i] for bump in f.bumps]) for i in range(spec.m)]
+        radii = [np.asarray([bump.radii[i] for bump in f.bumps]) for i in range(spec.m)]
+
         def draw(rng: np.random.Generator, k: int):
             choice = rng.choice(len(probs), size=k, p=probs)
-            pts = []
-            for i, dims in enumerate(spec.factors):
-                arr = np.empty((k, dims.dim))
-                for j, bump in enumerate(f.bumps):
-                    mask = choice == j
-                    kk = int(mask.sum())
-                    if kk == 0:
-                        continue
-                    z = sample_ball(dims, rng, bump.radii[i], kk)
-                    arr[mask] = group_law(bump.centers[i][None, :], z)
-                pts.append(arr)
+            pts = [
+                group_law(c[choice], dilate_arrays(r[choice], sample_unit_ball(dims, rng, k), dims.n))
+                for dims, c, r in zip(spec.factors, centers, radii)
+            ]
             dens, values = density(pts)
             return pts, np.maximum(dens, 1.0 / total), values  # drawn points are inside
 

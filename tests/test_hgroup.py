@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +171,65 @@ class TestDistance:
         lhs = distance(P, Q)
         rhs = distance(P, X) + distance(X, Q)
         assert np.all(lhs <= rhs + 1e-12)
+
+
+def _exact_distance(p, q, n):
+    """d(p, q) from exact rational arithmetic on the float inputs, rounded
+    once to a float before the fourth root, and the exact vertical part v."""
+    p = [Fraction(float(a)) for a in p]
+    q = [Fraction(float(a)) for a in q]
+    horiz = sum((a - b) ** 2 for a, b in zip(p[: 2 * n], q[: 2 * n]))
+    v = p[2 * n] - q[2 * n] + 2 * sum(q[j] * p[n + j] - p[j] * q[n + j] for j in range(n))
+    return float(horiz * horiz + v * v) ** 0.25, float(v)
+
+
+class TestFusedDistance:
+    """The fused kernel against exact arithmetic.  The composition
+    |q^{-1} o p|_h is no reference at the ulp level: where its cross term
+    cancels it is itself off by tens of ulp."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_within_four_ulp_of_exact(self, n, scale):
+        rng = np.random.default_rng(n)
+        P, Q = (rng.normal(scale=scale, size=(150, 2 * n + 1)) for _ in range(2))
+        for q in (Q[0], Q):  # one point (matrix-vector) and a batch
+            d = distance(P, q)
+            qs = np.broadcast_to(q, P.shape)
+            exact = np.array([_exact_distance(a, b, n)[0] for a, b in zip(P, qs)])
+            assert np.all(np.abs(d - exact) <= 4 * np.spacing(np.maximum(d, exact)))
+            ref = koranyi_norm(group_law(inverse(q), P))
+            assert np.allclose(d, ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_near_points_within_the_conditioning_bound(self, n, scale):
+        # for q close to p the vertical part v cancels; a rounding error of
+        # (n+1) eps * S in v, with S the sum of its terms' sizes, moves d by
+        # |v| / (2 d^3) times that
+        rng = np.random.default_rng(10 + n)
+        P = rng.normal(scale=scale, size=(150, 2 * n + 1))
+        Q = P + rng.normal(scale=scale * 1e-4, size=P.shape)
+        d = distance(P, Q)
+        exact, v = map(np.array, zip(*(_exact_distance(a, b, n) for a, b in zip(P, Q))))
+        h = P[:, : 2 * n] - Q[:, : 2 * n]
+        jq = 2.0 * np.concatenate([-Q[:, n : 2 * n], Q[:, :n]], axis=1)
+        S = np.abs(P[:, 2 * n] - Q[:, 2 * n]) + np.sum(np.abs(h * jq), axis=1)
+        bound = 4 * np.spacing(np.maximum(d, exact)) + (n + 1) * 2.0**-52 * np.abs(v) * S / (2 * exact**3)
+        assert np.all(np.abs(d - exact) <= bound)
+
+    def test_hpoints_and_self_distance(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3):
+            P = rng.normal(scale=1e3, size=(50, 2 * n + 1))
+            p, q = HPoint(P[0], n), HPoint(P[1], n)
+            assert isinstance(distance(p, q), float)
+            assert distance(p, q) == distance(P[0], P[1]) == distance(P[:1], P[1])[0]
+            exact, _ = _exact_distance(P[0], P[1], n)
+            assert abs(distance(p, q) - exact) <= 4 * np.spacing(max(distance(p, q), exact))
+            assert distance(p, p) == 0.0
+            assert np.all(distance(P, P) == 0.0)
+            assert all(distance(P, x)[i] == 0.0 for i, x in enumerate(P))
 
 
 def _ball_volume_reduction(n: int) -> float:
