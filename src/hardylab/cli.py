@@ -51,9 +51,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hardylab", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
+def _common_parser(**defaults) -> _Parser:
+    """The flags every subcommand takes, with `defaults` overriding theirs."""
     common = _Parser(add_help=False)
     common.add_argument("--p", type=float, default=2.0, help="Lebesgue exponent in (1, inf)")
     common.add_argument("--factors", type=str, default="1",
@@ -81,15 +80,28 @@ def build_parser() -> _Parser:
                         help="also write an SVG convergence plot next to the output")
     common.add_argument("--config", type=str, default=None,
                         help="JSON config file; its keys are flag names")
+    common.set_defaults(**defaults)
+    return common
+
+
+def build_parser(allow_abbrev: bool = True) -> _Parser:
+    parser = _Parser(prog="hardylab", description=__doc__, allow_abbrev=allow_abbrev)
+    sub = parser.add_subparsers(dest="command")
+    common = _common_parser()
+    # radialize-check runs a ball average and a nested spherical average per
+    # point, so it has smaller sample defaults.  Subparsers share their
+    # parents' actions, so it gets its own copy of the common flags.
+    radialize = _common_parser(samples=6250, inner_samples=64)
     for name in SUBCOMMANDS:
-        sub.add_parser(name, parents=[common])
+        parent = radialize if name == "radialize-check" else common
+        sub.add_parser(name, parents=[parent], allow_abbrev=allow_abbrev)
     return parser
 
 
 def _config_flags(path: str) -> list[str]:
     """The flags a config file stands for: key k with value v becomes
     --k=v (underscores read as hyphens), true a bare --k, and false or null
-    no flag at all."""
+    no flag at all.  A key may not name another config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -99,6 +111,8 @@ def _config_flags(path: str) -> list[str]:
         raise UsageError("config file must hold a JSON object")
     flags = []
     for key, value in cfg.items():
+        if key == "config":
+            raise UsageError("a config file cannot name another config file")
         flag = "--" + key.replace("_", "-")
         if value is True:
             flags.append(flag)
@@ -166,8 +180,8 @@ def _dispatch(cmd: str, cfg: dict) -> ExperimentReport:
         )
     if cmd == "radialize-check":
         return radialization_check(
-            cfg["trials"], cfg["p"], spec, samples=max(cfg["samples"] // 16, 1000),
-            inner_samples=min(cfg["inner_samples"], 64), seed=seed, workers=cfg["workers"],
+            cfg["trials"], cfg["p"], spec, samples=cfg["samples"],
+            inner_samples=cfg["inner_samples"], seed=seed, workers=cfg["workers"],
         )
     if cmd == "weighted":
         phi = parse_weight(cfg["weight"], spec.m)
@@ -319,10 +333,13 @@ def run(argv) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required: " + ", ".join(SUBCOMMANDS))
         if args.config:
+            flags = _config_flags(args.config)
+            # a config key must name a flag exactly, not abbreviate one
+            build_parser(allow_abbrev=False).parse_args([args.command] + flags)
             # the config file's flags go right after the subcommand, so the
             # command line's own flags, parsed after them, win
             i = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:i] + _config_flags(args.config) + argv[i:])
+            args = parser.parse_args(argv[:i] + flags + argv[i:])
         cfg = vars(args)
         _validate(args.command, cfg)
         report = _dispatch(args.command, cfg)

@@ -132,6 +132,16 @@ class TestArtifacts:
         assert run(base + ["--workers", "2", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_radialize_check_runs_the_samples_it_is_given(self, tmp_path):
+        out = tmp_path / "r.json"
+        base = ["radialize-check", "--trials", "1", "--seed", "3", "--output", str(out)]
+        assert run(base) == 0
+        params = json.loads(out.read_text())["params"]
+        assert (params["samples"], params["inner_samples"]) == (6250, 64)
+        assert run(base + ["--samples", "16000", "--inner-samples", "32"]) == 0
+        params = json.loads(out.read_text())["params"]
+        assert (params["samples"], params["inner_samples"]) == (16_000, 32)
+
     def test_non_finite_values_are_refused(self):
         rep = ExperimentReport("x", {}, [ReportRow("r", -math.inf)], {}, 0)
         with pytest.raises(ValueError):
@@ -190,6 +200,22 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert run(["volume", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 1
+
+    @pytest.mark.parametrize("config, message", [
+        ({"sam": 20_000, "n": 1}, "unrecognized arguments: --sam=20000"),
+        ({"config": "other.json", "n": 1}, "cannot name another config file"),
+    ])
+    def test_config_keys_name_a_flag_exactly(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["volume", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_command_line_flags_may_still_be_abbreviated(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["volume", "--sam", "20000", "--n", "1", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["params"]["samples"] == 20_000
 
     def test_config_and_flags_write_the_same_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
