@@ -5,7 +5,8 @@ functions inside and outside the unit polyball (the near-extremal families),
 radial products of 1D profiles, and smooth bump mixtures (the non-radial
 fuzzing surface).  Each function evaluates vectorized batches of per-factor
 coordinate arrays and knows its own support and, where available, its exact
-L^p norm and radial profiles.
+L^p norm and radial profiles.  The operators' dilation integrals evaluate
+f on grids of dilations through `TestFunction.on_dilations`.
 """
 
 from __future__ import annotations
@@ -76,13 +77,25 @@ class ProductPoint:
 
 
 class TestFunction:
-    """Base class: a callable on lists of per-factor coordinate batches."""
+    """Base class: f(pts) maps per-factor batches pts[i] of shape
+    (N, 2n_i+1) to shape (N,).  f.on_dilations(pts, scales), with pts[i] of
+    shape (k, 2n_i+1) and scales[i] broadcasting against (k, K), is the
+    (k, K) grid of f(delta_{s_1} x_1, ..., delta_{s_m} x_m) at
+    x_i = pts[i][a], s_i = scales[i][a, b]."""
 
     spec: ProductSpec
     family: str = "generic"
 
     def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
+
+    def on_dilations(self, pts: list[np.ndarray], scales) -> np.ndarray:
+        grid = np.broadcast_shapes((pts[0].shape[0], 1), *(np.shape(s) for s in scales))
+        flat = [
+            dilate_arrays(np.broadcast_to(s, grid), X[:, None, :], dims.n).reshape(-1, dims.dim)
+            for dims, s, X in zip(self.spec.factors, scales, pts)
+        ]
+        return np.asarray(self(flat), dtype=float).reshape(grid)
 
     def support_radii(self) -> tuple[float, ...]:
         """Per-factor radius S_i with f = 0 outside the polyball of those radii."""
@@ -244,11 +257,14 @@ class Bump:
 
 
 def _bump_profile(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    mask = s < 1.0
-    sm = s[mask]
-    out[mask] = np.exp(-1.0 / (1.0 - sm * sm))
-    return out
+    """exp(-1/(1-s^2)) for 0 <= s < 1 and 0 for s >= 1, without a mask:
+    clamping s^2 at 1 sends -1/0 to -inf and exp to 0.  NaN stays NaN."""
+    with np.errstate(over="ignore", divide="ignore"):
+        u = s * s
+        np.minimum(u, 1.0, out=u)
+        np.subtract(1.0, u, out=u)
+        np.divide(-1.0, u, out=u)
+    return np.exp(u, out=u)
 
 
 @dataclass(frozen=True)

@@ -215,15 +215,6 @@ def _radial_ball_average(F, a: float, b: float, dims: GroupDims, R: float, tol: 
     return radial_integral(F, dims, min(R, b), tol, lower=a) / ball_volume(dims, R)
 
 
-def _scaled_points(x: ProductPoint, T: np.ndarray, spec: ProductSpec, invert: bool = False):
-    """Per-factor arrays of delta_{t_i} x_i (or delta_{1/t_i} x_i) for a batch
-    of parameter vectors T of shape (N, m)."""
-    return [
-        dilate_arrays(1.0 / T[:, i] if invert else T[:, i], p.coords, dims.n)
-        for i, (dims, p) in enumerate(zip(spec.factors, x.points))
-    ]
-
-
 def _iterated_cube(gfun, bounds, tol: float):
     """Iterated adaptive quadrature of gfun over a product of intervals.
     gfun takes (N, m) and returns (N,); bounds is a list of (lo, hi)."""
@@ -259,7 +250,7 @@ def weighted_hardy_eval(
         raise ValueError("weight and product space disagree on m")
 
     def g(T: np.ndarray) -> np.ndarray:
-        return np.asarray(f(_scaled_points(x, T, spec)), dtype=float) * phi(T)
+        return f.on_dilations(x.arrays(), list(T.T))[0] * phi(T)
 
     if method == "mc":
         return chunked_mean(lambda rng, k: g(rng.random((k, spec.m))), samples, seed, TAG_NESTED, workers=workers)
@@ -326,7 +317,7 @@ def weighted_cesaro_eval(
         kern = phi(T)
         for i, dims in enumerate(spec.factors):
             kern = kern / T[:, i] ** dims.Q
-        return np.asarray(f(_scaled_points(x, T, spec, invert=True)), dtype=float) * kern
+        return f.on_dilations(x.arrays(), list(1.0 / T.T))[0] * kern
 
     if method == "mc":
         widths = np.array([hi - lo for lo, hi in intervals])
@@ -730,13 +721,7 @@ def pairing_weighted_hardy(
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         pts, dens, fvals = sampler(rng, k)
-        K = S.shape[0]
-        scaled = [
-            dilate_arrays(S[:, i], pts[i][:, None, :], dims.n).reshape(k * K, dims.dim)
-            for i, dims in enumerate(spec.factors)
-        ]
-        gvals = np.asarray(g(scaled), dtype=float).reshape(k, K)
-        pg = gvals @ (W * phi(S))
+        pg = g.on_dilations(pts, list(S.T)) @ (W * phi(S))
         return fvals * pg / dens
 
     return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)
@@ -768,7 +753,6 @@ def pairing_weighted_cesaro(
         t_nodes = []
         jac = np.ones((k, K))
         kern = np.ones((k, K))
-        scaled = []
         for i, dims in enumerate(spec.factors):
             r = koranyi_norm(pts[i])
             lo = np.minimum(r / sup[i], 1.0)
@@ -777,10 +761,9 @@ def pairing_weighted_cesaro(
             jac *= (1.0 - lo)[:, None]
             kern /= t**dims.Q
             t_nodes.append(t)
-            scaled.append(dilate_arrays(1.0 / t, pts[i][:, None, :], dims.n).reshape(k * K, dims.dim))
         T = np.stack([t.reshape(-1) for t in t_nodes], axis=1)
         phivals = phi(T).reshape(k, K)
-        fvals = np.asarray(f(scaled), dtype=float).reshape(k, K)
+        fvals = f.on_dilations(pts, [1.0 / t for t in t_nodes])
         inner = (fvals * phivals * kern * jac) @ W
         return gvals * inner / dens
 

@@ -132,6 +132,19 @@ class TestArtifacts:
         assert run(base + ["--workers", "2", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("factors,weight,pairs,samples", [
+        ("1", "monomial:4", "2", "5000"), ("1,1", "monomial:4,4", "1", "2500"),
+    ])
+    def test_cesaro_duality_is_byte_identical_across_workers(self, tmp_path, factors, weight,
+                                                             pairs, samples):
+        # the pairings' chunks of 2048 samples run on the pool (C10 for C8)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        base = ["cesaro-duality", "--factors", factors, "--weight", weight, "--pairs", pairs,
+                "--samples", samples, "--seed", "7", "--format", "json"]
+        assert run(base + ["--workers", "1", "--output", str(a)]) == 0
+        assert run(base + ["--workers", "2", "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_radialize_check_runs_the_samples_it_is_given(self, tmp_path):
         out = tmp_path / "r.json"
         base = ["radialize-check", "--trials", "1", "--seed", "3", "--output", str(out)]

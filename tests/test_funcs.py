@@ -215,3 +215,44 @@ class TestRandomMixtures:
         assert np.array_equal(counts, loop)
         assert counts.max() >= 2  # the overlapping bumps are exercised
         assert np.array_equal(values, f(pts))
+
+
+def _masked_bump_profile(s):
+    """The profile as it was first written, with a boolean mask."""
+    out = np.zeros_like(s)
+    mask = s < 1.0
+    out[mask] = np.exp(-1.0 / (1.0 - s[mask] ** 2))
+    return out
+
+
+class TestBumpProfile:
+    def test_bit_identical_to_the_masked_form(self):
+        edges = np.array([0.0, 5e-324, 1e-300, 1e-8, 0.5, np.nextafter(1.0, 0.0), 1.0,
+                          np.nextafter(1.0, 2.0), 2.0, 1e300, np.inf])
+        rng = np.random.default_rng(21)
+        for s in (edges, rng.uniform(0.0, 1.2, 100_000), rng.uniform(0.999, 1.001, 100_000)):
+            assert np.array_equal(funcs._bump_profile(s.copy()), _masked_bump_profile(s))
+
+    def test_nan_distance_gives_nan(self):
+        out = funcs._bump_profile(np.array([0.5, np.nan, 2.0]))
+        assert out[0] == _masked_bump_profile(np.array([0.5]))[0]
+        assert np.isnan(out[1]) and out[2] == 0.0
+
+
+class TestOnDilations:
+    @pytest.mark.parametrize("spec", [SPEC1, ProductSpec.of_orders(1, 2)])
+    def test_base_grid_is_dilate_then_call(self, spec):
+        rng = np.random.default_rng(22)
+        f = PowerInside.extremal(spec, 2.0, 0.4)
+        k, K = 50, 7
+        pts = [rng.normal(scale=0.4, size=(k, d.dim)) for d in spec.factors]
+        scales = [rng.uniform(0.1, 2.0, K), rng.uniform(0.1, 2.0, (k, K))][: spec.m]
+        got = f.on_dilations(pts, scales)
+        assert got.shape == (k, K)
+        for a in range(k):
+            for b in (0, K - 1):
+                x = ProductPoint(tuple(
+                    HPoint(X[a], d.n) for X, d in zip(pts, spec.factors)
+                ))
+                s = [np.broadcast_to(s, (k, K))[a, b] for s in scales]
+                assert got[a, b] == evaluate(DilatedFunction(f, s), x)

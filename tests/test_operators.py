@@ -154,6 +154,41 @@ class TestWeightedCesaroEval:
         assert mc.within(0.2, sigmas=3.0)
 
 
+class TestPowerFamiliesArePinned:
+    """The dilation integrands of both evaluators go through
+    `TestFunction.on_dilations`; on the power families its values are the
+    dilate-then-call values bit for bit, pinned here as hex floats."""
+
+    @staticmethod
+    def _values(spec):
+        m = spec.m
+        x = ProductPoint.from_radii(spec, [0.6, 1.7][:m])
+        y = ProductPoint.from_radii(spec, [1.9, 2.4][:m])
+        fin = PowerInside.extremal(spec, 2.0, 0.4)
+        fout = PowerOutside.extremal(spec, 2.0, 0.4)
+        mono = ops.MonomialWeight((3.0,) * m)
+        out = [
+            ops.weighted_hardy_eval(fin, mono, x, method="mc", samples=3000, seed=4).value,
+            ops.weighted_cesaro_eval(fout, mono, y, 2.0, method="mc", samples=3000, seed=4).value,
+        ]
+        if m == 1:  # a general weight takes the iterated quadrature
+            gen = ops.GeneralWeight(lambda T: np.prod(T**3 + 0.5 * T**4, axis=1), m)
+            out.append(ops.weighted_hardy_eval(fin, gen, x, tol=1e-8).value)
+            out.append(ops.weighted_cesaro_eval(fout, gen, y, 2.0, tol=1e-8).value)
+        return [float(v).hex() for v in out]
+
+    def test_m1(self):
+        assert self._values(SPEC1) == [
+            "0x1.dd3d6eb339a98p-1", "0x1.694b23346f3afp-4",
+            "0x1.46c9a384c705bp+0", "0x1.eec9acea02c86p-4",
+        ]
+
+    def test_m2(self):
+        assert self._values(ProductSpec.of_orders(1, 2)) == [
+            "0x1.4501895ab94d2p-4", "0x1.a0826edb577f5p-9",
+        ]
+
+
 class TestWeightBoundIntegral:
     def test_monomial_values(self):
         assert ops.weight_bound_integral(ops.MonomialWeight((3.0,)), 2.0, SPEC1, "hardy") == 0.5
