@@ -6,7 +6,8 @@ radial products of 1D profiles, and smooth bump mixtures (the non-radial
 fuzzing surface).  Each function evaluates vectorized batches of per-factor
 coordinate arrays and knows its own support and, where available, its exact
 L^p norm and radial profiles.  The operators' dilation integrals evaluate
-f on grids of dilations through `TestFunction.on_dilations`.
+f on grids of dilations through `TestFunction.on_dilations`, which bump
+mixtures answer without forming the dilated points.
 """
 
 from __future__ import annotations
@@ -91,10 +92,8 @@ class TestFunction:
 
     def on_dilations(self, pts: list[np.ndarray], scales) -> np.ndarray:
         grid = np.broadcast_shapes((pts[0].shape[0], 1), *(np.shape(s) for s in scales))
-        flat = [
-            dilate_arrays(np.broadcast_to(s, grid), X[:, None, :], dims.n).reshape(-1, dims.dim)
-            for dims, s, X in zip(self.spec.factors, scales, pts)
-        ]
+        flat = [dilate_arrays(np.broadcast_to(s, grid), X[:, None, :], d.n).reshape(-1, d.dim)
+                for d, s, X in zip(self.spec.factors, scales, pts)]
         return np.asarray(self(flat), dtype=float).reshape(grid)
 
     def support_radii(self) -> tuple[float, ...]:
@@ -257,8 +256,7 @@ class Bump:
 
 
 def _bump_profile(s: np.ndarray) -> np.ndarray:
-    """exp(-1/(1-s^2)) for 0 <= s < 1 and 0 for s >= 1, without a mask:
-    clamping s^2 at 1 sends -1/0 to -inf and exp to 0.  NaN stays NaN."""
+    """exp(-1/(1-s^2)) for 0 <= s < 1, else 0 (s^2 clamps at 1); NaN stays NaN."""
     with np.errstate(over="ignore", divide="ignore"):
         u = s * s
         np.minimum(u, 1.0, out=u)
@@ -294,6 +292,17 @@ class BumpMixture(TestFunction):
             total += acc
             count += inside
         return total, count
+
+    def on_dilations(self, pts: list[np.ndarray], scales) -> np.ndarray:
+        """`TestFunction.on_dilations`, one `distance_on_dilations` per bump and factor."""
+        grid = np.broadcast_shapes((pts[0].shape[0], 1), *(np.shape(s) for s in scales))
+        total = np.zeros(grid)
+        for bump in self.bumps:
+            acc = np.full(grid, bump.coefficient)
+            for center, radius, X, s in zip(bump.centers, bump.radii, pts, scales):
+                acc *= _bump_profile(hgroup.distance_on_dilations(X, s, center) / radius)
+            total += acc
+        return total
 
     def support_radii(self) -> tuple[float, ...]:
         # |x_i| <= |c_i| + r_i on the support, by the triangle inequality

@@ -28,6 +28,7 @@ __all__ = [
     "dilate_arrays",
     "koranyi_norm",
     "distance",
+    "distance_on_dilations",
     "unit_ball_volume",
     "alt_unit_ball_volume",
     "ball_volume",
@@ -237,6 +238,22 @@ def distance(p, q):
     vert = pa[..., 2 * n] - qa[..., 2 * n] + cross
     val = np.sqrt(np.sqrt(horiz * horiz + vert * vert))
     return float(val) if val.ndim == 0 else val
+
+
+def distance_on_dilations(x: np.ndarray, s, q: np.ndarray) -> np.ndarray:
+    """d(delta_s x, q) for x of shape (k, 2n+1), s broadcasting against (k, K)
+    and one point q, without forming delta_s x: h_j = s x_j - q_j,
+    v = s^2 x_t - q_t + h . (2 J q) and d = sqrt(sqrt(|h|^4 + v^2)), as in
+    `distance`; written through h, d is exactly 0 where delta_s x = q."""
+    n = _infer_n(x.shape[-1])
+    jq = 2.0 * np.concatenate([-q[n : 2 * n], q[:n]])
+    vert = x[:, 2 * n, None] * (s * s) - q[2 * n]
+    horiz = 0.0
+    for j in range(2 * n):
+        h = x[:, j, None] * s - q[j]
+        vert += h * jq[j]
+        horiz += h * h
+    return np.sqrt(np.sqrt(horiz * horiz + vert * vert))
 
 
 def ball_volume(dims: GroupDims, r: float) -> float:

@@ -394,15 +394,15 @@ def _ball_diff_average(
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         k_u = k // 2
         pts_u = [hgroup.sample_ball(dims, rng, float(r), k_u) for dims, r in zip(spec.factors, radii)]
-        pts_b, _dens, _fv = draw_b(rng, k - k_u)
+        pts_b, dens_b, fv_b = draw_b(rng, k - k_u)
+        dens_u, fv_u = bump_density(pts_u)
         pts = [np.concatenate([a, b], axis=0) for a, b in zip(pts_u, pts_b)]
         mask = operators._in_polyball(pts, radii)
-        dens_b, fv = bump_density(pts)
-        q = 0.5 * mask / vol + 0.5 * dens_b
+        q = 0.5 * mask / vol + 0.5 * np.concatenate([dens_u, dens_b])
         vals = np.zeros(k)
         if mask.any():
             sub = [a[mask] for a in pts]
-            h = np.asarray(gf(sub), dtype=float) - fv[mask]
+            h = np.asarray(gf(sub), dtype=float) - np.concatenate([fv_u, fv_b])[mask]
             vals[mask] = h / q[mask]
         return vals / vol
 

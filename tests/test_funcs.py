@@ -240,6 +240,27 @@ class TestBumpProfile:
 
 
 class TestOnDilations:
+    @pytest.mark.parametrize("orders", [(1,), (2,), (3,), (1, 1), (2, 3)])
+    def test_mixture_grid_matches_the_base_grid(self, orders):
+        spec = ProductSpec.of_orders(*orders)
+        rng = np.random.default_rng(23 + sum(orders))
+        f = random_bump_mixture(spec, rng, radius_range=(0.5, 1.0), center_radius=0.5)
+        k, K = 300, 9
+        pts = [rng.normal(scale=0.4, size=(k, d.dim)) for d in spec.factors]
+        for shape in ((K,), (k, K)):
+            scales = [rng.uniform(0.05, 2.0, shape) for _ in spec.factors]
+            fused = f.on_dilations(pts, scales)
+            base = funcs.TestFunction.on_dilations(f, pts, scales)
+            assert fused.shape == base.shape == (k, K)
+            assert np.count_nonzero(base) > k  # the grid meets the bumps
+            assert np.max(np.abs(fused - base)) <= 1e-13 * np.max(np.abs(base))
+
+    def test_empty_mixture_grid_is_zero(self):
+        f = BumpMixture(SPEC2, ())
+        pts = [np.ones((4, 3)), np.ones((4, 3))]
+        got = f.on_dilations(pts, [np.linspace(0.1, 1.0, 5), np.ones((4, 5))])
+        assert got.shape == (4, 5) and not got.any()
+
     @pytest.mark.parametrize("spec", [SPEC1, ProductSpec.of_orders(1, 2)])
     def test_base_grid_is_dilate_then_call(self, spec):
         rng = np.random.default_rng(22)

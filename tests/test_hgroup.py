@@ -15,6 +15,7 @@ from hardylab.hgroup import (
     dilate,
     dilate_arrays,
     distance,
+    distance_on_dilations,
     group_law,
     inverse,
     koranyi_norm,
@@ -230,6 +231,43 @@ class TestFusedDistance:
             assert distance(p, p) == 0.0
             assert np.all(distance(P, P) == 0.0)
             assert all(distance(P, x)[i] == 0.0 for i, x in enumerate(P))
+
+
+class TestDistanceOnDilations:
+    """The grid kernel against `distance` of the materialized dilations."""
+
+    @staticmethod
+    def _check(x, s, q, n):
+        k = x.shape[0]
+        grid = np.broadcast_shapes((k, 1), np.shape(s))
+        p = dilate_arrays(np.broadcast_to(s, grid), x[:, None, :], n)
+        ref = distance(p.reshape(-1, 2 * n + 1), q).reshape(grid)
+        got = distance_on_dilations(x, s, q)
+        assert got.shape == grid
+        scale = np.maximum(koranyi_norm(p), koranyi_norm(q))
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_the_dilated_points(self, n, scale):
+        rng = np.random.default_rng(30 + n)
+        x = rng.normal(size=(200, 2 * n + 1))
+        q = dilate_arrays(scale, rng.normal(size=2 * n + 1), n)
+        self._check(x, scale * rng.uniform(0.0, 2.0, 16), q, n)  # (K,) scales
+        self._check(x, scale * rng.uniform(0.0, 2.0, (200, 16)), q, n)  # (k, K) scales
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_points_next_to_q(self, n, scale):
+        # delta_s x lands on q at s = 2 (exactly: power-of-two dilations
+        # are exact) and within 1e-4 relative of it at the other rows
+        rng = np.random.default_rng(40 + n)
+        q = dilate_arrays(scale, rng.normal(size=2 * n + 1), n)
+        x = dilate_arrays(0.5, q, n) + dilate_arrays(scale, rng.normal(scale=1e-4, size=(100, 2 * n + 1)), n)
+        x[0] = dilate_arrays(0.5, q, n)
+        got = self._check(x, np.array([0.5, 1.0, 2.0, 2.0 + 1e-6, 4.0]), q, n)
+        assert got[0, 2] == 0.0
 
 
 def _ball_volume_reduction(n: int) -> float:

@@ -2,10 +2,12 @@ import math
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hardylab import closedform as cf
 from hardylab import lab
+from hardylab.funcs import BumpMixture, random_bump_mixture
 from hardylab.hgroup import ProductSpec
 from hardylab import measure
 from hardylab.measure import Estimate
@@ -148,6 +150,22 @@ class TestRadialization:
     def test_m2(self):
         rep = lab.radialization_check(3, 2.0, SPEC2, samples=3_000, seed=5)
         assert rep.summary["C6:radialization"] == "PASS"
+
+    def test_ball_difference_evaluates_each_point_once(self, monkeypatch):
+        # the bump half keeps the draw's own f and density; only the
+        # uniform half is evaluated, so f sees every sample exactly once
+        f = random_bump_mixture(SPEC1, np.random.default_rng(5), center_radius=0.3)
+        rows = []
+        original = BumpMixture.values_and_counts
+
+        def counting(self, pts):
+            rows.append(pts[0].shape[0])
+            return original(self, pts)
+
+        monkeypatch.setattr(BumpMixture, "values_and_counts", counting)
+        est = lab._ball_diff_average(f, lambda pts: np.zeros(pts[0].shape[0]), SPEC1, (1.2,),
+                                     16_000, 3)
+        assert rows == [4096, 4096, 3904, 3904] and est.samples == 16_000
 
 
 class TestDuality:
