@@ -29,15 +29,41 @@ from .lab import (
 from .funcs import parse_test_function
 from .operators import parse_weight
 
-SUBCOMMANDS = (
-    "geometry-check",
-    "sharpness",
-    "fuzz",
-    "radialize-check",
-    "weighted",
-    "cesaro-duality",
-    "volume",
-)
+# flag name -> add_argument keyword arguments
+FLAGS = {
+    "p": dict(type=float, default=2.0, help="Lebesgue exponent in (1, inf)"),
+    "factors": dict(default="1", help="comma-separated group orders, e.g. 1,1"),
+    "eps": dict(default=",".join(map(str, DEFAULT_EPS_GRID)), help="comma-separated eps grid"),
+    "weight": dict(default="monomial:3", help="one | monomial:a1,... | table:<file>"),
+    "function": dict(help="extra scored function: power-inside:a1,... | power-outside:b1,... "
+                          "| bumps:<file>"),
+    "method": dict(default="closed", choices=("closed", "radial", "mc")),
+    "samples": dict(type=int, default=100_000),
+    "inner-samples": dict(type=int, default=768),
+    "trials": dict(type=int, default=50),
+    "pairs": dict(type=int, default=20),
+    "n": dict(type=int, default=1, help="group order"),
+    "workers": dict(type=int, default=1),
+    "plot": dict(action="store_true", help="also write an SVG convergence plot next to the output"),
+    "seed": dict(type=int),  # defaults to HARDYLAB_SEED, read when the parser is built
+    "format": dict(default="json", choices=("csv", "json")),
+    "output": dict(default="-", help="output path, '-' for stdout"),
+    "config": dict(help="JSON config file; its keys are flag names"),
+}
+COMMON = ("seed", "format", "output", "config")
+# subcommand -> (the flags it reads besides COMMON, defaults of its own)
+SUBCOMMANDS = {
+    "geometry-check": (("samples",), {}),
+    "sharpness": (("p", "factors", "eps", "method", "samples", "inner-samples", "workers", "plot"),
+                  {}),
+    "fuzz": (("p", "factors", "function", "samples", "trials", "workers"), {}),
+    # a ball average and a nested spherical average per point: smaller samples
+    "radialize-check": (("p", "factors", "samples", "inner-samples", "trials", "workers"),
+                        {"samples": 6250, "inner_samples": 64}),
+    "weighted": (("p", "factors", "weight", "plot"), {}),
+    "cesaro-duality": (("p", "factors", "weight", "samples", "pairs", "workers"), {}),
+    "volume": (("n", "samples"), {}),
+}
 
 
 class UsageError(Exception):
@@ -51,57 +77,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _common_parser(**defaults) -> _Parser:
-    """The flags every subcommand takes, with `defaults` overriding theirs."""
-    common = _Parser(add_help=False)
-    common.add_argument("--p", type=float, default=2.0, help="Lebesgue exponent in (1, inf)")
-    common.add_argument("--factors", type=str, default="1",
-                        help="comma-separated group orders, e.g. 1,1")
-    common.add_argument("--eps", type=str, default=",".join(str(e) for e in DEFAULT_EPS_GRID),
-                        help="comma-separated eps grid")
-    common.add_argument("--weight", type=str, default="monomial:3",
-                        help="weight spec: one | monomial:a1,... | table:<file>")
-    common.add_argument("--function", type=str, default=None,
-                        help="test function: power-inside:a1,... | power-outside:b1,... "
-                             "| bumps:<file> (extra scored row in `fuzz`)")
-    common.add_argument("--method", type=str, default="closed", choices=("closed", "radial", "mc"))
-    common.add_argument("--samples", type=int, default=100_000)
-    common.add_argument("--inner-samples", type=int, default=768, dest="inner_samples")
-    # argparse passes a string default through `type`, so a bad HARDYLAB_SEED
-    # is a usage error like a bad flag
-    common.add_argument("--seed", type=int, default=os.environ.get("HARDYLAB_SEED") or 0)
-    common.add_argument("--trials", type=int, default=50)
-    common.add_argument("--pairs", type=int, default=20)
-    common.add_argument("--n", type=int, default=1, help="group order (volume subcommand)")
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--format", type=str, default="json", choices=("csv", "json"))
-    common.add_argument("--output", type=str, default="-", help="output path, '-' for stdout")
-    common.add_argument("--plot", action="store_true",
-                        help="also write an SVG convergence plot next to the output")
-    common.add_argument("--config", type=str, default=None,
-                        help="JSON config file; its keys are flag names")
-    common.set_defaults(**defaults)
-    return common
-
-
-def build_parser(allow_abbrev: bool = True) -> _Parser:
-    parser = _Parser(prog="hardylab", description=__doc__, allow_abbrev=allow_abbrev)
+def build_parser() -> _Parser:
+    """One subparser per subcommand, holding only the flags it reads."""
+    parser = _Parser(prog="hardylab", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    common = _common_parser()
-    # radialize-check runs a ball average and a nested spherical average per
-    # point, so it has smaller sample defaults.  Subparsers share their
-    # parents' actions, so it gets its own copy of the common flags.
-    radialize = _common_parser(samples=6250, inner_samples=64)
-    for name in SUBCOMMANDS:
-        parent = radialize if name == "radialize-check" else common
-        sub.add_parser(name, parents=[parent], allow_abbrev=allow_abbrev)
+    for name, (flags, defaults) in SUBCOMMANDS.items():
+        cmd = sub.add_parser(name)
+        for flag in flags + COMMON:
+            cmd.add_argument("--" + flag, **FLAGS[flag])
+        # argparse passes a string default through `type`, so a bad
+        # HARDYLAB_SEED is a usage error like a bad flag
+        cmd.set_defaults(seed=os.environ.get("HARDYLAB_SEED") or 0, **defaults)
     return parser
 
 
-def _config_flags(path: str) -> list[str]:
+def _config_flags(path: str, cmd: str) -> list[str]:
     """The flags a config file stands for: key k with value v becomes
     --k=v (underscores read as hyphens), true a bare --k, and false or null
-    no flag at all.  A key may not name another config file."""
+    no flag at all.  A key must name one of the subcommand's flags in full,
+    and may not name another config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -113,51 +107,52 @@ def _config_flags(path: str) -> list[str]:
     for key, value in cfg.items():
         if key == "config":
             raise UsageError("a config file cannot name another config file")
-        flag = "--" + key.replace("_", "-")
-        if value is True:
-            flags.append(flag)
-        elif value is not False and value is not None:
-            flags.append(f"{flag}={value}")
+        if value is False or value is None:
+            continue
+        name = key.replace("_", "-")
+        flag = f"--{name}" if value is True else f"--{name}={value}"
+        if name not in SUBCOMMANDS[cmd][0] + COMMON:
+            raise UsageError(f"unrecognized arguments: {flag}")
+        flags.append(flag)
     return flags
 
 
-def _validate(cmd: str, cfg: dict) -> None:
-    if not 1.0 < cfg["p"] < math.inf:
+def _validate(cfg: dict) -> None:
+    """Check the values of the flags the subcommand has; the factors become
+    cfg["spec"] and the eps grid cfg["eps_list"]."""
+    if "p" in cfg and not 1.0 < cfg["p"] < math.inf:
         raise UsageError(f"--p must lie in (1, inf), got {cfg['p']}")
-    try:
-        factors = [int(v) for v in cfg["factors"].split(",") if v != ""]
-    except ValueError as err:
-        raise UsageError(f"bad --factors: {err}") from err
-    if not factors or any(n < 1 for n in factors):
-        raise UsageError("--factors needs at least one positive group order")
-    cfg["factors_list"] = factors
-    if cmd == "cesaro-duality" and len(factors) > 2:
-        raise UsageError("cesaro-duality pairings support at most 2 factors")
-    try:
-        cfg["eps_list"] = [float(v) for v in cfg["eps"].split(",") if v != ""]
-    except ValueError as err:
-        raise UsageError(f"bad --eps grid: {err}") from err
-    if any(not 0.0 < e < 1.0 for e in cfg["eps_list"]):
-        raise UsageError("--eps values must lie in (0, 1)")
-    if cmd == "sharpness" and len(set(cfg["eps_list"])) < 2:
-        raise UsageError("--eps needs at least two distinct values for the eps -> 0 fit")
-    if cfg["trials"] < 1:
+    if "factors" in cfg:
+        try:
+            factors = [int(v) for v in cfg["factors"].split(",") if v != ""]
+        except ValueError as err:
+            raise UsageError(f"bad --factors: {err}") from err
+        if not factors or any(n < 1 for n in factors):
+            raise UsageError("--factors needs at least one positive group order")
+        cfg["spec"] = ProductSpec.of_orders(*factors)
+    if "eps" in cfg:
+        try:
+            cfg["eps_list"] = [float(v) for v in cfg["eps"].split(",") if v != ""]
+        except ValueError as err:
+            raise UsageError(f"bad --eps grid: {err}") from err
+        if any(not 0.0 < e < 1.0 for e in cfg["eps_list"]):
+            raise UsageError("--eps values must lie in (0, 1)")
+        if len(set(cfg["eps_list"])) < 2:
+            raise UsageError("--eps needs at least two distinct values for the eps -> 0 fit")
+    if cfg.get("trials", 1) < 1:
         raise UsageError("--trials must be at least 1")
-    if cfg["pairs"] < 1:
+    if cfg.get("pairs", 1) < 1:
         raise UsageError("--pairs must be at least 1")
-    uses_mc = cfg["method"] == "mc" or cmd in (
-        "fuzz", "radialize-check", "cesaro-duality", "geometry-check", "volume"
-    )
-    if uses_mc and cfg["samples"] < 1000:
+    if cfg.get("method", "mc") == "mc" and cfg.get("samples", 1000) < 1000:
         raise UsageError("--samples must be at least 1000 for Monte Carlo runs")
-    if cfg["n"] < 1:
+    if cfg.get("n", 1) < 1:
         raise UsageError("--n must be a positive integer")
-    if cfg["plot"] and cfg["output"] == "-":
+    if cfg.get("plot") and cfg["output"] == "-":
         raise UsageError("--plot needs an --output path for the SVG sibling file")
 
 
 def _dispatch(cmd: str, cfg: dict) -> ExperimentReport:
-    spec = ProductSpec.of_orders(*cfg["factors_list"])
+    spec = cfg.get("spec")
     seed = cfg["seed"]
     if cmd == "geometry-check":
         return geometry_selftest(seed=seed, samples=cfg["samples"])
@@ -169,7 +164,7 @@ def _dispatch(cmd: str, cfg: dict) -> ExperimentReport:
         )
     if cmd == "fuzz":
         extra = None
-        if cfg.get("function"):
+        if cfg["function"]:
             try:
                 extra = parse_test_function(cfg["function"], spec)
             except (ValueError, OSError) as err:
@@ -189,6 +184,10 @@ def _dispatch(cmd: str, cfg: dict) -> ExperimentReport:
             raise UsageError("the weighted sweep needs a monomial weight")
         return weighted_sharpness(phi, cfg["p"], spec, seed=seed)
     if cmd == "cesaro-duality":
+        # refused before duality_check's boundedness quadrature, which for a
+        # table weight at m = 3 is a nested iterated integral
+        if spec.m > 2:
+            raise UsageError("cesaro-duality pairings support at most 2 factors")
         phi = parse_weight(cfg["weight"], spec.m)
         return duality_check(
             phi, cfg["p"], spec, pairs=cfg["pairs"], samples=cfg["samples"],
@@ -333,17 +332,15 @@ def run(argv) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required: " + ", ".join(SUBCOMMANDS))
         if args.config:
-            flags = _config_flags(args.config)
-            # a config key must name a flag exactly, not abbreviate one
-            build_parser(allow_abbrev=False).parse_args([args.command] + flags)
+            flags = _config_flags(args.config, args.command)
             # the config file's flags go right after the subcommand, so the
             # command line's own flags, parsed after them, win
             i = argv.index(args.command) + 1
             args = parser.parse_args(argv[:i] + flags + argv[i:])
         cfg = vars(args)
-        _validate(args.command, cfg)
+        _validate(cfg)
         report = _dispatch(args.command, cfg)
-        emit_report(report, cfg["format"], cfg["output"], plot=cfg["plot"])
+        emit_report(report, cfg["format"], cfg["output"], plot=cfg.get("plot", False))
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -390,11 +390,10 @@ def random_bump_mixture(
     max_bumps: int = 5,
     radius_range: tuple[float, float] = (0.1, 1.0),
     center_radius: float = 2.0,
-    coefficient_range: tuple[float, float] = (0.1, 1.0),
 ) -> BumpMixture:
     """Draw a random bump mixture: 1..max_bumps bumps, centers uniform in the
-    polyball of radius center_radius, radii and coefficients uniform in the
-    given ranges."""
+    polyball of radius center_radius, radii uniform in radius_range and
+    coefficients uniform in [0.1, 1)."""
     count = int(rng.integers(1, max_bumps + 1))
     bumps = []
     for _ in range(count):
@@ -403,7 +402,7 @@ def random_bump_mixture(
             c = hgroup.sample_ball(dims, rng, center_radius, 1)[0]
             centers.append(c)
         radii = tuple(float(rng.uniform(*radius_range)) for _ in spec.factors)
-        coeff = float(rng.uniform(*coefficient_range))
+        coeff = float(rng.uniform(0.1, 1.0))
         bumps.append(Bump(tuple(centers), radii, coeff))
     return BumpMixture(spec, tuple(bumps))
 

@@ -45,6 +45,7 @@ __all__ = [
     "ReportRow",
     "ExperimentReport",
     "DEFAULT_EPS_GRID",
+    "WEIGHTED_EPS_GRID",
     "sharpness_sweep",
     "bound_fuzz",
     "radialization_check",
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 DEFAULT_EPS_GRID = (0.2, 0.1, 0.05, 0.025, 0.0125)
+WEIGHTED_EPS_GRID = (0.1, 0.05, 0.01, 1e-3)
+"""The eps grid of the weighted sweep, decreasing."""
 
 SIGMAS = 3.0
 """Standard errors a Monte Carlo row may deviate by and still PASS."""
@@ -186,7 +189,6 @@ def sharpness_sweep(
     inner_samples: int = 768,
     seed: int = 0,
     workers: int = 1,
-    fit_tol: float | None = None,
 ) -> ExperimentReport:
     """Quotients of the near-extremal family along an eps grid, the certified
     lower bounds, and a linear eps -> 0 extrapolation against the sharp
@@ -239,8 +241,7 @@ def sharpness_sweep(
     coeffs = np.polyfit(np.asarray(eps_grid), values, 1)
     intercept = float(coeffs[1])
     residual = float(np.max(np.abs(np.polyval(coeffs, eps_grid) - values)))
-    if fit_tol is None:
-        fit_tol = 0.01 * sharp + 4.0 * max((r.std_error for r in rows), default=0.0)
+    fit_tol = 0.01 * sharp + 4.0 * max((r.std_error for r in rows), default=0.0)
     # The intercept is c . values, with c the intercept row of the fit's
     # pseudo-inverse; the per-eps estimates are independent.
     c = np.linalg.pinv(np.column_stack([eps_grid, np.ones(len(eps_grid))]))[1]
@@ -276,7 +277,6 @@ def bound_fuzz(
     samples: int = 60_000,
     seed: int = 0,
     workers: int = 1,
-    max_bumps: int = 5,
     extra_function=None,
 ) -> ExperimentReport:
     """Random bump mixtures must never beat the sharp constant: records the
@@ -304,7 +304,7 @@ def bound_fuzz(
                          verdict="PASS" if good else "FAIL"))
     for k in range(trials):
         rng = substream(seed, TAG_EXPERIMENT, k)
-        f = random_bump_mixture(spec, rng, max_bumps=max_bumps)
+        f = random_bump_mixture(spec, rng)
         q = operators.norm_quotient(
             f, p, spec, method="mc", samples=samples, seed=subseed(seed, TAG_EXPERIMENT, k), workers=workers
         )
@@ -349,12 +349,12 @@ def bound_fuzz(
 # ---------------------------------------------------------------------------
 
 
-def _sphere_profile_norms(
-    f, p: float, spec: ProductSpec, seed: int, nodes: int = 24, sphere_samples: int = 384
-) -> tuple[float, float, float]:
-    """(||g_f||_p, ||f||_p, sigma_rel) from common sphere samples on a radial
-    quadrature grid.  Jensen's inequality holds per node for the *samples*,
-    so the contraction ||g_f||_p <= ||f||_p is exact for these estimates."""
+def _sphere_profile_norms(f, p: float, spec: ProductSpec, seed: int) -> tuple[float, float, float]:
+    """(||g_f||_p, ||f||_p, sigma_rel) from 384 common sphere samples per node
+    of a 24-node radial quadrature grid per factor.  Jensen's inequality
+    holds per node for the *samples*, so the contraction ||g_f||_p <= ||f||_p
+    is exact for these estimates."""
+    nodes, sphere_samples = 24, 384
     S = [s if math.isfinite(s) else 2.5 for s in f.support_radii()]
     gx, gw = np.polynomial.legendre.leggauss(nodes)
     axes = []
@@ -416,12 +416,11 @@ def radialization_check(
     samples: int = 6000,
     inner_samples: int = 48,
     seed: int = 0,
-    points_per_trial: int = 2,
     workers: int = 1,
 ) -> ExperimentReport:
     """For random bump mixtures f: the ball average of the spherical
-    average g_f equals that of f pointwise (within Monte Carlo error), and
-    ||g_f||_p <= ||f||_p."""
+    average g_f equals that of f pointwise (within Monte Carlo error) at two
+    points per trial, and ||g_f||_p <= ||f||_p."""
     t0 = time.perf_counter()
     if spec is None:
         spec = ProductSpec.of_orders(1)
@@ -435,7 +434,7 @@ def radialization_check(
         f = random_bump_mixture(spec, rng, max_bumps=3, radius_range=(0.4, 1.0), center_radius=0.5)
         gf = RadializedFunction(f, inner_samples=inner_samples, seed=subseed(seed, TAG_EXPERIMENT, 3 * k))
         sup = f.support_radii()
-        for j in range(points_per_trial):
+        for j in range(2):  # point seeds 3k+1+j stay below the next trial's 3(k+1)
             radii = [rng.uniform(0.6, 1.1) * s for s in sup]
             x = ProductPoint.from_radii(spec, radii)
             point_seed = subseed(seed, TAG_EXPERIMENT, 3 * k + 1 + j)
@@ -570,21 +569,21 @@ def weighted_sharpness(
     phi: MonomialWeight,
     p: float,
     spec: ProductSpec,
-    eps_grid=(0.1, 0.05, 0.01, 1e-3),
     seed: int = 0,
 ) -> ExperimentReport:
-    """The characteristic integral C_phi bounds every quotient from above and
-    the certified extremal bounds converge to it from below; an infinite
-    C_phi is demonstrated by bounds growing without limit (INFO)."""
+    """Along WEIGHTED_EPS_GRID, the characteristic integral C_phi bounds every
+    quotient from above and the certified extremal bounds converge to it from
+    below; an infinite C_phi is demonstrated by bounds growing without limit
+    (INFO)."""
     t0 = time.perf_counter()
     if not phi.is_monomial:
         raise ValueError("weighted sharpness sweeps use monomial weights")
     c_phi = closedform.monomial_weight_characteristic(phi.exponents, p, spec, "hardy")
     rows: list[ReportRow] = []
-    eps_grid = tuple(sorted(eps_grid, reverse=True))
+    eps_grid = WEIGHTED_EPS_GRID
 
     if math.isinf(c_phi):
-        grid = tuple(dict.fromkeys(tuple(eps_grid) + (1e-3, 1e-4)))
+        grid = eps_grid + (1e-4,)
         bounds = [closedform.weighted_extremal_bound(phi.exponents, e, p, spec) for e in grid]
         for e, b in zip(grid, bounds):
             rows.append(ReportRow(f"rigorous-bound eps={e:g}", b, verdict="INFO"))

@@ -396,14 +396,18 @@ def _nested_power_norm(
     per-factor 1D integrals int_0^inf A(R)^p R^(Q-1) dR, with A(R) the ball
     average of the factor profile.  Radii are drawn from a two-piece density
     matched to half the integrand's power on each side (bounded weights);
-    A(R) is estimated by inner Monte Carlo ball averages.  For integer p the
-    p-th power uses p independent inner replicates, which makes the estimator
-    unbiased; otherwise a single inner mean is raised to the p-th power.
+    A(R) is estimated by inner Monte Carlo ball averages.  The p-th power
+    uses p independent inner replicates, which makes the estimator unbiased;
+    p must therefore be an integer (a single inner mean raised to a
+    fractional power is biased upward, by Jensen's inequality).
     """
     if f.family != "power-inside":
         raise UnsupportedFamilyError("nested estimator targets the inside power family")
-    reps = int(p) if float(p).is_integer() else 1
-    k_inner = max(8, inner_samples // max(reps, 1))
+    if not float(p).is_integer():
+        raise ValueError(f"the nested Monte Carlo estimator needs an integer p, got {p:g}; "
+                         "use the closed or radial method")
+    reps = int(p)
+    k_inner = max(8, inner_samples // reps)
     total = Estimate.exact(1.0)
     for fi, (dims, alpha) in enumerate(zip(spec.factors, f.alphas)):
         Q = dims.Q
@@ -430,8 +434,6 @@ def _nested_power_norm(
             if kin:
                 m_in = vv[pick] ** alpha  # s = R*v with R <= 1: always in support
                 prod_means = m_in.mean(axis=2).prod(axis=1)
-                if reps == 1:
-                    prod_means = prod_means**p
                 out[pick] = (2.0 * dims.omega / g_in) * u[pick] * prod_means
 
             kout = k - kin
@@ -440,8 +442,6 @@ def _nested_power_norm(
                 mask = vv[~pick] < (1.0 / R)[:, None, None]
                 m_out = np.where(mask, vv[~pick], 1.0) ** alpha * mask
                 prod_means = (R[:, None] ** alpha * m_out.mean(axis=2)).prod(axis=1)
-                if reps == 1:
-                    prod_means = prod_means**p
                 out[~pick] = (2.0 * dims.omega / g_out) * R ** (Q + g_out) * prod_means
             return out
 
@@ -450,8 +450,7 @@ def _nested_power_norm(
 
 
 def _hardy_norm_compact(
-    f, p: float, spec: ProductSpec, samples: int, seed: int,
-    nodes_per_dim: int = 64, replicates: int = 16, workers: int = 1,
+    f, p: float, spec: ProductSpec, samples: int, seed: int, workers: int = 1,
 ) -> Estimate:
     """||T f||_p / ||f||_p for a compactly supported f under the ball-average
     operator, with both norms taken from one shared sample set.
@@ -466,6 +465,7 @@ def _hardy_norm_compact(
     if any(math.isinf(s) or s <= 0 for s in S):
         raise ValueError("compact-support estimator needs finite positive support radii")
     m = spec.m
+    replicates = 16
     per_rep = max(samples // replicates, 1)
     pref = 1.0
     for dims in spec.factors:
@@ -473,8 +473,8 @@ def _hardy_norm_compact(
     taus = [s ** (d.Q * (1.0 - p)) / (d.Q * (p - 1.0)) for d, s in zip(spec.factors, S)]
     sampler, _ = _support_sampler(f, spec)
 
-    # two Gauss-Legendre panels per dimension
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_dim // 2)
+    # two 32-node Gauss-Legendre panels per dimension
+    gx, gw = np.polynomial.legendre.leggauss(32)
     nodes, weights = [], []
     for s in S:
         xs, ws = [], []
@@ -630,6 +630,9 @@ def norm_quotient(
 # ---------------------------------------------------------------------------
 
 def _tensor_nodes(m: int):
+    """Gauss-Legendre nodes and weights on [0,1]^m, for m <= 2."""
+    if m > 2:
+        raise ValueError(f"pairings need m <= 2 (a tensor grid on [0,1]^m), got m={m}")
     order = 32 if m == 1 else 20  # smooth integrands; keep the m=2 tensor small
     gx, gw = np.polynomial.legendre.leggauss(order)
     s = 0.5 * (gx + 1.0)  # nodes on [0,1]
@@ -714,8 +717,6 @@ def pairing_weighted_hardy(
     """<f, P_phi g>: Monte Carlo over the support of f, with the dilation
     integral at each sample point done by tensor Gauss-Legendre on [0,1]^m.
     Intended for smooth g (bumps) or cases where the t-integrand is smooth."""
-    if spec.m > 2:
-        raise NotImplementedError("pairings implemented for m <= 2")
     S, W = _tensor_nodes(spec.m)
     sampler, _ = _support_sampler(f, spec)
 
@@ -740,10 +741,8 @@ def pairing_weighted_cesaro(
     """<g, P*_phi f>: Monte Carlo over the support of g; at each sample the
     t-integral is taken on the per-point support window [ |x_i|/S_i, 1 ] with
     affine-mapped Gauss-Legendre nodes, which keeps indicator-type f exact."""
-    if spec.m > 2:
-        raise NotImplementedError("pairings implemented for m <= 2")
-    _require_bounded(phi, p, spec, "cesaro")
     S, W = _tensor_nodes(spec.m)
+    _require_bounded(phi, p, spec, "cesaro")
     sup = f.support_radii()
     sampler, _ = _support_sampler(g, spec)
 

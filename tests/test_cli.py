@@ -52,6 +52,12 @@ class TestExitCodes:
         rep = json.loads(out.read_text())
         assert any(v == "FAIL" for v in rep["summary"].values())
 
+    def test_nested_mc_refuses_fractional_p(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["sharpness", "--method", "mc", "--p", "1.5", "--output", str(out)]) == 1
+        assert "closed or radial" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_needs_output_path(self):
         assert run(["sharpness", "--method", "closed", "--plot"]) == 1
 
@@ -269,3 +275,65 @@ class TestConfigPrecedence:
         given = [r for r in rep["rows"] if r["input"].startswith("given function")]
         assert given and given[0]["estimate"] == pytest.approx(1.9518001458970664)
         assert run(["fuzz", "--function", "wavelet:1", "--samples", "5000"]) == 1
+
+
+class TestFlagTable:
+    """Each subcommand takes exactly the flags it reads."""
+
+    # subcommand -> its flags besides --seed, --format, --output and --config
+    ROWS = {
+        "geometry-check": {"samples"},
+        "sharpness": {"p", "factors", "eps", "method", "samples", "inner-samples", "workers",
+                      "plot"},
+        "fuzz": {"p", "factors", "function", "samples", "trials", "workers"},
+        "radialize-check": {"p", "factors", "samples", "inner-samples", "trials", "workers"},
+        "weighted": {"p", "factors", "weight", "plot"},
+        "cesaro-duality": {"p", "factors", "weight", "samples", "pairs", "workers"},
+        "volume": {"n", "samples"},
+    }
+    # subcommand -> (small base arguments, {flag: a value that differs from the base's})
+    CASES = {
+        "geometry-check": (["--samples", "1000"], {"samples": "2000"}),
+        "sharpness": (
+            ["--method", "mc", "--eps", "0.2,0.1", "--samples", "2000", "--inner-samples", "16"],
+            {"p": "3", "factors": "2", "eps": "0.2,0.15", "method": "closed",
+             "samples": "3000", "inner-samples": "32"},
+        ),
+        "fuzz": (["--trials", "1", "--samples", "2000"],
+                 {"p": "3", "factors": "2", "function": "power-inside:-1.9",
+                  "samples": "3000", "trials": "2"}),
+        "radialize-check": (["--trials", "1", "--samples", "2000", "--inner-samples", "16"],
+                            {"p": "3", "factors": "2", "samples": "3000",
+                             "inner-samples": "32", "trials": "2"}),
+        "weighted": ([], {"p": "3", "factors": "2", "weight": "monomial:2"}),
+        "cesaro-duality": (["--pairs", "1", "--samples", "1000"],
+                           {"p": "3", "factors": "2", "weight": "monomial:4",
+                            "samples": "2000", "pairs": "2"}),
+        "volume": (["--samples", "20000"], {"n": "2", "samples": "30000"}),
+    }
+
+    @pytest.mark.parametrize("cmd", list(ROWS))
+    def test_every_flag_changes_the_report(self, tmp_path, monkeypatch, cmd):
+        monkeypatch.delenv("HARDYLAB_SEED", raising=False)
+        base, variants = self.CASES[cmd]
+        # --workers must not change the bytes, and --plot writes a second file
+        assert set(variants) == self.ROWS[cmd] - {"workers", "plot"}
+        out = tmp_path / "base.json"
+        assert run([cmd, *base, "--output", str(out)]) in (0, 2)
+        reference = out.read_bytes()
+        for flag, value in variants.items():
+            out = tmp_path / f"{flag}.json"
+            assert run([cmd, *base, f"--{flag}", value, "--output", str(out)]) in (0, 2), flag
+            assert out.read_bytes() != reference, flag
+
+    @pytest.mark.parametrize("cmd", list(ROWS))
+    def test_other_flags_are_refused(self, tmp_path, capsys, cmd):
+        out = tmp_path / "r.json"
+        cfg = tmp_path / "cfg.json"
+        foreign = set().union(*self.ROWS.values()) - self.ROWS[cmd]
+        for flag in sorted(foreign):
+            cfg.write_text(json.dumps({flag.replace("-", "_"): 1}))
+            for argv in ([f"--{flag}=1"], ["--config", str(cfg)]):
+                assert run([cmd, *argv, "--output", str(out)]) == 1, (flag, argv)
+                assert f"unrecognized arguments: --{flag}=1" in capsys.readouterr().err
+                assert not list(tmp_path.glob("r.*"))

@@ -193,6 +193,7 @@ class TestWeightedSharpness:
         assert rows["rigorous-bound eps=0.1"] == pytest.approx(0.41281, abs=5e-5)
         assert rows["rigorous-bound eps=0.001"] == pytest.approx(0.49681, abs=5e-5)
         assert rep.params["characteristic"] == 0.5
+        assert rep.params["eps_grid"] == [0.1, 0.05, 0.01, 0.001]
 
     def test_product_case(self):
         rep = lab.weighted_sharpness(MonomialWeight((3.0, 3.0)), 2.0, SPEC2, seed=8)
@@ -204,6 +205,7 @@ class TestWeightedSharpness:
         assert rep.summary["C7:unbounded-demonstrated"] == "INFO"
         bounds = [r.estimate for r in rep.rows if r.input.startswith("rigorous-bound")]
         assert bounds[-1] > 100 * bounds[0]
+        assert rep.params["eps_grid"] == [0.1, 0.05, 0.01, 0.001, 0.0001]
 
 
 class TestGeometry:

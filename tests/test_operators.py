@@ -236,6 +236,12 @@ class TestNormQuotient:
         assert runs[0] == runs[1] == runs[2]
         assert runs[0].std_error > 0.0
 
+    def test_nested_mc_refuses_fractional_p(self):
+        # a single inner mean raised to a fractional power is biased upward
+        f = PowerInside.extremal(SPEC1, 1.5, 0.1)
+        with pytest.raises(ValueError, match="closed or radial"):
+            ops.norm_quotient(f, 1.5, SPEC1, method="mc")
+
     def test_zero_norm_rejected(self):
         zero = BumpMixture(SPEC1, ())
         with pytest.raises(ValueError, match="zero norm|vanishes"):
@@ -284,6 +290,18 @@ class TestPairings:
         rhs = ops.pairing_weighted_cesaro(g, f, phi, SPEC1, p=2.0, samples=30_000, seed=4)
         se = math.hypot(lhs.std_error, rhs.std_error)
         assert abs(lhs.value - rhs.value) <= 4 * se
+
+
+    @pytest.mark.parametrize("exponent", [4.0, 0.0])
+    def test_three_factors_refused(self, exponent):
+        # weight one is unbounded for the adjoint at p = 2: the m guard comes first
+        spec = ProductSpec.of_orders(1, 1, 1)
+        ind = PowerInside(spec, (0.0,) * 3)
+        phi = ops.MonomialWeight((exponent,) * 3)
+        with pytest.raises(ValueError, match="m <= 2"):
+            ops.pairing_weighted_hardy(ind, ind, phi, spec)
+        with pytest.raises(ValueError, match="m <= 2"):
+            ops.pairing_weighted_cesaro(ind, ind, phi, spec, p=2.0)
 
 
 class TestParseWeight:
