@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from hardylab import measure
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -29,10 +31,9 @@ def test_every_target_resolves(spans):
 
 
 def test_the_panel_counter_resolves():
-    assert callable(importlib.import_module("hardylab.measure")._panel)
+    assert callable(measure._panel)
 
 
 def test_chunked_mean_keeps_the_parameters_the_tracer_binds():
-    from hardylab.measure import chunked_mean
-
-    assert {"draw", "samples", "chunk_size"} <= set(inspect.signature(chunked_mean).parameters)
+    params = inspect.signature(measure.chunked_mean).parameters
+    assert {"draw", "samples", "chunk_size"} <= set(params)
