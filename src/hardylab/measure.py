@@ -271,7 +271,7 @@ def _panel(g, lo: float, hi: float) -> tuple[float, float]:
     return fine, abs(fine - coarse)
 
 
-def _power_closeout(g, endpoint: float, lo: float, hi: float) -> tuple[float, float]:
+def _power_closeout(g, endpoint: float, lo: float, hi: float) -> float:
     """Close out a panel adjacent to an algebraic singularity by fitting
     g ~ c * s^gamma against the distance s from the endpoint.  Exact for pure
     power behavior; the panel is tiny by the time this is invoked."""
@@ -286,7 +286,7 @@ def _power_closeout(g, endpoint: float, lo: float, hi: float) -> tuple[float, fl
     g1 = float(np.asarray(g(np.array([t1])))[0])
     g2 = float(np.asarray(g(np.array([t2])))[0])
     if g1 == 0.0 and g2 == 0.0:
-        return 0.0, 0.0
+        return 0.0
     if g1 == 0.0 or g2 == 0.0 or (g1 > 0) != (g2 > 0):
         raise IntegrationError("cannot grade endpoint panel: integrand changes sign or vanishes")
     gamma = math.log(abs(g1) / abs(g2)) / math.log(s1 / s2)
@@ -295,8 +295,7 @@ def _power_closeout(g, endpoint: float, lo: float, hi: float) -> tuple[float, fl
             f"endpoint behaviour ~ s^{gamma:.4f} is not integrable at panel scale {width:.3e}",
             residual=abs(g2) * width,
         )
-    val = g2 * s2 * (span / s2) ** (gamma + 1.0) / (gamma + 1.0)
-    return val, abs(val) * 1e-12
+    return g2 * s2 * (span / s2) ** (gamma + 1.0) / (gamma + 1.0)
 
 
 def integrate_1d(
@@ -305,34 +304,29 @@ def integrate_1d(
     hi: float,
     tol: float = 1e-10,
     max_panels: int = 4096,
-    singular_lower: bool = False,
-    singular_upper: bool = False,
 ) -> float:
     """Globally adaptive Gauss-Legendre integration of a vectorized g on [lo, hi].
 
     Panels are bisected worst-error-first until the summed local error drops
-    below tol * max(1, |integral|).  Panels that shrink against a declared
-    singular endpoint are closed out with a fitted power tail, which keeps
+    below tol * max(1, |integral|).  A panel that shrinks against either end
+    of the interval is closed out with a fitted power tail, which keeps
     integrable endpoint singularities (r^gamma, gamma > -1) convergent at
     tolerances far beyond plain bisection.
     """
     if not hi > lo:
         raise ValueError("empty integration interval")
-    total_len = hi - lo
-    # Close out singular panels before bisection shrinks them to the point
-    # where Gauss-Legendre nodes round onto the endpoint itself.
-    cut = total_len * 2.0**-40
+    # Close out endpoint panels before bisection shrinks them to the point
+    # where Gauss-Legendre nodes round onto the endpoint itself; only a
+    # singular endpoint draws bisection this far.
+    cut = (hi - lo) * 2.0**-40
 
     heap: list[tuple[float, float, float, float, float]] = []
     counter = 0
 
     def push(a: float, b: float) -> None:
         nonlocal counter
-        if (singular_lower and a <= lo and (b - a) < cut) or (
-            singular_upper and b >= hi and (b - a) < cut
-        ):
-            endpoint = lo if (singular_lower and a <= lo) else hi
-            val, err = _power_closeout(g, endpoint, a, b)
+        if b - a < cut and (a <= lo or b >= hi):
+            val = _power_closeout(g, lo if a <= lo else hi, a, b)
             heapq.heappush(heap, (0.0, float(counter), a, b, val))
         else:
             val, err = _panel(g, a, b)
@@ -353,10 +347,7 @@ def integrate_1d(
             raise IntegrationError(
                 f"no convergence within {max_panels} panels", residual=tot_err
             )
-        neg_err, _, a, b, _ = heapq.heappop(heap)
-        if neg_err == 0.0:  # every remaining panel is converged
-            heapq.heappush(heap, (neg_err, 0.0, a, b, _))
-            return sum(item[4] for item in heap)
+        _, _, a, b, _ = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         push(a, mid)
         push(mid, b)
@@ -393,11 +384,11 @@ def radial_integral(
             u = np.minimum(u, 1.0 - 2.0**-52)  # keep r finite at rounded nodes
             return g(lower + u / (1.0 - u)) / (1.0 - u) ** 2
 
-        val = integrate_1d(h, 0.0, 1.0, tol=tol, singular_lower=(lower == 0.0), singular_upper=True)
+        val = integrate_1d(h, 0.0, 1.0, tol=tol)
     else:
         if not upper > lower:
             return 0.0
-        val = integrate_1d(g, lower, upper, tol=tol, singular_lower=(lower == 0.0))
+        val = integrate_1d(g, lower, upper, tol=tol)
     return dims.omega * val
 
 

@@ -223,14 +223,12 @@ def _iterated_cube(gfun, bounds, tol: float):
     if hi <= lo:
         return 0.0
     if m == 1:
-        return integrate_1d(
-            lambda t: gfun(t[:, None]), lo, hi, tol=tol, singular_lower=(lo == 0.0)
-        )
+        return integrate_1d(lambda t: gfun(t[:, None]), lo, hi, tol=tol)
 
     outer = nodewise(lambda t0: _iterated_cube(
         lambda T: gfun(np.column_stack([np.full(T.shape[0], t0), T])), bounds[1:], tol * 0.5
     ))
-    return integrate_1d(outer, lo, hi, tol=tol, singular_lower=(lo == 0.0))
+    return integrate_1d(outer, lo, hi, tol=tol)
 
 
 def weighted_hardy_eval(
@@ -269,7 +267,7 @@ def weighted_hardy_eval(
                 return Estimate.exact(0.0)
             out *= integrate_1d(
                 lambda t, F=F, r=r, e=e: np.asarray(F(t * r), dtype=float) * t**e,
-                t_lo, t_hi, tol=tol, singular_lower=(t_lo == 0.0),
+                t_lo, t_hi, tol=tol,
             )
         return Estimate.exact(out)
     try:
@@ -338,7 +336,7 @@ def weighted_cesaro_eval(
             out *= integrate_1d(
                 lambda t, F=F, r=r, e=e, Q=dims.Q: np.asarray(F(r / t), dtype=float)
                 * t ** (e - Q),
-                t_lo, t_hi, tol=tol, singular_lower=(t_lo == 0.0),
+                t_lo, t_hi, tol=tol,
             )
         return Estimate.exact(out)
     return Estimate.exact(_iterated_cube(g, intervals, tol))
@@ -556,7 +554,7 @@ def _weighted_radial_norm(
             if adjoint:
                 return integrate_1d(
                     lambda t: (R / t) ** -beta * t ** (a - Q),
-                    0.0, min(R, 1.0), tol=tol * 1e-2, singular_lower=True,
+                    0.0, min(R, 1.0), tol=tol * 1e-2,
                 )
             lo = 1.0 / R
             if lo >= 1.0:
