@@ -308,7 +308,8 @@ def integrate_1d(
     """Globally adaptive Gauss-Legendre integration of a vectorized g on [lo, hi].
 
     Panels are bisected worst-error-first until the summed local error drops
-    below tol * max(1, |integral|).  A panel that shrinks against either end
+    below tol * |integral|: tol is relative, so a small integral is computed
+    as accurately as a large one.  A panel that shrinks against either end
     of the interval is closed out with a fitted power tail, which keeps
     integrable endpoint singularities (r^gamma, gamma > -1) convergent at
     tolerances far beyond plain bisection.
@@ -341,7 +342,7 @@ def integrate_1d(
     while True:
         total = sum(item[4] for item in heap)
         tot_err = sum(-item[0] for item in heap)
-        if tot_err <= tol * max(1.0, abs(total)):
+        if tot_err <= tol * abs(total):
             return total
         if len(heap) >= max_panels:
             raise IntegrationError(

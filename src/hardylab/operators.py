@@ -226,7 +226,7 @@ def _iterated_cube(gfun, bounds, tol: float):
         return integrate_1d(lambda t: gfun(t[:, None]), lo, hi, tol=tol)
 
     outer = nodewise(lambda t0: _iterated_cube(
-        lambda T: gfun(np.column_stack([np.full(T.shape[0], t0), T])), bounds[1:], tol * 0.5
+        lambda T: gfun(np.column_stack([np.full(T.shape[0], t0), T])), bounds[1:], tol
     ))
     return integrate_1d(outer, lo, hi, tol=tol)
 
@@ -532,7 +532,7 @@ def _radial_hardy_norm(f, p: float, spec: ProductSpec, tol: float) -> float:
     forms it is used to validate."""
     normp = 1.0
     for dims, (F, a, b) in zip(spec.factors, f.radial_profiles()):
-        avg = nodewise(lambda R: _radial_ball_average(F, a, b, dims, R, tol * 1e-2))
+        avg = nodewise(lambda R: _radial_ball_average(F, a, b, dims, R, tol))
         normp *= radial_integral(lambda Rv: np.abs(avg(Rv)) ** p, dims, math.inf, tol)
     return normp ** (1.0 / p)
 
@@ -554,12 +554,12 @@ def _weighted_radial_norm(
             if adjoint:
                 return integrate_1d(
                     lambda t: (R / t) ** -beta * t ** (a - Q),
-                    0.0, min(R, 1.0), tol=tol * 1e-2,
+                    0.0, min(R, 1.0), tol=tol,
                 )
             lo = 1.0 / R
             if lo >= 1.0:
                 return 0.0
-            return integrate_1d(lambda t: (t * R) ** -beta * t**a, lo, 1.0, tol=tol * 1e-2)
+            return integrate_1d(lambda t: (t * R) ** -beta * t**a, lo, 1.0, tol=tol)
 
         prof = nodewise(image)
         normp *= radial_integral(lambda Rv: np.abs(prof(Rv)) ** p, dims, math.inf, tol)

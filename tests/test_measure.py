@@ -121,6 +121,15 @@ class TestRadialIntegral:
             integrate_1d(noisy, 0.0, 1.0, tol=1e-14, max_panels=64)
         assert math.isfinite(err.value.residual)
 
+    def test_tolerance_is_relative(self):
+        # an absolute floor of tol would accept any answer below 1e-10 here
+        got = integrate_1d(lambda t: 1e-30 * t**0.3, 0.0, 1.0, tol=1e-10)
+        assert got == pytest.approx(1e-30 / 1.3, rel=1e-10, abs=0.0)
+
+    def test_singular_upper_endpoint_needs_no_flag(self):
+        got = integrate_1d(lambda t: (1.0 - t) ** -0.9, 0.0, 1.0)
+        assert got == pytest.approx(10.0, rel=1e-9)
+
 
 class TestLpNorm:
     def test_indicator(self):

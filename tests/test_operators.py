@@ -264,6 +264,22 @@ class TestNormQuotient:
                                 method="radial", tol=1e-9)
         assert closed.value == pytest.approx(rad.value, rel=1e-7)
 
+    @pytest.mark.parametrize("p, eps", [(1.2, 0.2), (1.5, 0.0125), (2.0, 0.1), (3.0, 0.0125),
+                                        (4.0, 0.0125)])
+    def test_radial_route_matches_closed_form(self, p, eps):
+        f = PowerInside.extremal(SPEC1, p, eps)
+        rad = ops.norm_quotient(f, p, SPEC1, method="radial")
+        assert rad.value == pytest.approx(cf.power_family_quotient(eps, p, SPEC1), rel=1e-9)
+
+    @pytest.mark.parametrize("operator, a", [("weighted-cesaro", 3.0), ("weighted-hardy", 2.0)])
+    def test_weighted_radial_routes_match_closed_forms(self, operator, a):
+        # tol=1e-9 is the tolerance weighted_sharpness runs the radial route at
+        f = PowerOutside.extremal(SPEC1, 3.0, 0.2)
+        phi = ops.MonomialWeight((a,))
+        closed = ops.norm_quotient(f, 3.0, SPEC1, operator=operator, phi=phi, method="closed")
+        rad = ops.norm_quotient(f, 3.0, SPEC1, operator=operator, phi=phi, method="radial", tol=1e-9)
+        assert rad.value == pytest.approx(closed.value, rel=1e-9)
+
     def test_weighted_unbounded_rejected(self):
         f = PowerOutside.extremal(SPEC1, 2.0, 0.1)
         with pytest.raises(ops.UnboundedOperatorError):
