@@ -139,10 +139,9 @@ def _validate(cfg: dict) -> None:
             raise UsageError("--eps values must lie in (0, 1)")
         if len(set(cfg["eps_list"])) < 2:
             raise UsageError("--eps needs at least two distinct values for the eps -> 0 fit")
-    if cfg.get("trials", 1) < 1:
-        raise UsageError("--trials must be at least 1")
-    if cfg.get("pairs", 1) < 1:
-        raise UsageError("--pairs must be at least 1")
+    for name in ("trials", "pairs", "workers", "inner_samples"):
+        if cfg.get(name, 1) < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least 1")
     if cfg.get("method", "mc") == "mc" and cfg.get("samples", 1000) < 1000:
         raise UsageError("--samples must be at least 1000 for Monte Carlo runs")
     if cfg.get("n", 1) < 1:
@@ -344,9 +343,10 @@ def run(argv) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         # bad parameter combinations surface from the experiments themselves,
-        # e.g. an eps outside the admissible range for the chosen p
+        # e.g. an eps outside the admissible range for the chosen p, or a p
+        # so large that a power of it overflows
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

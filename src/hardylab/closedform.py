@@ -46,6 +46,8 @@ def sharp_constant(p: float, m: int) -> SharpConstant:
         raise ValueError("p must lie in (1, inf)")
     if m < 1:
         raise ValueError("m must be a positive integer")
+    if p / (p - 1.0) == 1.0:
+        raise ValueError(f"p={p:g} is too large: p/(p-1) rounds to 1")
     return SharpConstant(p, m, (p / (p - 1.0)) ** m)
 
 

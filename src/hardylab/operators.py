@@ -88,8 +88,9 @@ class MonomialWeight(Weight):
     exponents: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(a < 0 for a in self.exponents):
-            raise ValueError("monomial exponents must be nonnegative")
+        # written so that NaN, for which a < 0 is false, is refused too
+        if not all(0.0 <= a < math.inf for a in self.exponents):
+            raise ValueError(f"monomial exponents must be finite and nonnegative: {self.label}")
 
     @property
     def m(self) -> int:
@@ -143,8 +144,8 @@ def parse_weight(text: str, m: int) -> Weight:
         for fac in factors:
             grid = np.asarray(fac["t"], dtype=float)
             vals = np.asarray(fac["values"], dtype=float)
-            if np.any(vals < 0):
-                raise ValueError("weights must be nonnegative")
+            if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(vals)) and np.all(vals >= 0)):
+                raise ValueError(f"weight {text}: t and values must be finite, values nonnegative")
             tables.append((grid, vals))
 
         def product_of_tables(T: np.ndarray) -> np.ndarray:

@@ -58,6 +58,45 @@ class TestExitCodes:
         assert "closed or radial" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, weight", [
+        ("weighted", "monomial:nan"),
+        ("weighted", "monomial:inf"),
+        ("cesaro-duality", "monomial:nan"),
+        ("cesaro-duality", {"t": [0.0, 0.5, 1.0], "values": [0.0, math.nan, 1.0]}),
+        ("cesaro-duality", {"t": [0.0, math.inf, 1.0], "values": [0.0, 0.5, 1.0]}),
+    ])
+    def test_non_finite_weights_are_refused(self, tmp_path, capsys, cmd, weight):
+        if isinstance(weight, dict):
+            path = tmp_path / "w.json"
+            path.write_text(json.dumps({"factors": [weight]}))
+            weight = f"table:{path}"
+        out = tmp_path / "r.json"
+        assert run([cmd, "--weight", weight, "--output", str(out)]) == 1
+        assert weight in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["weighted", "--p", "1000"],
+        ["fuzz", "--p", "1000", "--trials", "1", "--samples", "1000"],
+        ["sharpness", "--p", "1e17"],  # p/(p-1) rounds to 1
+    ])
+    def test_large_p_is_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert run(argv + ["--output", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fuzz", "--trials", "1", "--samples", "1000", "--workers", "0"], "--workers"),
+        (["radialize-check", "--trials", "1", "--samples", "1000", "--inner-samples", "0"],
+         "--inner-samples"),
+    ])
+    def test_counts_must_be_positive(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "r.json"
+        assert run(argv + ["--output", str(out)]) == 1
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_needs_output_path(self):
         assert run(["sharpness", "--method", "closed", "--plot"]) == 1
 
