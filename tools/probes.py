@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Write the byte-guard probe reports and print their sha256 values.
+
+    python3 tools/probes.py --out DIR
+
+Runs 43 hardylab CLI invocations in-process, importing hardylab from this
+checkout's `src/`, and writes one report per probe into DIR:
+
+* 16 configurations at `--seed 5`, each as CSV and as JSON (32 reports);
+* the full-size `fuzz --factors 1`, `fuzz --factors 1,1` and
+  `cesaro-duality --factors 1` invocations at `--seed 1001`, `1` and `3`
+  (JSON; 9 reports);
+* the `fuzz --factors 1,1` probe again at `--workers 1` and `--workers 3`
+  (JSON; 2 reports).
+
+It prints one `sha256  name` line per report, in the order above.  The
+two-bump function file and the table weight are written into DIR and named
+by a relative path with DIR as the working directory, so the reports that
+record those paths hash the same in every checkout.  Comparing the output of
+two checkouts shows which reports a change moved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BUMPS_FILE = "probe-bumps.json"
+TABLE_FILE = "probe-table.json"
+BUMPS = [
+    {"centers": [[0.1, -0.2, 0.05]], "radii": [0.7], "coefficient": 1.0},
+    {"centers": [[-0.3, 0.2, 0.1]], "radii": [0.5], "coefficient": -0.6},
+]
+TABLE = {"factors": [{"t": [0, 0.25, 0.5, 1], "values": [0, 0, 0.2, 1]}]}
+
+# name -> argv, each run at --seed 5 as CSV and as JSON
+SMALL = {
+    "sharp-closed-m1": "sharpness --method closed --factors 1 --p 2",
+    "sharp-closed-m2p3": "sharpness --method closed --factors 1,1 --p 3",
+    "sharp-mc-m1": "sharpness --method mc --factors 1 --p 2 --samples 20000 --inner-samples 64",
+    "sharp-mc-m2": "sharpness --method mc --factors 1,1 --p 2 --samples 20000 --inner-samples 64",
+    "sharp-radial-p3": "sharpness --method radial --factors 1 --p 3",
+    "fuzz-m1": "fuzz --factors 1 --p 2 --trials 5 --samples 20000",
+    "fuzz-m2-w2": "fuzz --factors 1,1 --p 2 --trials 3 --samples 20000 --workers 2",
+    "fuzz-function": f"fuzz --factors 1 --p 2 --trials 2 --samples 20000 --function bumps:{BUMPS_FILE}",
+    "radialize": "radialize-check --factors 1 --p 2 --trials 3 --samples 16000",
+    "weighted-bounded": "weighted --weight monomial:3 --p 2",
+    "weighted-unbounded": "weighted --weight one --p 2",
+    "duality-m1": "cesaro-duality --weight monomial:4 --p 2 --factors 1 --pairs 3 --samples 5000",
+    "duality-m2": "cesaro-duality --weight monomial:4,4 --p 2 --factors 1,1 --pairs 2 --samples 4000",
+    "duality-table": f"cesaro-duality --weight table:{TABLE_FILE} --p 2 --factors 1 --pairs 3 "
+                     "--samples 5000",
+    "geometry": "geometry-check --samples 100000",
+    "volume": "volume --n 2 --samples 200000",
+}
+# the benchmark's gated invocations at full size, JSON only
+FULL = {
+    "full-fuzz1": "fuzz --p 2 --factors 1 --trials 34 --samples 50000 --workers 2",
+    "full-fuzz2": "fuzz --p 2 --factors 1,1 --trials 34 --samples 50000 --workers 2",
+    "full-dual": "cesaro-duality --weight monomial:4 --p 2 --factors 1 --pairs 20 --samples 20000 "
+                 "--workers 2",
+}
+FULL_SEEDS = {"": 1001, "-s1": 1, "-s3": 3}
+# fuzz-m2-w2 at other worker counts: every count must give one report
+WORKERS = {f"fuzz-m2-w{w}": SMALL["fuzz-m2-w2"].replace("--workers 2", f"--workers {w}")
+           for w in (1, 3)}
+
+
+def probes() -> list[tuple[str, list[str]]]:
+    """(report file name, argv) for every probe, in print order."""
+    out = []
+    for name, cmd in SMALL.items():
+        for fmt in ("csv", "json"):
+            out.append((f"{name}.{fmt}", cmd.split() + ["--seed", "5", "--format", fmt]))
+    for suffix, seed in FULL_SEEDS.items():
+        for name, cmd in FULL.items():
+            out.append((f"{name}{suffix}.json", cmd.split() + ["--seed", str(seed)]))
+    for name, cmd in WORKERS.items():
+        out.append((f"{name}.json", cmd.split() + ["--seed", "5"]))
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="directory for the reports (created if missing)")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from hardylab import cli
+
+    out = Path(args.out).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    (out / BUMPS_FILE).write_text(json.dumps(BUMPS) + "\n", encoding="utf-8")
+    (out / TABLE_FILE).write_text(json.dumps(TABLE) + "\n", encoding="utf-8")
+    os.chdir(out)
+    failed = 0
+    for name, probe_argv in probes():
+        log = io.StringIO()
+        with contextlib.redirect_stderr(log):
+            rc = cli.run(probe_argv + ["--output", name])
+        if rc != 0:
+            failed += 1
+            print(f"{name}: exit {rc}: {log.getvalue().strip()}", file=sys.stderr)
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest() if (out / name).exists() else "-"
+        print(f"{digest}  {name}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
