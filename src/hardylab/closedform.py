@@ -209,9 +209,10 @@ def cesaro_power_quotient(betas, exponents, p: float, spec: ProductSpec) -> floa
 
     Per factor, with e = beta*p - Q > 0, D = a + 1 + beta - Q > 0 (kernel
     integrable) and s = (a + 1 - Q)p + Q > 0 (image integrable near 0):
-    quotient^p = (1/D^p) * (1 + e/s).
+    quotient^p = (1/D^p) * (1 + e/s).  Each factor is formed as
+    (1 + e/s)^(1/p) / D, since D^p underflows to 0 at large p.
     """
-    out_p = 1.0
+    out = 1.0
     for dims, b, a in zip(spec.factors, betas, exponents):
         e = b * p - dims.Q
         D = a + 1.0 + b - dims.Q
@@ -220,8 +221,8 @@ def cesaro_power_quotient(betas, exponents, p: float, spec: ProductSpec) -> floa
             raise ValueError("norm infinite: beta*p - Q must be positive")
         if D <= 0 or s <= 0:
             raise ValueError("quotient undefined: adjoint characteristic diverges")
-        out_p *= (1.0 + e / s) / D**p
-    return out_p ** (1.0 / p)
+        out *= (1.0 + e / s) ** (1.0 / p) / D
+    return out
 
 
 def cesaro_family_quotient(exponents, eps: float, p: float, spec: ProductSpec) -> float:

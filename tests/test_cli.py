@@ -86,6 +86,15 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_large_p_pairing_runs(self, tmp_path, capsys):
+        # the adjoint family quotients divide by D^p, which underflowed to 0
+        out = tmp_path / "r.json"
+        argv = ["cesaro-duality", "--p", "1000", "--pairs", "1", "--samples", "1000"]
+        assert run(argv + ["--output", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rep = json.loads(out.read_text())
+        assert rep["summary"]["C8:duality"] == "PASS"
+
     @pytest.mark.parametrize("argv, flag", [
         (["fuzz", "--trials", "1", "--samples", "1000", "--workers", "0"], "--workers"),
         (["radialize-check", "--trials", "1", "--samples", "1000", "--inner-samples", "0"],

@@ -167,6 +167,20 @@ class TestWeightedForms:
             assert prev < q < cstar
             prev = q
 
+    @pytest.mark.parametrize("spec, exps", [(SPEC1, [3.0]), (SPEC2, [3.0, 5.0])])
+    def test_cesaro_quotient_at_large_p(self, spec, exps):
+        # D^p underflows (a = 3) or overflows (a = 5) at p = 1000, while the
+        # quotient itself is of order 1/D
+        p = 1000.0
+        for eps in (0.2, 0.025):
+            logq = 0.0
+            for dims, a in zip(spec.factors, exps):
+                b = dims.Q / p + eps
+                e, D, s = b * p - dims.Q, a + 1.0 + b - dims.Q, (a + 1.0 - dims.Q) * p + dims.Q
+                logq += math.log1p(e / s) / p - math.log(D)
+            got = cf.cesaro_family_quotient(exps, eps, p, spec)
+            assert got == pytest.approx(math.exp(logq), rel=1e-13)
+
     def test_product_factorization(self):
         b1 = cf.weighted_extremal_bound([3.0], 0.05, 2.0, SPEC1)
         b2 = cf.weighted_extremal_bound([3.0, 3.0], 0.05, 2.0, SPEC2)
