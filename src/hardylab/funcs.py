@@ -255,10 +255,10 @@ class Bump:
             raise ValueError("bump radii must be strictly positive")
 
 
-def _bump_profile(s: np.ndarray) -> np.ndarray:
-    """exp(-1/(1-s^2)) for 0 <= s < 1, else 0 (s^2 clamps at 1); NaN stays NaN."""
+def _bump_profile(u: np.ndarray) -> np.ndarray:
+    """exp(-1/(1-u)) for 0 <= u < 1, else 0, in place on u, the squared
+    scaled distance (u clamps at 1); NaN stays NaN."""
     with np.errstate(over="ignore", divide="ignore"):
-        u = s * s
         np.minimum(u, 1.0, out=u)
         np.subtract(1.0, u, out=u)
         np.divide(-1.0, u, out=u)
@@ -287,20 +287,28 @@ class BumpMixture(TestFunction):
             inside = np.ones(pts[0].shape[0], dtype=bool)
             for center, radius, X in zip(bump.centers, bump.radii, pts):
                 d = hgroup.distance(X, center)
-                acc = acc * _bump_profile(d / radius)
+                s = d / radius
+                acc = acc * _bump_profile(s * s)
                 inside &= d < radius
             total += acc
             count += inside
         return total, count
 
     def on_dilations(self, pts: list[np.ndarray], scales) -> np.ndarray:
-        """`TestFunction.on_dilations`, one `distance_on_dilations` per bump and factor."""
+        """`TestFunction.on_dilations`, one `squared_distance_on_dilations`
+        per bump and factor.  Dilating x and the centre by 1/radius scales
+        the distance by 1/radius, so the kernel returns u = (d/radius)^2
+        from k-row inputs and the grid is never divided."""
         grid = np.broadcast_shapes((pts[0].shape[0], 1), *(np.shape(s) for s in scales))
         total = np.zeros(grid)
         for bump in self.bumps:
-            acc = np.full(grid, bump.coefficient)
-            for center, radius, X, s in zip(bump.centers, bump.radii, pts, scales):
-                acc *= _bump_profile(hgroup.distance_on_dilations(X, s, center) / radius)
+            acc = bump.coefficient
+            for dims, center, radius, X, s in zip(self.spec.factors, bump.centers, bump.radii,
+                                                  pts, scales):
+                u = hgroup.squared_distance_on_dilations(
+                    dilate_arrays(1.0 / radius, X, dims.n), s,
+                    dilate_arrays(1.0 / radius, center, dims.n))
+                acc = _bump_profile(u) * acc
             total += acc
         return total
 

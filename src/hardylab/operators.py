@@ -747,22 +747,24 @@ def pairing_weighted_cesaro(
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         pts, dens, gvals = sampler(rng, k)
-        K = S.shape[0]
         t_nodes = []
-        jac = np.ones((k, K))
-        kern = np.ones((k, K))
+        jac = np.ones(k)  # the affine map's Jacobian is constant along each point's nodes
+        tq = 1.0  # prod_i t_i^Q_i, by multiplication: Q = 2(n+1)
         for i, dims in enumerate(spec.factors):
             r = koranyi_norm(pts[i])
             lo = np.minimum(r / sup[i], 1.0)
             t = lo[:, None] + (1.0 - lo)[:, None] * S[None, :, i]  # (k, K)
             t = np.maximum(t, 1e-300)
-            jac *= (1.0 - lo)[:, None]
-            kern /= t**dims.Q
+            jac *= 1.0 - lo
+            t2 = t * t
+            tq = tq * t2
+            for _ in range(dims.n):
+                tq *= t2
             t_nodes.append(t)
         T = np.stack([t.reshape(-1) for t in t_nodes], axis=1)
-        phivals = phi(T).reshape(k, K)
-        fvals = f.on_dilations(pts, [1.0 / t for t in t_nodes])
-        inner = (fvals * phivals * kern * jac) @ W
-        return gvals * inner / dens
+        integrand = f.on_dilations(pts, [1.0 / t for t in t_nodes])
+        integrand *= phi(T).reshape(integrand.shape)
+        integrand /= tq
+        return gvals * ((integrand @ W) * jac) / dens
 
     return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)

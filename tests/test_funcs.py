@@ -19,7 +19,7 @@ from hardylab.funcs import (
     random_bump_mixture,
 )
 from hardylab import funcs
-from hardylab.hgroup import HPoint, ProductSpec, distance, koranyi_norm
+from hardylab.hgroup import HPoint, ProductSpec, dilate_arrays, distance, koranyi_norm
 from hardylab.measure import lp_norm
 
 SPEC1 = ProductSpec.of_orders(1)
@@ -231,10 +231,12 @@ class TestBumpProfile:
                           np.nextafter(1.0, 2.0), 2.0, 1e300, np.inf])
         rng = np.random.default_rng(21)
         for s in (edges, rng.uniform(0.0, 1.2, 100_000), rng.uniform(0.999, 1.001, 100_000)):
-            assert np.array_equal(funcs._bump_profile(s.copy()), _masked_bump_profile(s))
+            with np.errstate(over="ignore"):  # 1e300 squared
+                u = s * s
+            assert np.array_equal(funcs._bump_profile(u), _masked_bump_profile(s))
 
     def test_nan_distance_gives_nan(self):
-        out = funcs._bump_profile(np.array([0.5, np.nan, 2.0]))
+        out = funcs._bump_profile(np.array([0.25, np.nan, 4.0]))
         assert out[0] == _masked_bump_profile(np.array([0.5]))[0]
         assert np.isnan(out[1]) and out[2] == 0.0
 
@@ -254,6 +256,29 @@ class TestOnDilations:
             assert fused.shape == base.shape == (k, K)
             assert np.count_nonzero(base) > k  # the grid meets the bumps
             assert np.max(np.abs(fused - base)) <= 1e-13 * np.max(np.abs(base))
+
+    # the two bumps of the probe file: centres (0.1, -0.2, 0.05) and
+    # (-0.3, 0.2, 0.1), radii 0.7 and 0.5
+    TWO_BUMPS = BumpMixture(SPEC1, (
+        Bump((np.array([0.1, -0.2, 0.05]),), (0.7,), 1.0),
+        Bump((np.array([-0.3, 0.2, 0.1]),), (0.5,), 0.6),
+    ))
+
+    def test_grid_points_outside_every_ball_are_zero(self):
+        # row 0 meets the first bump; row 1 dilates to (3s, 0, 0), at
+        # horizontal distance above 2.4 from both centres for s >= 1
+        pts = [np.array([[0.1, -0.2, 0.05], [3.0, 0.0, 0.0]])]
+        got = self.TWO_BUMPS.on_dilations(pts, [np.linspace(1.0, 2.0, 5)])
+        assert got[0, 0] > 0.0
+        assert np.all(got[1] == 0.0)
+
+    def test_grid_point_at_a_centre_gives_the_peak(self):
+        # delta_2 delta_{1/2} c = c exactly; the first bump's peak is
+        # coefficient * e^-1, and the second centre is 0.57 away, beyond its radius 0.5
+        c = self.TWO_BUMPS.bumps[0].centers[0]
+        pts = [dilate_arrays(0.5, c, 1)[None, :]]
+        got = self.TWO_BUMPS.on_dilations(pts, [np.array([2.0])])
+        assert got[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_empty_mixture_grid_is_zero(self):
         f = BumpMixture(SPEC2, ())

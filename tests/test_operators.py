@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hardylab import closedform as cf
+from hardylab import funcs
 from hardylab import operators as ops
 from hardylab.funcs import (
     BumpMixture,
@@ -15,8 +16,8 @@ from hardylab.funcs import (
     RadialProduct,
     random_bump_mixture,
 )
-from hardylab.hgroup import ProductSpec
-from hardylab.measure import substream
+from hardylab.hgroup import ProductSpec, koranyi_norm
+from hardylab.measure import TAG_NESTED, chunked_mean, substream
 
 SPEC1 = ProductSpec.of_orders(1)
 SPEC2 = ProductSpec.of_orders(1, 1)
@@ -307,6 +308,42 @@ class TestPairings:
         se = math.hypot(lhs.std_error, rhs.std_error)
         assert abs(lhs.value - rhs.value) <= 4 * se
 
+
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2])
+    def test_bump_pair_matches_the_slow_reference(self, spec):
+        # the same draws as the pairings, evaluated on the dilated points by
+        # the base on_dilations, with the Jacobian and t^-Q on every node
+        rng = substream(7, 1)
+        f = random_bump_mixture(spec, rng, max_bumps=2, radius_range=(0.5, 1.0), center_radius=0.3)
+        g = random_bump_mixture(spec, rng, max_bumps=2, radius_range=(0.5, 1.0), center_radius=0.3)
+        phi = ops.MonomialWeight((4.0,) * spec.m)
+        S, W = ops._tensor_nodes(spec.m)
+
+        def hardy(rng, k):
+            pts, dens, fvals = ops._support_sampler(f, spec)[0](rng, k)
+            return fvals * (funcs.TestFunction.on_dilations(g, pts, list(S.T)) @ (W * phi(S))) / dens
+
+        def cesaro(rng, k):
+            pts, dens, gvals = ops._support_sampler(g, spec)[0](rng, k)
+            K = S.shape[0]
+            t_nodes, jac, kern = [], np.ones((k, K)), np.ones((k, K))
+            for i, (dims, sup) in enumerate(zip(spec.factors, f.support_radii())):
+                lo = np.minimum(koranyi_norm(pts[i]) / sup, 1.0)
+                t = np.maximum(lo[:, None] + (1.0 - lo)[:, None] * S[None, :, i], 1e-300)
+                jac *= (1.0 - lo)[:, None]
+                kern /= t**dims.Q
+                t_nodes.append(t)
+            phivals = phi(np.stack([t.reshape(-1) for t in t_nodes], axis=1)).reshape(k, K)
+            fvals = funcs.TestFunction.on_dilations(f, pts, [1.0 / t for t in t_nodes])
+            return gvals * ((fvals * phivals * kern * jac) @ W) / dens
+
+        for got, draw, seed in (
+            (ops.pairing_weighted_hardy(f, g, phi, spec, samples=4096, seed=5), hardy, 5),
+            (ops.pairing_weighted_cesaro(g, f, phi, spec, p=2.0, samples=4096, seed=6), cesaro, 6),
+        ):
+            ref = chunked_mean(draw, 4096, seed, TAG_NESTED, chunk_size=2048)
+            assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+            assert got.std_error == pytest.approx(ref.std_error, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("exponent", [4.0, 0.0])
     def test_three_factors_refused(self, exponent):
