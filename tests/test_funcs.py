@@ -257,7 +257,7 @@ class TestOnDilations:
             assert np.count_nonzero(base) > k  # the grid meets the bumps
             assert np.max(np.abs(fused - base)) <= 1e-13 * np.max(np.abs(base))
 
-    # the two bumps of the probe file: centres (0.1, -0.2, 0.05) and
+    # the two bumps of tools/probes.py: centres (0.1, -0.2, 0.05) and
     # (-0.3, 0.2, 0.1), radii 0.7 and 0.5
     TWO_BUMPS = BumpMixture(SPEC1, (
         Bump((np.array([0.1, -0.2, 0.05]),), (0.7,), 1.0),
