@@ -27,8 +27,6 @@ from .operators import (
     hardy_eval,
     norm_quotient,
     weight_bound_integral,
-    weighted_cesaro_eval,
-    weighted_hardy_eval,
 )
 
 __version__ = "0.1.0"
@@ -51,8 +49,6 @@ __all__ = [
     "lp_norm",
     "evaluate",
     "hardy_eval",
-    "weighted_hardy_eval",
-    "weighted_cesaro_eval",
     "weight_bound_integral",
     "norm_quotient",
     "sharp_constant",

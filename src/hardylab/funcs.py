@@ -21,7 +21,7 @@ import numpy as np
 
 from . import hgroup
 from .hgroup import HPoint, ProductSpec, dilate_arrays, koranyi_norm
-from .measure import substream, TAG_RADIALIZE
+from .measure import TAG_RADIALIZE, UnsupportedFamilyError, substream
 
 __all__ = [
     "ProductPoint",
@@ -34,14 +34,9 @@ __all__ = [
     "UnsupportedFamilyError",
     "evaluate",
     "RadializedFunction",
-    "DilatedFunction",
     "random_bump_mixture",
     "parse_test_function",
 ]
-
-
-class UnsupportedFamilyError(TypeError):
-    """A closed or radial method was asked of a family that lacks it."""
 
 
 @dataclass(frozen=True)
@@ -368,28 +363,6 @@ class RadializedFunction(TestFunction):
 
     def support_radii(self) -> tuple[float, ...]:
         return self.f.support_radii()
-
-
-class DilatedFunction(TestFunction):
-    """x -> f(delta_{lam_1} x_1, ..., delta_{lam_m} x_m)."""
-
-    family = "dilated"
-
-    def __init__(self, f: TestFunction, lams):
-        self.f = f
-        self.spec = f.spec
-        self.lams = tuple(float(l) for l in lams)
-        if any(l <= 0 for l in self.lams):
-            raise ValueError("dilation parameters must be positive")
-
-    def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
-        return self.f([
-            dilate_arrays(lam, X, dims.n)
-            for dims, lam, X in zip(self.spec.factors, self.lams, pts)
-        ])
-
-    def support_radii(self) -> tuple[float, ...]:
-        return tuple(s / l for s, l in zip(self.f.support_radii(), self.lams))
 
 
 def random_bump_mixture(

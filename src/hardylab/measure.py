@@ -58,6 +58,11 @@ class IntegrandError(ValueError):
     """An integrand produced a non-finite value; reports the offending point."""
 
 
+class UnsupportedFamilyError(TypeError):
+    """A closed, radial or Monte Carlo method was asked of a family that
+    lacks it."""
+
+
 ROUNDING_ULPS = 8
 """Units in the last place of max(|value|, |target|) that every comparison of
 an estimate with its target allows on top of its statistical error.  It
@@ -215,7 +220,6 @@ def mc_integrate(
     samples: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = 65536,
 ) -> Estimate:
     """Monte Carlo integral of f over B(0, r_1) x ... x B(0, r_m).
 
@@ -243,7 +247,7 @@ def mc_integrate(
             raise IntegrandError(f"non-finite integrand value {vals[i]} at sample {where}")
         return vals
 
-    return chunked_mean(draw, samples, seed, TAG_MC, workers=workers, chunk_size=chunk_size).scaled(volume)
+    return chunked_mean(draw, samples, seed, TAG_MC, workers=workers).scaled(volume)
 
 
 # ---------------------------------------------------------------------------
@@ -447,21 +451,17 @@ def lp_norm(
     samples: int = 100_000,
     seed: int = 0,
     tol: float = 1e-10,
-    truncation: float | None = None,
     workers: int = 1,
 ) -> Estimate:
     """||f||_{L^p} of a test function by the requested method.
 
-    closed  -- the function's exact norm formula (power families only);
     radial  -- per-factor radial quadrature of |F_i|^p (radial products only);
-    mc      -- Monte Carlo: importance-sampled radii for power families,
-               otherwise uniform sampling over the support polyball, with
-               unbounded factors cut at the given truncation radius.
+    mc      -- Monte Carlo with importance-sampled radii (power families only).
+
+    A closed-form norm is the function's own `lp_norm_exact`.
     """
     if not 1.0 < p < math.inf:
         raise ValueError("p must lie in (1, inf)")
-    if method == "closed":
-        return Estimate.exact(f.lp_norm_exact(p))
     if method == "radial":
         profiles = f.radial_profiles()
         normp = 1.0
@@ -469,15 +469,8 @@ def lp_norm(
             normp *= radial_integral(lambda r, F=F: np.abs(F(r)) ** p, dims, b, tol=tol, lower=a)
         return Estimate.exact(normp ** (1.0 / p))
     if method == "mc":
-        if getattr(f, "family", None) in ("power-inside", "power-outside"):
-            return _power_norm_mc(f, spec, p, samples, seed, workers=workers).powered(1.0 / p)
-        radii = list(f.support_radii())
-        if any(math.isinf(r) for r in radii):
-            if truncation is None:
-                raise ValueError("unbounded support: pass an explicit truncation radius")
-            radii = [truncation if math.isinf(r) else r for r in radii]
-        return mc_integrate(
-            lambda pts: np.abs(np.asarray(f(pts), dtype=float)) ** p,
-            spec, radii, samples, seed, workers=workers,
-        ).powered(1.0 / p)
+        if f.family not in ("power-inside", "power-outside"):
+            raise UnsupportedFamilyError(f"Monte Carlo norms exist only for the power families, "
+                                         f"not {f.family}")
+        return _power_norm_mc(f, spec, p, samples, seed, workers=workers).powered(1.0 / p)
     raise ValueError(f"unknown method {method!r}")

@@ -6,8 +6,10 @@
 * its adjoint, the weighted Cesaro-type operator with kernel phi(t)/prod t^Q_i
   and inverse dilations.
 
-Pointwise evaluation offers closed, quadrature (radial) and Monte Carlo
-routes; norm quotients combine them with variance-safe estimators.
+The ball average is evaluated at a point by Monte Carlo (`hardy_eval`); the
+weighted pair enters only through the duality pairings and the norm
+quotients, which combine closed forms, radial quadrature and variance-safe
+Monte Carlo estimators.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ __all__ = [
     "UnboundedOperatorError",
     "parse_weight",
     "hardy_eval",
-    "weighted_hardy_eval",
-    "weighted_cesaro_eval",
     "weight_bound_integral",
     "norm_quotient",
     "pairing_weighted_hardy",
@@ -141,11 +141,16 @@ def parse_weight(text: str, m: int) -> Weight:
         if len(factors) != m:
             raise ValueError(f"table weight has {len(factors)} factors, expected {m}")
         tables = []
-        for fac in factors:
+        for i, fac in enumerate(factors):
             grid = np.asarray(fac["t"], dtype=float)
             vals = np.asarray(fac["values"], dtype=float)
             if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(vals)) and np.all(vals >= 0)):
                 raise ValueError(f"weight {text}: t and values must be finite, values nonnegative")
+            # the interpolant is piecewise linear and flat beyond the end knots,
+            # so it vanishes on [0, 1] exactly when it does at the knots clipped
+            # to [0, 1]; a zero weight makes both sides of a pairing 0, a PASS
+            if not np.interp(np.clip(grid, 0.0, 1.0), grid, vals).any():
+                raise ValueError(f"weight {text}: factor {i + 1} is zero on [0, 1]")
             tables.append((grid, vals))
 
         def product_of_tables(T: np.ndarray) -> np.ndarray:
@@ -163,51 +168,26 @@ def parse_weight(text: str, m: int) -> Weight:
 # ---------------------------------------------------------------------------
 
 
-def _check_point(f: TestFunction, x: ProductPoint) -> tuple[float, ...]:
-    if not x.matches(f.spec):
-        raise ValueError("point does not match the function's product space")
-    return x.radii
-
-
 def hardy_eval(
     f: TestFunction,
     x: ProductPoint,
-    method: str = "mc",
     samples: int = 20_000,
     seed: int = 0,
-    tol: float = 1e-10,
     workers: int = 1,
 ) -> Estimate:
-    """The product ball-average operator at x: the average of f over
-    B(0,|x_1|) x ... x B(0,|x_m|).  Undefined when any |x_i|_h = 0.
+    """The product ball-average operator at x, by Monte Carlo: the average of
+    f over B(0,|x_1|) x ... x B(0,|x_m|).  Undefined when any |x_i|_h = 0.
 
-    Monte Carlo evaluation is seeded explicitly: pass fresh seeds per point
-    for independent field evaluations, or reuse one seed across points for a
+    The evaluation is seeded explicitly: pass fresh seeds per point for
+    independent field evaluations, or reuse one seed across points for a
     smooth (common-random-numbers) quotient surface."""
-    radii = _check_point(f, x)
+    if not x.matches(f.spec):
+        raise ValueError("point does not match the function's product space")
+    radii = x.radii
     if any(r == 0.0 for r in radii):
         raise ValueError("ball average undefined where some |x_i|_h = 0")
-    spec = f.spec
-    if method == "closed":
-        out = 1.0
-        if f.family == "power-inside":
-            for dims, a, r in zip(spec.factors, f.alphas, radii):
-                out *= closedform.ball_average_power(a, dims, r)
-        elif f.family == "power-outside":
-            for dims, b, r in zip(spec.factors, f.betas, radii):
-                out *= closedform.outside_ball_average_power(b, dims, r)
-        else:
-            raise UnsupportedFamilyError("closed ball averages exist only for power families")
-        return Estimate.exact(out)
-    if method == "radial":
-        out = 1.0
-        for dims, (F, a, b), r in zip(spec.factors, f.radial_profiles(), radii):
-            out *= _radial_ball_average(F, a, b, dims, r, tol)
-        return Estimate.exact(out)
-    if method == "mc":
-        est = mc_integrate(f, spec, radii, samples, seed, workers=workers)
-        return est.scaled(1.0 / polyball_volume(spec, radii))
-    raise ValueError(f"unknown method {method!r}")
+    est = mc_integrate(f, f.spec, radii, samples, seed, workers=workers)
+    return est.scaled(1.0 / polyball_volume(f.spec, radii))
 
 
 def _radial_ball_average(F, a: float, b: float, dims: GroupDims, R: float, tol: float) -> float:
@@ -219,128 +199,14 @@ def _radial_ball_average(F, a: float, b: float, dims: GroupDims, R: float, tol: 
 def _iterated_cube(gfun, bounds, tol: float):
     """Iterated adaptive quadrature of gfun over a product of intervals.
     gfun takes (N, m) and returns (N,); bounds is a list of (lo, hi)."""
-    m = len(bounds)
     lo, hi = bounds[0]
-    if hi <= lo:
-        return 0.0
-    if m == 1:
+    if len(bounds) == 1:
         return integrate_1d(lambda t: gfun(t[:, None]), lo, hi, tol=tol)
 
     outer = nodewise(lambda t0: _iterated_cube(
         lambda T: gfun(np.column_stack([np.full(T.shape[0], t0), T])), bounds[1:], tol
     ))
     return integrate_1d(outer, lo, hi, tol=tol)
-
-
-def weighted_hardy_eval(
-    f: TestFunction,
-    phi: Weight,
-    x: ProductPoint,
-    method: str = "quadrature",
-    tol: float = 1e-9,
-    samples: int = 20_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> Estimate:
-    """integral over [0,1]^m of f(delta_{t_1} x_1, ..., delta_{t_m} x_m) phi(t) dt."""
-    radii = _check_point(f, x)
-    spec = f.spec
-    if phi.m != spec.m:
-        raise ValueError("weight and product space disagree on m")
-
-    def g(T: np.ndarray) -> np.ndarray:
-        return f.on_dilations(x.arrays(), list(T.T))[0] * phi(T)
-
-    if method == "mc":
-        return chunked_mean(lambda rng, k: g(rng.random((k, spec.m))), samples, seed, TAG_NESTED, workers=workers)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    try:
-        profiles = f.radial_profiles()
-    except UnsupportedFamilyError:
-        profiles = None
-    if profiles is not None and phi.is_monomial:
-        out = 1.0
-        for (F, a, b), r, e in zip(profiles, radii, phi.exponents):
-            t_lo = 0.0 if r == 0.0 else min(a / r, 1.0)
-            t_hi = 1.0 if r == 0.0 else min(b / r, 1.0)
-            if t_hi <= t_lo:
-                return Estimate.exact(0.0)
-            out *= integrate_1d(
-                lambda t, F=F, r=r, e=e: np.asarray(F(t * r), dtype=float) * t**e,
-                t_lo, t_hi, tol=tol,
-            )
-        return Estimate.exact(out)
-    try:
-        val = _iterated_cube(g, [(0.0, 1.0)] * spec.m, tol)
-    except IntegrationError as err:
-        raise IntegrationError(f"divergent integrand in weighted average: {err}") from err
-    return Estimate.exact(val)
-
-
-def weighted_cesaro_eval(
-    f: TestFunction,
-    phi: Weight,
-    x: ProductPoint,
-    p: float,
-    method: str = "quadrature",
-    tol: float = 1e-9,
-    samples: int = 20_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> Estimate:
-    """integral over [0,1]^m of f(delta_{1/t_1} x_1, ...) phi(t) / prod t_i^{Q_i} dt.
-
-    Requires the adjoint characteristic integral of phi (at exponent p) to be
-    finite; otherwise the operator is unbounded and evaluation is refused.
-    """
-    radii = _check_point(f, x)
-    spec = f.spec
-    _require_bounded(phi, p, spec, "cesaro")
-    # trim to the t-region where the inversely dilated point can meet the support
-    intervals = []
-    try:
-        profiles = f.radial_profiles()
-        supports = [(a, b) for _, a, b in profiles]
-    except UnsupportedFamilyError:
-        profiles = None
-        supports = [(0.0, s) for s in f.support_radii()]
-    for (a, b), r in zip(supports, radii):
-        t_lo = 0.0 if math.isinf(b) else r / b
-        t_hi = 1.0 if a == 0.0 else min(r / a, 1.0)
-        intervals.append((min(t_lo, 1.0), t_hi))
-    if any(hi <= lo for lo, hi in intervals):
-        return Estimate.exact(0.0)
-
-    def g(T: np.ndarray) -> np.ndarray:
-        kern = phi(T)
-        for i, dims in enumerate(spec.factors):
-            kern = kern / T[:, i] ** dims.Q
-        return f.on_dilations(x.arrays(), list(1.0 / T.T))[0] * kern
-
-    if method == "mc":
-        widths = np.array([hi - lo for lo, hi in intervals])
-        los = np.array([lo for lo, _ in intervals])
-        vol = float(np.prod(widths))
-
-        def draw(rng: np.random.Generator, k: int) -> np.ndarray:
-            return g(los + rng.random((k, spec.m)) * widths) * vol
-
-        return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    if profiles is not None and phi.is_monomial:
-        out = 1.0
-        for (F, _, _), r, e, dims, (t_lo, t_hi) in zip(
-            profiles, radii, phi.exponents, spec.factors, intervals
-        ):
-            out *= integrate_1d(
-                lambda t, F=F, r=r, e=e, Q=dims.Q: np.asarray(F(r / t), dtype=float)
-                * t ** (e - Q),
-                t_lo, t_hi, tol=tol,
-            )
-        return Estimate.exact(out)
-    return Estimate.exact(_iterated_cube(g, intervals, tol))
 
 
 def weight_bound_integral(phi: Weight, p: float, spec: ProductSpec, kind: str) -> float:

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,14 @@ from hardylab.lab import ExperimentReport, ReportRow
 
 def run(argv):
     return cli.run(argv)
+
+
+@pytest.mark.parametrize("module", ["hardylab"] + [
+    f"hardylab.{info.name}" for info in pkgutil.iter_modules(hardylab.__path__)
+])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 class TestExitCodes:
@@ -73,6 +83,22 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         assert run([cmd, "--weight", weight, "--output", str(out)]) == 1
         assert weight in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("factors", [
+        [{"t": [0, 1], "values": [0, 0]}],
+        [{"t": [0, 1], "values": [0, 1]}, {"t": [0, 1], "values": [0, 0]}],
+    ])
+    def test_zero_table_weight_is_refused(self, tmp_path, capsys, factors):
+        # both sides of every pairing would be 0, and every row would pass
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"factors": factors}))
+        out = tmp_path / "r.json"
+        argv = ["cesaro-duality", "--weight", f"table:{path}", "--pairs", "2",
+                "--samples", "1000", "--factors", ",".join(["1"] * len(factors))]
+        assert run(argv + ["--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "is zero on [0, 1]" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

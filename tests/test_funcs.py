@@ -7,7 +7,6 @@ import pytest
 from hardylab.funcs import (
     Bump,
     BumpMixture,
-    DilatedFunction,
     PowerInside,
     PowerOutside,
     ProductPoint,
@@ -140,15 +139,6 @@ class TestRadialize:
         f = RadialProduct(SPEC2, (lambda r: r, lambda r: r**2), ((0.0, math.inf),) * 2)
         gf = RadializedFunction(f, inner_samples=4_000, seed=3)
         assert evaluate(gf, point_at(SPEC2, 0.5, 2.0)) == pytest.approx(0.5 * 4.0, rel=1e-10)
-
-
-class TestDilatedFunction:
-    def test_support_scaling(self):
-        f = PowerInside(SPEC1, (0.0,))
-        g = DilatedFunction(f, (2.0,))
-        assert g.support_radii() == (0.5,)
-        assert evaluate(g, point_at(SPEC1, 0.4)) == 1.0
-        assert evaluate(g, point_at(SPEC1, 0.6)) == 0.0
 
 
 class TestParsing:
@@ -288,17 +278,20 @@ class TestOnDilations:
 
     @pytest.mark.parametrize("spec", [SPEC1, ProductSpec.of_orders(1, 2)])
     def test_base_grid_is_dilate_then_call(self, spec):
+        # bit for bit on both power families; the outside one at the inverse
+        # scales, as the adjoint pairing dilates, so that the grid meets it
         rng = np.random.default_rng(22)
-        f = PowerInside.extremal(spec, 2.0, 0.4)
         k, K = 50, 7
         pts = [rng.normal(scale=0.4, size=(k, d.dim)) for d in spec.factors]
         scales = [rng.uniform(0.1, 2.0, K), rng.uniform(0.1, 2.0, (k, K))][: spec.m]
-        got = f.on_dilations(pts, scales)
-        assert got.shape == (k, K)
-        for a in range(k):
-            for b in (0, K - 1):
-                x = ProductPoint(tuple(
-                    HPoint(X[a], d.n) for X, d in zip(pts, spec.factors)
-                ))
-                s = [np.broadcast_to(s, (k, K))[a, b] for s in scales]
-                assert got[a, b] == evaluate(DilatedFunction(f, s), x)
+        for f, sc in ((PowerInside.extremal(spec, 2.0, 0.4), scales),
+                      (PowerOutside.extremal(spec, 2.0, 0.4), [1.0 / s for s in scales])):
+            got = f.on_dilations(pts, sc)
+            assert got.shape == (k, K)
+            assert np.count_nonzero(got[:, [0, K - 1]]) > 0
+            for a in range(k):
+                for b in (0, K - 1):
+                    s = [np.broadcast_to(s, (k, K))[a, b] for s in sc]
+                    want = f([dilate_arrays(s_i, X[a][None], d.n)
+                              for s_i, X, d in zip(s, pts, spec.factors)])[0]
+                    assert got[a, b] == want

@@ -17,6 +17,7 @@ from hardylab.measure import (
     mc_integrate,
     radial_integral,
     TAG_EXPERIMENT,
+    UnsupportedFamilyError,
     rounding_error,
     subseed,
     substream,
@@ -63,8 +64,9 @@ class TestMcIntegrate:
 
     def test_worker_count_invariance(self):
         f = lambda p: koranyi_norm(p[0]) ** 2
-        a = mc_integrate(f, SPEC1, [1.0], 120_000, seed=5, workers=1, chunk_size=30_000)
-        b = mc_integrate(f, SPEC1, [1.0], 120_000, seed=5, workers=4, chunk_size=30_000)
+        # 120,000 samples span two chunks at the default chunk size
+        a = mc_integrate(f, SPEC1, [1.0], 120_000, seed=5, workers=1)
+        b = mc_integrate(f, SPEC1, [1.0], 120_000, seed=5, workers=4)
         assert a.value == b.value and a.std_error == b.std_error
 
     def test_linearity_common_seed(self):
@@ -135,23 +137,23 @@ class TestLpNorm:
     def test_indicator(self):
         f = PowerInside(SPEC1, (0.0,))
         want = math.sqrt(math.pi**2 / 2)
-        assert lp_norm(f, SPEC1, 2.0, "closed").value == pytest.approx(want, rel=1e-14)
+        assert f.lp_norm_exact(2.0) == pytest.approx(want, rel=1e-14)
         assert lp_norm(f, SPEC1, 2.0, "radial").value == pytest.approx(want, rel=1e-10)
 
     def test_extremal_m2_all_routes(self):
         f = PowerInside.extremal(SPEC2, 2.0, 0.1)
         want_sq = 100 * math.pi**4
-        closed = lp_norm(f, SPEC2, 2.0, "closed")
-        assert closed.value**2 == pytest.approx(want_sq, rel=1e-13)
+        closed = f.lp_norm_exact(2.0)
+        assert closed**2 == pytest.approx(want_sq, rel=1e-13)
         rad = lp_norm(f, SPEC2, 2.0, "radial")
         assert rad.value**2 == pytest.approx(want_sq, rel=1e-8)
         mc = lp_norm(f, SPEC2, 2.0, "mc", samples=60_000, seed=8)
-        assert mc.within(closed.value, sigmas=3.0)
+        assert mc.within(closed, sigmas=3.0)
 
     def test_outside_family(self):
         f = PowerOutside.extremal(SPEC1, 2.0, 0.1)
         want_sq = 2 * math.pi**2 / 0.2
-        assert lp_norm(f, SPEC1, 2.0, "closed").value ** 2 == pytest.approx(want_sq, rel=1e-13)
+        assert f.lp_norm_exact(2.0) ** 2 == pytest.approx(want_sq, rel=1e-13)
         assert lp_norm(f, SPEC1, 2.0, "radial").value ** 2 == pytest.approx(want_sq, rel=1e-8)
         mc = lp_norm(f, SPEC1, 2.0, "mc", samples=60_000, seed=9)
         assert mc.value**2 == pytest.approx(want_sq, rel=5 * mc.std_error / mc.value + 1e-9)
@@ -163,21 +165,18 @@ class TestLpNorm:
     def test_radial_vs_mc_polar_identity(self):
         f = RadialProduct(SPEC1, (lambda r: np.exp(-r),), ((0.0, 3.0),))
         rad = lp_norm(f, SPEC1, 2.0, "radial")
-        mc = lp_norm(f, SPEC1, 2.0, "mc", samples=100_000, seed=10)
-        assert mc.within(rad.value, sigmas=3.0)
+        mc = mc_integrate(lambda pts: f(pts) ** 2, SPEC1, [3.0], 100_000, seed=10)
+        assert mc.within(rad.value**2, sigmas=3.0)
 
-    def test_unbounded_support_needs_truncation(self):
-        f = RadialProduct(SPEC1, (lambda r: np.exp(-r),), ((0.0, math.inf),))
-        with pytest.raises(ValueError, match="truncation"):
+    def test_mc_needs_a_power_family(self):
+        f = RadialProduct(SPEC1, (lambda r: np.exp(-r),), ((0.0, 3.0),))
+        with pytest.raises(UnsupportedFamilyError, match="power families"):
             lp_norm(f, SPEC1, 2.0, "mc", samples=2_000, seed=0)
-        est = lp_norm(f, SPEC1, 2.0, "mc", samples=2_000, seed=0, truncation=8.0)
-        cut = RadialProduct(SPEC1, (lambda r: np.exp(-r),), ((0.0, 8.0),))
-        assert est == lp_norm(cut, SPEC1, 2.0, "mc", samples=2_000, seed=0)
 
     def test_p_validation(self):
         f = PowerInside(SPEC1, (0.0,))
         with pytest.raises(ValueError):
-            lp_norm(f, SPEC1, 1.0, "closed")
+            lp_norm(f, SPEC1, 1.0, "radial")
 
 
 class TestEstimate:

@@ -8,19 +8,19 @@ from hardylab import closedform as cf
 from hardylab import funcs
 from hardylab import operators as ops
 from hardylab.funcs import (
+    Bump,
     BumpMixture,
-    DilatedFunction,
     PowerInside,
     PowerOutside,
     ProductPoint,
-    RadialProduct,
     random_bump_mixture,
 )
-from hardylab.hgroup import ProductSpec, koranyi_norm
+from hardylab.hgroup import GroupDims, ProductSpec, dilate_arrays, koranyi_norm
 from hardylab.measure import TAG_NESTED, chunked_mean, substream
 
 SPEC1 = ProductSpec.of_orders(1)
 SPEC2 = ProductSpec.of_orders(1, 1)
+D1 = GroupDims(1)
 
 
 def point_at(spec, *radii):
@@ -30,35 +30,32 @@ def point_at(spec, *radii):
 class TestHardyEval:
     def test_constant_average_is_one(self):
         f = PowerInside(SPEC1, (0.0,))
-        x = point_at(SPEC1, 0.5)
-        assert ops.hardy_eval(f, x, method="closed").value == 1.0
-        assert ops.hardy_eval(f, x, method="radial").value == pytest.approx(1.0, rel=1e-10)
-        mc = ops.hardy_eval(f, x, method="mc", samples=2_000, seed=1)
+        mc = ops.hardy_eval(f, point_at(SPEC1, 0.5), samples=2_000, seed=1)
         assert mc.value == pytest.approx(1.0, rel=1e-12)
 
     def test_power_hand_value(self):
         f = PowerInside(SPEC1, (-1.0,))
-        x = point_at(SPEC1, 0.5)
         want = 8 / 3
-        assert ops.hardy_eval(f, x, method="closed").value == pytest.approx(want, rel=1e-14)
-        assert ops.hardy_eval(f, x, method="radial").value == pytest.approx(want, rel=1e-9)
-        mc = ops.hardy_eval(f, x, method="mc", samples=100_000, seed=2)
+        (F, a, b), = f.radial_profiles()
+        assert ops._radial_ball_average(F, a, b, D1, 0.5, 1e-10) == pytest.approx(want, rel=1e-9)
+        mc = ops.hardy_eval(f, point_at(SPEC1, 0.5), samples=100_000, seed=2)
         assert mc.within(want, sigmas=3.0)
 
     def test_saturated_average(self):
         f = PowerInside(SPEC1, (-1.0,))
-        got = ops.hardy_eval(f, point_at(SPEC1, 2.0), method="closed").value
-        assert got == pytest.approx(1 / 12, rel=1e-14)
+        (F, a, b), = f.radial_profiles()
+        got = ops._radial_ball_average(F, a, b, D1, 2.0, 1e-10)
+        assert got == pytest.approx(1 / 12, rel=1e-9)
 
     def test_zero_radius_rejected(self):
         f = PowerInside(SPEC1, (0.0,))
         with pytest.raises(ValueError, match="undefined"):
-            ops.hardy_eval(f, point_at(SPEC1, 0.0), method="closed")
+            ops.hardy_eval(f, point_at(SPEC1, 0.0))
 
     def test_product_space(self):
         f = PowerInside(SPEC2, (-1.0, 0.0))
-        x = point_at(SPEC2, 0.5, 0.5)
-        assert ops.hardy_eval(f, x, method="closed").value == pytest.approx(8 / 3, rel=1e-14)
+        mc = ops.hardy_eval(f, point_at(SPEC2, 0.5, 0.5), samples=100_000, seed=3)
+        assert mc.within(8 / 3, sigmas=3.0)
 
     def test_monotone_under_pointwise_ordering(self):
         rng = np.random.default_rng(5)
@@ -66,127 +63,52 @@ class TestHardyEval:
         extra = random_bump_mixture(SPEC1, rng)
         g = BumpMixture(SPEC1, f.bumps + extra.bumps)  # g >= f pointwise
         x = point_at(SPEC1, 1.2)
-        a = ops.hardy_eval(f, x, method="mc", samples=20_000, seed=6)
-        b = ops.hardy_eval(g, x, method="mc", samples=20_000, seed=6)
+        a = ops.hardy_eval(f, x, samples=20_000, seed=6)
+        b = ops.hardy_eval(g, x, samples=20_000, seed=6)
         assert a.value <= b.value + 1e-15  # common points: exact per-sample order
 
     def test_dilation_covariance(self):
         f = random_bump_mixture(SPEC1, np.random.default_rng(7))
         lam = 1.7
-        g = DilatedFunction(f, (lam,))
+        # f o delta_lam is the mixture with centres delta_{1/lam} c and radii r/lam
+        g = BumpMixture(SPEC1, tuple(
+            Bump(tuple(dilate_arrays(1 / lam, c, 1) for c in bump.centers),
+                 tuple(r / lam for r in bump.radii), bump.coefficient)
+            for bump in f.bumps
+        ))
+        pts = [np.random.default_rng(8).normal(scale=0.5, size=(64, 3))]
+        assert np.allclose(g(pts), f([dilate_arrays(lam, pts[0], 1)]), rtol=1e-12, atol=0.0)
         x = point_at(SPEC1, 0.9)
         x_scaled = point_at(SPEC1, lam * 0.9)
-        a = ops.hardy_eval(g, x, method="mc", samples=40_000, seed=8)
-        b = ops.hardy_eval(f, x_scaled, method="mc", samples=40_000, seed=9)
+        a = ops.hardy_eval(g, x, samples=40_000, seed=8)
+        b = ops.hardy_eval(f, x_scaled, samples=40_000, seed=9)
         se = math.hypot(a.std_error, b.std_error)
         assert abs(a.value - b.value) <= 3 * se + 1e-12
 
 
-class TestWeightedHardyEval:
-    def test_unit_weight_constant(self):
-        f = PowerInside(SPEC1, (0.0,))
-        phi = ops.MonomialWeight((0.0,))
-        got = ops.weighted_hardy_eval(f, phi, point_at(SPEC1, 0.5))
-        assert got.value == pytest.approx(1.0, rel=1e-10)
-
-    def test_linear_profile_halves(self):
-        f = RadialProduct(SPEC1, (lambda r: r,), ((0.0, math.inf),))
-        phi = ops.MonomialWeight((0.0,))
-        got = ops.weighted_hardy_eval(f, phi, point_at(SPEC1, 0.8))
-        assert got.value == pytest.approx(0.4, rel=1e-10)
-
-    def test_outside_family_vanishes_inside(self):
-        f = PowerOutside.extremal(SPEC1, 2.0, 0.1)
-        phi = ops.MonomialWeight((4.0,))
-        got = ops.weighted_hardy_eval(f, phi, point_at(SPEC1, 0.8))
-        assert got.value == 0.0
-
-    def test_outside_family_closed_profile(self):
-        f = PowerOutside.extremal(SPEC1, 2.0, 0.1)
-        phi = ops.MonomialWeight((4.0,))
-        R, b = 3.0, 2.1
-        got = ops.weighted_hardy_eval(f, phi, point_at(SPEC1, R))
-        want = R**-b * (1 - (1 / R) ** (4 - b + 1)) / (4 - b + 1)
-        assert got.value == pytest.approx(want, rel=1e-9)
-
-    def test_general_weight_matches_monomial(self):
-        f = RadialProduct(SPEC1, (lambda r: np.exp(-r),), ((0.0, math.inf),))
-        x = point_at(SPEC1, 1.1)
-        mono = ops.weighted_hardy_eval(f, ops.MonomialWeight((2.0,)), x)
-        gen = ops.weighted_hardy_eval(
-            f, ops.GeneralWeight(lambda T: T[:, 0] ** 2, 1), x, tol=1e-10
-        )
-        assert gen.value == pytest.approx(mono.value, rel=1e-8)
-
-    def test_mc_route(self):
-        f = random_bump_mixture(SPEC1, np.random.default_rng(3))
-        phi = ops.MonomialWeight((1.0,))
-        x = point_at(SPEC1, 0.7)
-        quad_val = ops.weighted_hardy_eval(f, phi, x, tol=1e-10)
-        mc = ops.weighted_hardy_eval(f, phi, x, method="mc", samples=60_000, seed=4)
-        assert mc.within(quad_val.value, sigmas=3.0)
-
-
-class TestWeightedCesaroEval:
-    def test_indicator_profile(self):
-        f = PowerInside(SPEC1, (0.0,))
-        phi = ops.MonomialWeight((4.0,))
-        got = ops.weighted_cesaro_eval(f, phi, point_at(SPEC1, 0.8), p=2.0)
-        assert got.value == pytest.approx(0.2, rel=1e-10)
-        assert ops.weighted_cesaro_eval(f, phi, point_at(SPEC1, 1.4), p=2.0).value == 0.0
-
-    def test_zero_weight(self):
-        f = PowerInside(SPEC1, (0.0,))
-        phi = ops.GeneralWeight(lambda T: np.zeros(T.shape[0]), 1)
-        got = ops.weighted_cesaro_eval(f, phi, point_at(SPEC1, 0.5), p=2.0)
-        assert got.value == 0.0
-
-    def test_unbounded_weight_rejected(self):
-        f = PowerInside(SPEC1, (0.0,))
-        phi = ops.MonomialWeight((0.0,))
-        with pytest.raises(ops.UnboundedOperatorError, match="unbounded operator"):
-            ops.weighted_cesaro_eval(f, phi, point_at(SPEC1, 0.5), p=2.0)
-
-    def test_mc_route(self):
-        f = PowerInside(SPEC1, (0.0,))
-        phi = ops.MonomialWeight((4.0,))
-        mc = ops.weighted_cesaro_eval(f, phi, point_at(SPEC1, 0.8), p=2.0,
-                                      method="mc", samples=40_000, seed=5)
-        assert mc.within(0.2, sigmas=3.0)
-
-
 class TestPowerFamiliesArePinned:
-    """The dilation integrands of both evaluators go through
-    `TestFunction.on_dilations`; on the power families its values are the
-    dilate-then-call values bit for bit, pinned here as hex floats."""
+    """Both pairings on the power families, whose dilation grids take the
+    base `TestFunction.on_dilations`, pinned as hex floats."""
 
     @staticmethod
     def _values(spec):
         m = spec.m
-        x = ProductPoint.from_radii(spec, [0.6, 1.7][:m])
-        y = ProductPoint.from_radii(spec, [1.9, 2.4][:m])
+        ind = PowerInside(spec, (0.0,) * m)
         fin = PowerInside.extremal(spec, 2.0, 0.4)
         fout = PowerOutside.extremal(spec, 2.0, 0.4)
-        mono = ops.MonomialWeight((3.0,) * m)
+        phi = ops.MonomialWeight((3.0,) * m)
         out = [
-            ops.weighted_hardy_eval(fin, mono, x, method="mc", samples=3000, seed=4).value,
-            ops.weighted_cesaro_eval(fout, mono, y, 2.0, method="mc", samples=3000, seed=4).value,
+            ops.pairing_weighted_hardy(ind, fin, phi, spec, samples=3000, seed=4).value,
+            ops.pairing_weighted_cesaro(ind, fout, phi, spec, 2.0, samples=3000, seed=4).value,
         ]
-        if m == 1:  # a general weight takes the iterated quadrature
-            gen = ops.GeneralWeight(lambda T: np.prod(T**3 + 0.5 * T**4, axis=1), m)
-            out.append(ops.weighted_hardy_eval(fin, gen, x, tol=1e-8).value)
-            out.append(ops.weighted_cesaro_eval(fout, gen, y, 2.0, tol=1e-8).value)
         return [float(v).hex() for v in out]
 
     def test_m1(self):
-        assert self._values(SPEC1) == [
-            "0x1.dd3d6eb339a98p-1", "0x1.694b23346f3afp-4",
-            "0x1.46c9a384c705bp+0", "0x1.eec9acea02c86p-4",
-        ]
+        assert self._values(SPEC1) == ["0x1.b9024cc961fedp+1", "0x1.072c5b37b5b85p+1"]
 
     def test_m2(self):
         assert self._values(ProductSpec.of_orders(1, 2)) == [
-            "0x1.4501895ab94d2p-4", "0x1.a0826edb577f5p-9",
+            "0x1.dde3a08f80fadp+4", "0x1.d90d76d8bd955p+3",
         ]
 
 
@@ -203,6 +125,14 @@ class TestWeightBoundIntegral:
         assert got == pytest.approx(0.5, rel=1e-8)
         flat = ops.GeneralWeight(lambda T: np.ones(T.shape[0]), 1)
         assert ops.weight_bound_integral(flat, 2.0, SPEC1, "cesaro") == math.inf
+
+    def test_general_weight_matches_monomial_at_m2(self):
+        # the general weight takes the iterated quadrature, the monomial its closed form
+        gen = ops.GeneralWeight(lambda T: T[:, 0] ** 3 * T[:, 1] ** 3, 2)
+        mono = ops.MonomialWeight((3.0, 3.0))
+        for kind in ("hardy", "cesaro"):
+            assert ops.weight_bound_integral(mono, 2.0, SPEC2, kind) == 0.25
+            assert ops.weight_bound_integral(gen, 2.0, SPEC2, kind) == pytest.approx(0.25, rel=1e-8)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -345,6 +275,12 @@ class TestPairings:
             assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
             assert got.std_error == pytest.approx(ref.std_error, rel=1e-10, abs=0.0)
 
+    def test_cesaro_pairing_refuses_an_unbounded_weight(self):
+        # weight one: the adjoint characteristic integral diverges at p = 2
+        ind = PowerInside(SPEC1, (0.0,))
+        with pytest.raises(ops.UnboundedOperatorError, match="unbounded operator"):
+            ops.pairing_weighted_cesaro(ind, ind, ops.MonomialWeight((0.0,)), SPEC1, p=2.0)
+
     @pytest.mark.parametrize("exponent", [4.0, 0.0])
     def test_three_factors_refused(self, exponent):
         # weight one is unbounded for the adjoint at p = 2: the m guard comes first
@@ -373,6 +309,17 @@ class TestParseWeight:
         w = ops.parse_weight(f"table:{path}", 1)
         got = w(np.array([[0.25], [0.5]]))
         assert got == pytest.approx([0.25, 0.5])
+
+    @pytest.mark.parametrize("factors", [
+        [{"t": [0, 1], "values": [0, 0]}],
+        [{"t": [0, 1, 2], "values": [0, 0, 1]}],  # nonzero only beyond t = 1
+        [{"t": [0, 1], "values": [0, 1]}, {"t": [0, 1], "values": [0, 0]}],
+    ])
+    def test_table_factor_zero_on_the_cube_rejected(self, tmp_path, factors):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"factors": factors}))
+        with pytest.raises(ValueError, match=f"factor {len(factors)} is zero on"):
+            ops.parse_weight(f"table:{path}", len(factors))
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
