@@ -3,10 +3,10 @@
 
     python3 tools/probes.py --out DIR
 
-Runs 43 hardylab CLI invocations in-process, importing hardylab from this
+Runs 45 hardylab CLI invocations in-process, importing hardylab from this
 checkout's `src/`, and writes one report per probe into DIR:
 
-* 16 configurations at `--seed 5`, each as CSV and as JSON (32 reports);
+* 17 configurations at `--seed 5`, each as CSV and as JSON (34 reports);
 * the full-size `fuzz --factors 1`, `fuzz --factors 1,1` and
   `cesaro-duality --factors 1` invocations at `--seed 1001`, `1` and `3`
   (JSON; 9 reports);
@@ -52,6 +52,7 @@ SMALL = {
     "fuzz-m2-w2": "fuzz --factors 1,1 --p 2 --trials 3 --samples 20000 --workers 2",
     "fuzz-function": f"fuzz --factors 1 --p 2 --trials 2 --samples 20000 --function bumps:{BUMPS_FILE}",
     "radialize": "radialize-check --factors 1 --p 2 --trials 3 --samples 16000",
+    "radialize-m2": "radialize-check --factors 1,1 --p 2 --trials 2 --samples 8000",
     "weighted-bounded": "weighted --weight monomial:3 --p 2",
     "weighted-unbounded": "weighted --weight one --p 2",
     "duality-m1": "cesaro-duality --weight monomial:4 --p 2 --factors 1 --pairs 3 --samples 5000",
