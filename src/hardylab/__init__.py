@@ -12,15 +12,13 @@ from .closedform import (
     power_family_quotient,
     sharp_constant,
 )
-from .hgroup import GroupDims, HPoint, ProductSpec, koranyi_norm, unit_ball_volume
+from .hgroup import GroupDims, ProductSpec, koranyi_norm, unit_ball_volume
 from .measure import Estimate, lp_norm, mc_integrate, radial_integral
 from .funcs import (
     BumpMixture,
     PowerInside,
     PowerOutside,
-    ProductPoint,
     RadialProduct,
-    evaluate,
 )
 from .operators import (
     MonomialWeight,
@@ -34,9 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Estimate",
     "GroupDims",
-    "HPoint",
     "ProductSpec",
-    "ProductPoint",
     "PowerInside",
     "PowerOutside",
     "RadialProduct",
@@ -47,7 +43,6 @@ __all__ = [
     "mc_integrate",
     "radial_integral",
     "lp_norm",
-    "evaluate",
     "hardy_eval",
     "weight_bound_integral",
     "norm_quotient",

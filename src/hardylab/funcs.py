@@ -4,10 +4,10 @@ Four families cover everything the experiments need: truncated power
 functions inside and outside the unit polyball (the near-extremal families),
 radial products of 1D profiles, and smooth bump mixtures (the non-radial
 fuzzing surface).  Each function evaluates vectorized batches of per-factor
-coordinate arrays and knows its own support and, where available, its exact
-L^p norm and radial profiles.  The operators' dilation integrals evaluate
-f on grids of dilations through `TestFunction.on_dilations`, which bump
-mixtures answer without forming the dilated points.
+coordinate arrays, one row per point, and knows its own support and, where
+available, its exact L^p norm and radial profiles.  The operators' dilation
+integrals evaluate f on grids of dilations through `TestFunction.on_dilations`,
+which bump mixtures answer without forming the dilated points.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hgroup
-from .hgroup import HPoint, ProductSpec, dilate_arrays, koranyi_norm
+from .hgroup import ProductSpec, dilate_arrays, koranyi_norm
 from .measure import TAG_RADIALIZE, UnsupportedFamilyError, substream
 
 __all__ = [
-    "ProductPoint",
     "TestFunction",
     "PowerInside",
     "PowerOutside",
@@ -32,44 +31,10 @@ __all__ = [
     "Bump",
     "BumpMixture",
     "UnsupportedFamilyError",
-    "evaluate",
     "RadializedFunction",
     "random_bump_mixture",
     "parse_test_function",
 ]
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    """A point of the product space: one HPoint per factor."""
-
-    points: tuple[HPoint, ...]
-
-    @classmethod
-    def of(cls, *pts: HPoint) -> "ProductPoint":
-        return cls(tuple(pts))
-
-    @classmethod
-    def from_radii(cls, spec: ProductSpec, radii) -> "ProductPoint":
-        """A representative point with |x_i|_h = radii[i] (first horizontal axis)."""
-        pts = []
-        for dims, r in zip(spec.factors, radii):
-            c = np.zeros(dims.dim)
-            c[0] = float(r)
-            pts.append(HPoint(c, dims.n))
-        return cls(tuple(pts))
-
-    def matches(self, spec: ProductSpec) -> bool:
-        return len(self.points) == spec.m and all(
-            p.n == d.n for p, d in zip(self.points, spec.factors)
-        )
-
-    @property
-    def radii(self) -> tuple[float, ...]:
-        return tuple(float(koranyi_norm(p)) for p in self.points)
-
-    def arrays(self) -> list[np.ndarray]:
-        return [p.coords[None, :] for p in self.points]
 
 
 class TestFunction:
@@ -318,13 +283,6 @@ class BumpMixture(TestFunction):
         return tuple(radii)
 
 
-def evaluate(f: TestFunction, x: ProductPoint) -> float:
-    """Pointwise value of f at a product point."""
-    if not x.matches(f.spec):
-        raise ValueError("point does not match the function's product space")
-    return float(np.asarray(f(x.arrays()))[0])
-
-
 def _content_seed(seed: int, arrays: list[np.ndarray]) -> int:
     """Derive a deterministic inner-sampling seed from the input points, so
     nested Monte Carlo stays independent of call order and worker count."""
@@ -388,6 +346,33 @@ def random_bump_mixture(
     return BumpMixture(spec, tuple(bumps))
 
 
+def _json_floats(obj, key, ndim: int, where: str) -> np.ndarray:
+    """obj[key] from a JSON input file as a finite float array with `ndim` axes
+    (0: a number, 1: a list of numbers), or a ValueError naming `where` and key."""
+    try:
+        a = np.asarray(obj[key], dtype=float)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{where}[{key!r}] is missing or not numeric") from err
+    if a.ndim != ndim or not np.all(np.isfinite(a)):
+        raise ValueError(f"{where}[{key!r}] must be "
+                         + ("a finite number", "a list of finite numbers")[ndim])
+    return a
+
+
+def _bump_entry(entry, spec: ProductSpec, where: str) -> Bump:
+    """One bump of a bumps file, with a centre and a positive radius per factor."""
+    centers = entry.get("centers") if isinstance(entry, dict) else None
+    if not isinstance(centers, list) or len(centers) != spec.m:
+        raise ValueError(f"{where}['centers'] must list one point per factor, {spec.m} in all")
+    centers = tuple(_json_floats(centers, i, 1, f"{where}['centers']") for i in range(spec.m))
+    if any(c.shape != (d.dim,) for c, d in zip(centers, spec.factors)):
+        raise ValueError(f"{where}['centers'] must have 2n+1 coordinates in H^n")
+    radii = _json_floats(entry, "radii", 1, where)
+    if radii.shape != (spec.m,) or not np.all(radii > 0):
+        raise ValueError(f"{where}['radii'] must hold one positive radius per factor")
+    return Bump(centers, tuple(radii.tolist()), float(_json_floats(entry, "coefficient", 0, where)))
+
+
 def parse_test_function(text: str, spec: ProductSpec) -> TestFunction:
     """Parse the CLI's textual function forms:
     power-inside:a1,a2,...   power-outside:b1,b2,...   bumps:<json file>."""
@@ -401,15 +386,8 @@ def parse_test_function(text: str, spec: ProductSpec) -> TestFunction:
     if kind == "bumps":
         with open(rest, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        bumps = []
-        for entry in data:
-            centers = tuple(
-                np.asarray(c, dtype=float) for c in entry["centers"]
-            )
-            if len(centers) != spec.m:
-                raise ValueError("bump entry does not match the number of factors")
-            bumps.append(
-                Bump(centers, tuple(float(r) for r in entry["radii"]), float(entry["coefficient"]))
-            )
-        return BumpMixture(spec, tuple(bumps))
+        if not isinstance(data, list):
+            raise ValueError(f"bumps file {rest} must hold a JSON list of bumps")
+        return BumpMixture(spec, tuple(_bump_entry(entry, spec, f"bumps file {rest}[{i}]")
+                                       for i, entry in enumerate(data)))
     raise ValueError(f"unknown test-function spec {text!r}")

@@ -6,6 +6,7 @@ coordinate that scales quadratically under dilations.  Everything downstream
 the homogeneous dimension Q = 2n+2, the Lebesgue volume of the unit Koranyi
 ball, and the polar sphere constant omega = Q * volume.
 
+Points are coordinate arrays of shape (..., 2n+1), n read from the last axis.
 All operations are exact formulas; the only randomness is in the samplers,
 which take an explicit numpy Generator.
 """
@@ -19,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "HPoint",
     "GroupDims",
     "ProductSpec",
     "group_law",
@@ -37,40 +37,6 @@ __all__ = [
     "sample_unit_sphere",
     "sample_ball",
 ]
-
-
-def _infer_n(dim: int) -> int:
-    if dim < 3 or dim % 2 == 0:
-        raise ValueError(f"coordinate length {dim} is not of the form 2n+1 with n >= 1")
-    return (dim - 1) // 2
-
-
-@dataclass(frozen=True, eq=False)
-class HPoint:
-    """A point of H^n: 2n+1 real coordinates plus the group index n."""
-
-    coords: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or c.shape[0] != 2 * self.n + 1:
-            raise ValueError(f"expected {2 * self.n + 1} coordinates for n={self.n}, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coordinates must be finite")
-        object.__setattr__(self, "coords", c)
-
-    @classmethod
-    def of(cls, *coords: float) -> "HPoint":
-        c = np.asarray(coords, dtype=float)
-        return cls(c, _infer_n(c.shape[0]))
-
-    @classmethod
-    def origin(cls, n: int) -> "HPoint":
-        return cls(np.zeros(2 * n + 1), n)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"HPoint(n={self.n}, {np.array2string(self.coords, precision=6)})"
 
 
 @lru_cache(maxsize=None)
@@ -151,21 +117,13 @@ class ProductSpec:
         return len(self.factors)
 
 
-def _coerce(x) -> tuple[np.ndarray, int, bool]:
-    """Return (array, n, was_hpoint)."""
-    if isinstance(x, HPoint):
-        return x.coords, x.n, True
+def _coerce(x) -> tuple[np.ndarray, int]:
+    """x as a float array, and the n of its last axis of length 2n+1."""
     arr = np.asarray(x, dtype=float)
-    return arr, _infer_n(arr.shape[-1]), False
-
-
-def _law_arrays(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    out = x + y
-    cross = 2.0 * np.sum(
-        y[..., :n] * x[..., n : 2 * n] - x[..., :n] * y[..., n : 2 * n], axis=-1
-    )
-    out[..., 2 * n] = x[..., 2 * n] + y[..., 2 * n] + cross
-    return out
+    dim = arr.shape[-1]
+    if dim < 3 or dim % 2 == 0:
+        raise ValueError(f"coordinate length {dim} is not of the form 2n+1 with n >= 1")
+    return arr, (dim - 1) // 2
 
 
 def dilate_arrays(r, x: np.ndarray, n: int) -> np.ndarray:
@@ -183,36 +141,35 @@ def dilate_arrays(r, x: np.ndarray, n: int) -> np.ndarray:
 def group_law(x, y):
     """Group product x o y.  Horizontal parts add; the vertical part picks up
     the symplectic cross term 2 * sum_j (y_j x_{n+j} - x_j y_{n+j})."""
-    xa, xn, xh = _coerce(x)
-    ya, yn, yh = _coerce(y)
-    if xn != yn:
-        raise ValueError(f"dimension mismatch: n={xn} vs n={yn}")
-    out = _law_arrays(xa, ya, xn)
-    if xh and yh:
-        return HPoint(out, xn)
+    x, n = _coerce(x)
+    y, yn = _coerce(y)
+    if n != yn:
+        raise ValueError(f"dimension mismatch: n={n} vs n={yn}")
+    out = x + y
+    cross = 2.0 * np.sum(
+        y[..., :n] * x[..., n : 2 * n] - x[..., :n] * y[..., n : 2 * n], axis=-1
+    )
+    out[..., 2 * n] = x[..., 2 * n] + y[..., 2 * n] + cross
     return out
 
 
 def inverse(x):
     """Group inverse: coordinate-wise negation."""
-    xa, xn, xh = _coerce(x)
-    out = -xa
-    return HPoint(out, xn) if xh else out
+    return -_coerce(x)[0]
 
 
 def dilate(r, x):
     """Anisotropic dilation delta_r: horizontal coordinates scale by r,
     the vertical coordinate by r^2.  Requires r > 0."""
-    xa, xn, xh = _coerce(x)
+    xa, xn = _coerce(x)
     if np.any(np.asarray(r, dtype=float) <= 0.0):
         raise ValueError("dilation parameter must be positive")
-    out = dilate_arrays(r, xa, xn)
-    return HPoint(out, xn) if xh else out
+    return dilate_arrays(r, xa, xn)
 
 
 def koranyi_norm(x):
     """Koranyi gauge ((sum_i x_i^2)^2 + x_vert^2)^(1/4)."""
-    xa, xn, _ = _coerce(x)
+    xa, xn = _coerce(x)
     horiz = np.sum(xa[..., : 2 * xn] ** 2, axis=-1)
     val = (horiz**2 + xa[..., 2 * xn] ** 2) ** 0.25
     return float(val) if val.ndim == 0 else val
@@ -227,8 +184,8 @@ def distance(p, q):
     Then d = sqrt(sqrt(|h|^4 + v^2)).  Writing the cross term through h
     keeps d(x, x) exactly 0.  A single point q makes it a matrix-vector
     product; q may also be a batch that broadcasts against p."""
-    pa, n, _ = _coerce(p)
-    qa, qn, _ = _coerce(q)
+    pa, n = _coerce(p)
+    qa, qn = _coerce(q)
     if n != qn:
         raise ValueError(f"dimension mismatch: n={n} vs n={qn}")
     h = pa[..., : 2 * n] - qa[..., : 2 * n]
@@ -253,7 +210,7 @@ def squared_distance_on_dilations(x: np.ndarray, s, q: np.ndarray) -> np.ndarray
     few ulp of M; unlike `distance`, the grid does not give an exact 0 where
     delta_s x = q.  The grid buffers belong to the call, so threads may call
     it at once."""
-    n = _infer_n(x.shape[-1])
+    n = _coerce(x)[1]
     xh, qh = x[:, : 2 * n], q[: 2 * n]
     jq = 2.0 * np.concatenate([-q[n : 2 * n], q[:n]])
     a = np.einsum("ij,ij->i", xh, xh)[:, None]
@@ -283,51 +240,44 @@ def polyball_volume(spec: ProductSpec, radii) -> float:
     return vol
 
 
-def sample_unit_ball(dims: GroupDims, rng: np.random.Generator, size: int | None = None):
+def sample_unit_ball(dims: GroupDims, rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform (Haar/Lebesgue) samples on the open unit Koranyi ball.
 
     The radial pair (rho, t) is drawn by rejection against the density
     proportional to rho^(2n-1) on {rho^4 + t^2 < 1}; a uniform direction on
     the Euclidean sphere S^(2n-1) supplies the horizontal part.  Acceptance
     rates stay dimension-independent because the proposal already carries
-    the rho^(2n-1) weight.
+    the rho^(2n-1) weight.  Returns an array of shape (size, 2n+1).
     """
-    m = 1 if size is None else int(size)
     n = dims.n
-    rho = np.empty(m)
-    t = np.empty(m)
+    rho = np.empty(size)
+    t = np.empty(size)
     filled = 0
-    while filled < m:
-        k = max(64, int(1.6 * (m - filled)))
+    while filled < size:
+        k = max(64, int(1.6 * (size - filled)))
         rho_prop = rng.random(k) ** (1.0 / (2 * n))
         t_prop = rng.uniform(-1.0, 1.0, k)
         ok = rho_prop**4 + t_prop**2 < 1.0
-        take = min(int(ok.sum()), m - filled)
+        take = min(int(ok.sum()), size - filled)
         idx = np.nonzero(ok)[0][:take]
         rho[filled : filled + take] = rho_prop[idx]
         t[filled : filled + take] = t_prop[idx]
         filled += take
-    direction = rng.standard_normal((m, 2 * n))
+    direction = rng.standard_normal((size, 2 * n))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    pts = np.empty((m, dims.dim))
+    pts = np.empty((size, dims.dim))
     pts[:, : 2 * n] = rho[:, None] * direction
     pts[:, 2 * n] = t
-    if size is None:
-        return HPoint(pts[0], n)
     return pts
 
 
-def sample_unit_sphere(dims: GroupDims, rng: np.random.Generator, size: int | None = None):
+def sample_unit_sphere(dims: GroupDims, rng: np.random.Generator, size: int) -> np.ndarray:
     """Samples on the unit Koranyi sphere under the normalized polar surface
     measure, realized by projecting a uniform ball sample x to delta_{1/|x|_h}(x)."""
-    pts = sample_unit_ball(dims, rng, size=1 if size is None else size)
-    arr = pts if size is not None else pts.coords[None, :]
-    norms = koranyi_norm(arr)
-    out = arr.copy()
+    out = sample_unit_ball(dims, rng, size=size)
+    norms = koranyi_norm(out)
     out[:, : 2 * dims.n] /= norms[:, None]
     out[:, 2 * dims.n] /= norms**2
-    if size is None:
-        return HPoint(out[0], dims.n)
     return out
 
 

@@ -22,7 +22,6 @@ from .funcs import (
     BumpMixture,
     PowerInside,
     PowerOutside,
-    ProductPoint,
     RadializedFunction,
     random_bump_mixture,
 )
@@ -436,9 +435,8 @@ def radialization_check(
         sup = f.support_radii()
         for j in range(2):  # point seeds 3k+1+j stay below the next trial's 3(k+1)
             radii = [rng.uniform(0.6, 1.1) * s for s in sup]
-            x = ProductPoint.from_radii(spec, radii)
             point_seed = subseed(seed, TAG_EXPERIMENT, 3 * k + 1 + j)
-            pf = operators.hardy_eval(f, x, samples=samples, seed=point_seed, workers=workers)
+            pf = operators.hardy_eval(f, radii, samples=samples, seed=point_seed, workers=workers)
             diff = _ball_diff_average(f, gf, spec, radii, samples, point_seed)
             rows.append(_sigma_row(f"trial={k} point={j} ball-avg(g_f - f) (f-avg {pf.value:.3g})",
                                    diff.value, diff.std_error, 0.0))

@@ -6,7 +6,7 @@
 * its adjoint, the weighted Cesaro-type operator with kernel phi(t)/prod t^Q_i
   and inverse dilations.
 
-The ball average is evaluated at a point by Monte Carlo (`hardy_eval`); the
+The ball average is evaluated at given radii by Monte Carlo (`hardy_eval`); the
 weighted pair enters only through the duality pairings and the norm
 quotients, which combine closed forms, radial quadrature and variance-safe
 Monte Carlo estimators.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .funcs import BumpMixture, ProductPoint, TestFunction, UnsupportedFamilyError
+from .funcs import BumpMixture, TestFunction, UnsupportedFamilyError, _json_floats
 from .hgroup import (
     GroupDims,
     ProductSpec,
@@ -137,15 +137,16 @@ def parse_weight(text: str, m: int) -> Weight:
     if kind == "table":
         with open(rest, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        factors = data["factors"]
-        if len(factors) != m:
-            raise ValueError(f"table weight has {len(factors)} factors, expected {m}")
+        factors = data.get("factors") if isinstance(data, dict) else None
+        if not isinstance(factors, list) or len(factors) != m:
+            raise ValueError(f"weight {text}['factors'] must list one table per factor, {m} in all")
         tables = []
         for i, fac in enumerate(factors):
-            grid = np.asarray(fac["t"], dtype=float)
-            vals = np.asarray(fac["values"], dtype=float)
-            if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(vals)) and np.all(vals >= 0)):
-                raise ValueError(f"weight {text}: t and values must be finite, values nonnegative")
+            where = f"weight {text}['factors'][{i}]"
+            grid = _json_floats(fac, "t", 1, where)
+            vals = _json_floats(fac, "values", 1, where)
+            if not 0 < grid.size == vals.size or np.any(np.diff(grid) < 0) or np.any(vals < 0):
+                raise ValueError(f"{where}: 't' must not decrease, with one value >= 0 per knot")
             # the interpolant is piecewise linear and flat beyond the end knots,
             # so it vanishes on [0, 1] exactly when it does at the knots clipped
             # to [0, 1]; a zero weight makes both sides of a pairing 0, a PASS
@@ -170,22 +171,17 @@ def parse_weight(text: str, m: int) -> Weight:
 
 def hardy_eval(
     f: TestFunction,
-    x: ProductPoint,
+    radii,
     samples: int = 20_000,
     seed: int = 0,
     workers: int = 1,
 ) -> Estimate:
-    """The product ball-average operator at x, by Monte Carlo: the average of
-    f over B(0,|x_1|) x ... x B(0,|x_m|).  Undefined when any |x_i|_h = 0.
+    """The product ball-average operator, by Monte Carlo, at any x with
+    |x_i|_h = radii[i]: the average of f over B(0,r_1) x ... x B(0,r_m).
 
     The evaluation is seeded explicitly: pass fresh seeds per point for
     independent field evaluations, or reuse one seed across points for a
     smooth (common-random-numbers) quotient surface."""
-    if not x.matches(f.spec):
-        raise ValueError("point does not match the function's product space")
-    radii = x.radii
-    if any(r == 0.0 for r in radii):
-        raise ValueError("ball average undefined where some |x_i|_h = 0")
     est = mc_integrate(f, f.spec, radii, samples, seed, workers=workers)
     return est.scaled(1.0 / polyball_volume(f.spec, radii))
 
@@ -533,7 +529,7 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
     counts, which `BumpMixture.values_and_counts` returns with f from the
     same distances, so the weights are exact and every sample lands where f
     can be nonzero.  Anything else falls back to uniform sampling of the
-    support polyball."""
+    support polyball; a function of unbounded support is refused."""
     if isinstance(f, BumpMixture) and f.bumps:
         vols = np.asarray([polyball_volume(spec, bump.radii) for bump in f.bumps])
         total = float(vols.sum())
@@ -557,7 +553,9 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
 
         return draw, density
 
-    radii = [s if math.isfinite(s) else 1.0 for s in f.support_radii()]
+    radii = f.support_radii()
+    if not all(math.isfinite(s) for s in radii):
+        raise ValueError(f"cannot sample the support of {f.family}: it is unbounded")
     vol = polyball_volume(spec, radii)
 
     def density(pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

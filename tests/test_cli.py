@@ -101,6 +101,31 @@ class TestExitCodes:
         assert "is zero on [0, 1]" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, content, message", [
+        ("bumps", {"centers": 1}, "must hold a JSON list of bumps"),
+        ("bumps", [{"centers": [[0, 0, 0]], "coefficient": 1.0}], "[0]['radii'] is missing"),
+        # two radii at one factor: zip used to drop the second, and C5 passed
+        ("bumps", [{"centers": [[0, 0, 0]], "radii": [0.5, 0.7], "coefficient": 1.0}],
+         "[0]['radii'] must hold one positive radius per factor"),
+        ("bumps", [{"centers": [[0, 0, 0]], "radii": [0.5], "coefficient": math.nan}],
+         "[0]['coefficient'] must be a finite number"),
+        ("table", [1, 2], "['factors'] must list one table per factor"),
+        ("table", {"factors": [{"t": [0, 1]}]}, "['factors'][0]['values'] is missing"),
+        ("table", {"factors": [{"t": [0, 1], "values": [0, 1, 1]}]}, "one value >= 0 per knot"),
+        ("table", {"factors": [{"t": [1, 0], "values": [1, 0]}]}, "'t' must not decrease"),
+    ])
+    def test_malformed_input_files_are_refused(self, tmp_path, capsys, kind, content, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        argv = {"bumps": ["fuzz", "--trials", "1", "--function", f"bumps:{path}"],
+                "table": ["cesaro-duality", "--pairs", "1", "--weight", f"table:{path}"]}[kind]
+        out = tmp_path / "r.json"
+        assert run(argv + ["--samples", "1000", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(path) in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["weighted", "--p", "1000"],
         ["fuzz", "--p", "1000", "--trials", "1", "--samples", "1000"],

@@ -9,68 +9,59 @@ from hardylab.funcs import (
     BumpMixture,
     PowerInside,
     PowerOutside,
-    ProductPoint,
     RadialProduct,
     RadializedFunction,
     UnsupportedFamilyError,
-    evaluate,
     parse_test_function,
     random_bump_mixture,
 )
 from hardylab import funcs
-from hardylab.hgroup import HPoint, ProductSpec, dilate_arrays, distance, koranyi_norm
+from hardylab.hgroup import ProductSpec, dilate_arrays, distance, koranyi_norm
 from hardylab.measure import lp_norm
 
 SPEC1 = ProductSpec.of_orders(1)
 SPEC2 = ProductSpec.of_orders(1, 1)
 
 
-def point_at(spec, *radii):
-    return ProductPoint.from_radii(spec, radii)
+def value_at(f, *radii):
+    """f at the point with |x_i|_h = radii[i] on each factor's first
+    horizontal axis, called on one-row coordinate arrays."""
+    pts = [np.array([[r] + [0.0] * (d.dim - 1)]) for d, r in zip(f.spec.factors, radii)]
+    return float(f(pts)[0])
 
 
 class TestEvaluate:
     def test_indicator(self):
         f = PowerInside(SPEC1, (0.0,))
-        assert evaluate(f, point_at(SPEC1, 0.5)) == 1.0
-        assert evaluate(f, point_at(SPEC1, 1.5)) == 0.0
+        assert value_at(f, 0.5) == 1.0
+        assert value_at(f, 1.5) == 0.0
 
     def test_inside_power_value(self):
         f = PowerInside(SPEC1, (-1.9,))
-        assert evaluate(f, point_at(SPEC1, 0.5)) == pytest.approx(0.5**-1.9, rel=1e-13)
+        assert value_at(f, 0.5) == pytest.approx(0.5**-1.9, rel=1e-13)
 
     def test_outside_power_support(self):
         f = PowerOutside(SPEC1, (3.0,))
-        assert evaluate(f, point_at(SPEC1, 0.5)) == 0.0
-        assert evaluate(f, point_at(SPEC1, 2.0)) == pytest.approx(2.0**-3, rel=1e-13)
+        assert value_at(f, 0.5) == 0.0
+        assert value_at(f, 2.0) == pytest.approx(2.0**-3, rel=1e-13)
 
     def test_product_structure(self):
         f = PowerInside(SPEC2, (-1.0, -0.5))
-        x = point_at(SPEC2, 0.5, 0.25)
-        assert evaluate(f, x) == pytest.approx(0.5**-1 * 0.25**-0.5, rel=1e-13)
+        assert value_at(f, 0.5, 0.25) == pytest.approx(0.5**-1 * 0.25**-0.5, rel=1e-13)
         # one factor outside kills the product
-        assert evaluate(f, point_at(SPEC2, 0.5, 1.25)) == 0.0
+        assert value_at(f, 0.5, 1.25) == 0.0
 
     def test_bump_at_center(self):
-        c = HPoint.of(0.3, -0.2, 0.1)
-        f = BumpMixture(SPEC1, (Bump((c.coords,), (0.7,), 2.0),))
-        x = ProductPoint.of(c)
-        assert evaluate(f, x) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
-        far = point_at(SPEC1, 3.0)
-        assert evaluate(f, far) == 0.0
+        c = np.array([0.3, -0.2, 0.1])
+        f = BumpMixture(SPEC1, (Bump((c,), (0.7,), 2.0),))
+        assert f([c[None, :]])[0] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
+        assert value_at(f, 3.0) == 0.0
 
     def test_power_homogeneity(self):
         f = PowerInside(SPEC2, (-1.2, -0.3))
         lam = (0.5, 0.7)
-        x = point_at(SPEC2, 0.6, 0.9)
-        scaled = ProductPoint.from_radii(SPEC2, [l * r for l, r in zip(lam, x.radii)])
-        want = evaluate(f, x) * lam[0] ** -1.2 * lam[1] ** -0.3
-        assert evaluate(f, scaled) == pytest.approx(want, rel=1e-12)
-
-    def test_spec_mismatch(self):
-        f = PowerInside(SPEC1, (0.0,))
-        with pytest.raises(ValueError):
-            evaluate(f, point_at(SPEC2, 0.5, 0.5))
+        want = value_at(f, 0.6, 0.9) * lam[0] ** -1.2 * lam[1] ** -0.3
+        assert value_at(f, lam[0] * 0.6, lam[1] * 0.9) == pytest.approx(want, rel=1e-12)
 
 
 class TestClosedNorms:
@@ -112,7 +103,7 @@ class TestRadialize:
     def test_fixes_radial_functions(self):
         f = RadialProduct(SPEC1, (lambda r: r,), ((0.0, math.inf),))
         gf = RadializedFunction(f, inner_samples=5_000, seed=1)
-        assert evaluate(gf, point_at(SPEC1, 0.7)) == pytest.approx(0.7, rel=1e-12)
+        assert value_at(gf, 0.7) == pytest.approx(0.7, rel=1e-12)
 
     def test_kills_odd_parts(self):
         class OddPart(funcs.TestFunction):
@@ -125,7 +116,7 @@ class TestRadialize:
         samples = 60_000
         gf = RadializedFunction(OddPart(), inner_samples=samples, seed=2)
         # |X_0 cos| <= |x|_h = 0.9 bounds the spread of the odd part a priori
-        assert abs(evaluate(gf, point_at(SPEC1, 0.9)) - 1.0) <= 3.0 * 0.9 / math.sqrt(samples)
+        assert abs(value_at(gf, 0.9) - 1.0) <= 3.0 * 0.9 / math.sqrt(samples)
 
     def test_radialized_function_is_deterministic(self):
         f = random_bump_mixture(SPEC1, np.random.default_rng(5))
@@ -138,7 +129,7 @@ class TestRadialize:
     def test_product_space_radialization(self):
         f = RadialProduct(SPEC2, (lambda r: r, lambda r: r**2), ((0.0, math.inf),) * 2)
         gf = RadializedFunction(f, inner_samples=4_000, seed=3)
-        assert evaluate(gf, point_at(SPEC2, 0.5, 2.0)) == pytest.approx(0.5 * 4.0, rel=1e-10)
+        assert value_at(gf, 0.5, 2.0) == pytest.approx(0.5 * 4.0, rel=1e-10)
 
 
 class TestParsing:
@@ -166,6 +157,17 @@ class TestParsing:
     def test_bump_radii_validation(self):
         with pytest.raises(ValueError):
             Bump((np.zeros(3),), (0.0,), 1.0)
+
+    def test_bump_centre_validation(self, tmp_path):
+        path = tmp_path / "bumps.json"
+        for centers, message in (
+            ([[1.0, 1.0, 1.0, 1.0]], r"\['centers'\] must have 2n\+1 coordinates"),
+            ([[1.0, math.inf, 0.0]], r"\['centers'\]\[0\] must be a list of finite numbers"),
+            ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], r"\['centers'\] must list one point per factor"),
+        ):
+            path.write_text(json.dumps([{"centers": centers, "radii": [0.5], "coefficient": 1.0}]))
+            with pytest.raises(ValueError, match=rf"bumps file .*bumps\.json\[0\]{message}"):
+                parse_test_function(f"bumps:{path}", SPEC1)
 
 
 class TestRandomMixtures:

@@ -12,7 +12,6 @@ from hardylab.funcs import (
     BumpMixture,
     PowerInside,
     PowerOutside,
-    ProductPoint,
     random_bump_mixture,
 )
 from hardylab.hgroup import GroupDims, ProductSpec, dilate_arrays, koranyi_norm
@@ -23,14 +22,10 @@ SPEC2 = ProductSpec.of_orders(1, 1)
 D1 = GroupDims(1)
 
 
-def point_at(spec, *radii):
-    return ProductPoint.from_radii(spec, radii)
-
-
 class TestHardyEval:
     def test_constant_average_is_one(self):
         f = PowerInside(SPEC1, (0.0,))
-        mc = ops.hardy_eval(f, point_at(SPEC1, 0.5), samples=2_000, seed=1)
+        mc = ops.hardy_eval(f, [0.5], samples=2_000, seed=1)
         assert mc.value == pytest.approx(1.0, rel=1e-12)
 
     def test_power_hand_value(self):
@@ -38,7 +33,7 @@ class TestHardyEval:
         want = 8 / 3
         (F, a, b), = f.radial_profiles()
         assert ops._radial_ball_average(F, a, b, D1, 0.5, 1e-10) == pytest.approx(want, rel=1e-9)
-        mc = ops.hardy_eval(f, point_at(SPEC1, 0.5), samples=100_000, seed=2)
+        mc = ops.hardy_eval(f, [0.5], samples=100_000, seed=2)
         assert mc.within(want, sigmas=3.0)
 
     def test_saturated_average(self):
@@ -49,12 +44,14 @@ class TestHardyEval:
 
     def test_zero_radius_rejected(self):
         f = PowerInside(SPEC1, (0.0,))
-        with pytest.raises(ValueError, match="undefined"):
-            ops.hardy_eval(f, point_at(SPEC1, 0.0))
+        with pytest.raises(ValueError, match="radii must be positive"):
+            ops.hardy_eval(f, [0.0])
+        with pytest.raises(ValueError, match="expected 1 radii"):
+            ops.hardy_eval(f, [0.5, 0.5])
 
     def test_product_space(self):
         f = PowerInside(SPEC2, (-1.0, 0.0))
-        mc = ops.hardy_eval(f, point_at(SPEC2, 0.5, 0.5), samples=100_000, seed=3)
+        mc = ops.hardy_eval(f, [0.5, 0.5], samples=100_000, seed=3)
         assert mc.within(8 / 3, sigmas=3.0)
 
     def test_monotone_under_pointwise_ordering(self):
@@ -62,9 +59,8 @@ class TestHardyEval:
         f = random_bump_mixture(SPEC1, rng)
         extra = random_bump_mixture(SPEC1, rng)
         g = BumpMixture(SPEC1, f.bumps + extra.bumps)  # g >= f pointwise
-        x = point_at(SPEC1, 1.2)
-        a = ops.hardy_eval(f, x, samples=20_000, seed=6)
-        b = ops.hardy_eval(g, x, samples=20_000, seed=6)
+        a = ops.hardy_eval(f, [1.2], samples=20_000, seed=6)
+        b = ops.hardy_eval(g, [1.2], samples=20_000, seed=6)
         assert a.value <= b.value + 1e-15  # common points: exact per-sample order
 
     def test_dilation_covariance(self):
@@ -78,10 +74,8 @@ class TestHardyEval:
         ))
         pts = [np.random.default_rng(8).normal(scale=0.5, size=(64, 3))]
         assert np.allclose(g(pts), f([dilate_arrays(lam, pts[0], 1)]), rtol=1e-12, atol=0.0)
-        x = point_at(SPEC1, 0.9)
-        x_scaled = point_at(SPEC1, lam * 0.9)
-        a = ops.hardy_eval(g, x, samples=40_000, seed=8)
-        b = ops.hardy_eval(f, x_scaled, samples=40_000, seed=9)
+        a = ops.hardy_eval(g, [0.9], samples=40_000, seed=8)
+        b = ops.hardy_eval(f, [lam * 0.9], samples=40_000, seed=9)
         se = math.hypot(a.std_error, b.std_error)
         assert abs(a.value - b.value) <= 3 * se + 1e-12
 
@@ -280,6 +274,16 @@ class TestPairings:
         ind = PowerInside(SPEC1, (0.0,))
         with pytest.raises(ops.UnboundedOperatorError, match="unbounded operator"):
             ops.pairing_weighted_cesaro(ind, ind, ops.MonomialWeight((0.0,)), SPEC1, p=2.0)
+
+    def test_unbounded_support_is_refused(self):
+        # the support sampler used to fall back to the unit ball, where
+        # PowerOutside vanishes, and both pairings returned an exact 0
+        f = PowerOutside.extremal(SPEC1, 2.0, 0.4)
+        phi = ops.MonomialWeight((4.0,))
+        with pytest.raises(ValueError, match="power-outside: it is unbounded"):
+            ops.pairing_weighted_hardy(f, f, phi, SPEC1, samples=4000)
+        with pytest.raises(ValueError, match="power-outside: it is unbounded"):
+            ops.pairing_weighted_cesaro(f, f, phi, SPEC1, p=2.0, samples=4000)
 
     @pytest.mark.parametrize("exponent", [4.0, 0.0])
     def test_three_factors_refused(self, exponent):
