@@ -231,8 +231,8 @@ def mc_integrate(
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (spec.m,):
         raise ValueError(f"expected {spec.m} radii, got shape {radii.shape}")
-    if np.any(radii <= 0):
-        raise ValueError("radii must be positive")
+    if not np.all((radii > 0) & (radii < np.inf)):  # NaN fails both
+        raise ValueError("radii must be positive and finite")
     volume = polyball_volume(spec, radii)
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:

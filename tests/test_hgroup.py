@@ -59,6 +59,8 @@ class TestGroupLaw:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             group_law(hp(1, 0, 0), np.zeros(5))
+        with pytest.raises(ValueError, match=r"not of the form 2n\+1"):
+            koranyi_norm(np.ones(4))
 
 
 class TestInverse:

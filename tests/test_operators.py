@@ -44,8 +44,9 @@ class TestHardyEval:
 
     def test_zero_radius_rejected(self):
         f = PowerInside(SPEC1, (0.0,))
-        with pytest.raises(ValueError, match="radii must be positive"):
-            ops.hardy_eval(f, [0.0])
+        for r in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="radii must be positive"):
+                ops.hardy_eval(f, [r])
         with pytest.raises(ValueError, match="expected 1 radii"):
             ops.hardy_eval(f, [0.5, 0.5])
 
