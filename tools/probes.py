@@ -3,10 +3,10 @@
 
     python3 tools/probes.py --out DIR
 
-Runs 45 hardylab CLI invocations in-process, importing hardylab from this
+Runs 47 hardylab CLI invocations in-process, importing hardylab from this
 checkout's `src/`, and writes one report per probe into DIR:
 
-* 17 configurations at `--seed 5`, each as CSV and as JSON (34 reports);
+* 18 configurations at `--seed 5`, each as CSV and as JSON (36 reports);
 * the full-size `fuzz --factors 1`, `fuzz --factors 1,1` and
   `cesaro-duality --factors 1` invocations at `--seed 1001`, `1` and `3`
   (JSON; 9 reports);
@@ -14,9 +14,9 @@ checkout's `src/`, and writes one report per probe into DIR:
   (JSON; 2 reports).
 
 It prints one `sha256  name` line per report, in the order above.  The
-two-bump function file and the table weight are written into DIR and named
-by a relative path with DIR as the working directory, so the reports that
-record those paths hash the same in every checkout.  Comparing the output of
+two-bump function file and the table weights (m = 1 and m = 2) are written
+into DIR and named by a relative path with DIR as the working directory, so
+the reports that record those paths hash the same in every checkout.  Comparing the output of
 two checkouts shows which reports a change moved.
 """
 
@@ -35,11 +35,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 BUMPS_FILE = "probe-bumps.json"
 TABLE_FILE = "probe-table.json"
+TABLE2_FILE = "probe-table2.json"
 BUMPS = [
     {"centers": [[0.1, -0.2, 0.05]], "radii": [0.7], "coefficient": 1.0},
     {"centers": [[-0.3, 0.2, 0.1]], "radii": [0.5], "coefficient": -0.6},
 ]
 TABLE = {"factors": [{"t": [0, 0.25, 0.5, 1], "values": [0, 0, 0.2, 1]}]}
+TABLE2 = {"factors": [{"t": [0, 0.25, 0.5, 1], "values": [0, 0, 0.2, 1]},
+                      {"t": [0, 0.3, 0.6, 1], "values": [0, 0, 0.5, 1]}]}
 
 # name -> argv, each run at --seed 5 as CSV and as JSON
 SMALL = {
@@ -59,6 +62,8 @@ SMALL = {
     "duality-m2": "cesaro-duality --weight monomial:4,4 --p 2 --factors 1,1 --pairs 2 --samples 4000",
     "duality-table": f"cesaro-duality --weight table:{TABLE_FILE} --p 2 --factors 1 --pairs 3 "
                      "--samples 5000",
+    "duality-table-m2": f"cesaro-duality --weight table:{TABLE2_FILE} --p 2 --factors 1,1 "
+                        "--pairs 2 --samples 4000",
     "geometry": "geometry-check --samples 100000",
     "volume": "volume --n 2 --samples 200000",
 }
@@ -101,6 +106,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / BUMPS_FILE).write_text(json.dumps(BUMPS) + "\n", encoding="utf-8")
     (out / TABLE_FILE).write_text(json.dumps(TABLE) + "\n", encoding="utf-8")
+    (out / TABLE2_FILE).write_text(json.dumps(TABLE2) + "\n", encoding="utf-8")
     os.chdir(out)
     failed = 0
     for name, probe_argv in probes():
