@@ -178,13 +178,10 @@ def _dispatch(cmd: str, cfg: dict) -> ExperimentReport:
             inner_samples=cfg["inner_samples"], seed=seed, workers=cfg["workers"],
         )
     if cmd == "weighted":
-        phi = parse_weight(cfg["weight"], spec.m)
-        if not phi.is_monomial:
-            raise UsageError("the weighted sweep needs a monomial weight")
-        return weighted_sharpness(phi, cfg["p"], spec, seed=seed)
+        return weighted_sharpness(parse_weight(cfg["weight"], spec.m), cfg["p"], spec, seed=seed)
     if cmd == "cesaro-duality":
-        # refused before duality_check's boundedness quadrature, which for a
-        # table weight at m = 3 is a nested iterated integral
+        # the pairings integrate over a tensor grid on [0,1]^m built for m <= 2;
+        # refused here, before the weight file is read
         if spec.m > 2:
             raise UsageError("cesaro-duality pairings support at most 2 factors")
         phi = parse_weight(cfg["weight"], spec.m)

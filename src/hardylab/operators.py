@@ -68,17 +68,25 @@ class UnboundedOperatorError(ValueError):
 
 
 class Weight:
-    """Nonnegative weight on [0,1]^m; callable on (N, m) arrays."""
+    """Nonnegative product weight prod_i phi_i(t_i) on [0,1]^m, one vectorized
+    1-D profile per factor; callable on (N, m) arrays."""
 
-    m: int
+    profiles: tuple
     label: str = "general"
 
-    def __call__(self, T: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    @property
+    def m(self) -> int:
+        return len(self.profiles)
 
     @property
     def is_monomial(self) -> bool:
         return False
+
+    def __call__(self, T: np.ndarray) -> np.ndarray:
+        out = np.ones(T.shape[0])
+        for i, phi_i in enumerate(self.profiles):
+            out = out * phi_i(T[:, i])
+        return out
 
 
 @dataclass(frozen=True)
@@ -93,8 +101,8 @@ class MonomialWeight(Weight):
             raise ValueError(f"monomial exponents must be finite and nonnegative: {self.label}")
 
     @property
-    def m(self) -> int:
-        return len(self.exponents)
+    def profiles(self) -> tuple:
+        return tuple((lambda t, a=a: t**a) for a in self.exponents)
 
     @property
     def label(self) -> str:
@@ -104,24 +112,13 @@ class MonomialWeight(Weight):
     def is_monomial(self) -> bool:
         return True
 
-    def __call__(self, T: np.ndarray) -> np.ndarray:
-        out = np.ones(T.shape[0])
-        for i, a in enumerate(self.exponents):
-            if a != 0.0:
-                out = out * T[:, i] ** a
-        return out
-
 
 class GeneralWeight(Weight):
-    """Wraps an arbitrary nonnegative evaluable weight."""
+    """A product of arbitrary nonnegative vectorized 1-D profiles."""
 
-    def __init__(self, fn, m: int, label: str = "general"):
-        self.fn = fn
-        self.m = m
+    def __init__(self, profiles, label: str = "general"):
+        self.profiles = tuple(profiles)
         self.label = label
-
-    def __call__(self, T: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(T), dtype=float)
 
 
 def parse_weight(text: str, m: int) -> Weight:
@@ -140,7 +137,7 @@ def parse_weight(text: str, m: int) -> Weight:
         factors = data.get("factors") if isinstance(data, dict) else None
         if not isinstance(factors, list) or len(factors) != m:
             raise ValueError(f"weight {text}['factors'] must list one table per factor, {m} in all")
-        tables = []
+        profiles = []
         for i, fac in enumerate(factors):
             where = f"weight {text}['factors'][{i}]"
             grid = _json_floats(fac, "t", 1, where)
@@ -152,15 +149,8 @@ def parse_weight(text: str, m: int) -> Weight:
             # to [0, 1]; a zero weight makes both sides of a pairing 0, a PASS
             if not np.interp(np.clip(grid, 0.0, 1.0), grid, vals).any():
                 raise ValueError(f"weight {text}: factor {i + 1} is zero on [0, 1]")
-            tables.append((grid, vals))
-
-        def product_of_tables(T: np.ndarray) -> np.ndarray:
-            out = np.ones(T.shape[0])
-            for i, (grid, vals) in enumerate(tables):
-                out = out * np.interp(T[:, i], grid, vals)
-            return out
-
-        return GeneralWeight(product_of_tables, m, f"table:{rest}")
+            profiles.append(lambda t, grid=grid, vals=vals: np.interp(t, grid, vals))
+        return GeneralWeight(profiles, f"table:{rest}")
     raise ValueError(f"unknown weight spec {text!r}")
 
 
@@ -192,19 +182,6 @@ def _radial_ball_average(F, a: float, b: float, dims: GroupDims, R: float, tol: 
     return radial_integral(F, dims, min(R, b), tol, lower=a) / ball_volume(dims, R)
 
 
-def _iterated_cube(gfun, bounds, tol: float):
-    """Iterated adaptive quadrature of gfun over a product of intervals.
-    gfun takes (N, m) and returns (N,); bounds is a list of (lo, hi)."""
-    lo, hi = bounds[0]
-    if len(bounds) == 1:
-        return integrate_1d(lambda t: gfun(t[:, None]), lo, hi, tol=tol)
-
-    outer = nodewise(lambda t0: _iterated_cube(
-        lambda T: gfun(np.column_stack([np.full(T.shape[0], t0), T])), bounds[1:], tol
-    ))
-    return integrate_1d(outer, lo, hi, tol=tol)
-
-
 def weight_bound_integral(phi: Weight, p: float, spec: ProductSpec, kind: str) -> float:
     """Characteristic integral C_phi deciding boundedness:
     integral over [0,1]^m of prod t_i^(-Q_i/p) phi (kind='hardy') or
@@ -215,21 +192,15 @@ def weight_bound_integral(phi: Weight, p: float, spec: ProductSpec, kind: str) -
         raise ValueError("weight and product space disagree on m")
     if phi.is_monomial:
         return closedform.monomial_weight_characteristic(phi.exponents, p, spec, kind)
-    exps = [
-        dims.Q / p if kind == "hardy" else dims.Q * (1.0 - 1.0 / p)
-        for dims in spec.factors
-    ]
-
-    def g(T: np.ndarray) -> np.ndarray:
-        out = phi(T)
-        for i, e in enumerate(exps):
-            out = out / T[:, i] ** e
-        return out
-
-    try:
-        return _iterated_cube(g, [(0.0, 1.0)] * spec.m, 1e-9)
-    except IntegrationError:
-        return math.inf
+    # the weight is a product, so the integral is a product of 1-D integrals
+    total = 1.0
+    for dims, phi_i in zip(spec.factors, phi.profiles):
+        e = dims.Q / p if kind == "hardy" else dims.Q * (1.0 - 1.0 / p)
+        try:
+            total *= integrate_1d(lambda t: phi_i(t) / t**e, 0.0, 1.0, tol=1e-9)
+        except IntegrationError:
+            return math.inf
+    return total
 
 
 def _require_bounded(phi: Weight, p: float, spec: ProductSpec, kind: str) -> None:
@@ -469,20 +440,13 @@ def norm_quotient(
             raise ValueError("weighted quotients need a weight")
         adjoint = operator == "weighted-cesaro"
         _require_bounded(phi, p, spec, "cesaro" if adjoint else "hardy")
-        if method == "closed":
-            if f.family != "power-outside" or not phi.is_monomial:
-                raise UnsupportedFamilyError(
-                    "closed weighted quotients need the outside family and a monomial weight"
-                )
-            fn = closedform.cesaro_power_quotient if adjoint else closedform.weighted_power_quotient
-            return Estimate.exact(fn(f.betas, phi.exponents, p, spec))
-        if method == "radial":
-            if not phi.is_monomial:
-                raise UnsupportedFamilyError("radial weighted quotients need a monomial weight")
-            num = _weighted_radial_norm(f, phi, p, spec, tol, adjoint)
-            den = lp_norm(f, spec, p, method="radial", tol=tol)
-            return Estimate.exact(num / den.value)
-        raise ValueError(f"method {method!r} not supported for weighted quotients")
+        if method != "radial":
+            raise ValueError(f"method {method!r} not supported for weighted quotients")
+        if not phi.is_monomial:
+            raise UnsupportedFamilyError("radial weighted quotients need a monomial weight")
+        num = _weighted_radial_norm(f, phi, p, spec, tol, adjoint)
+        den = lp_norm(f, spec, p, method="radial", tol=tol)
+        return Estimate.exact(num / den.value)
     raise ValueError(f"unknown operator {operator!r}")
 
 

@@ -101,6 +101,15 @@ class TestExitCodes:
         assert "is zero on [0, 1]" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_weighted_sweep_refuses_a_table_weight(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"factors": [{"t": [0, 1], "values": [0, 1]}]}))
+        out = tmp_path / "r.json"
+        assert run(["weighted", "--weight", f"table:{path}", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "monomial weights" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, content, message", [
         ("bumps", {"centers": 1}, "must hold a JSON list of bumps"),
         ("bumps", [{"centers": [[0, 0, 0]], "coefficient": 1.0}], "[0]['radii'] is missing"),

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hardylab import closedform as cf
 from hardylab import funcs
@@ -115,19 +116,43 @@ class TestWeightBoundIntegral:
         assert ops.weight_bound_integral(ops.MonomialWeight((0.0,)), 2.0, SPEC1, "cesaro") == math.inf
 
     def test_general_weight_numeric(self):
-        gw = ops.GeneralWeight(lambda T: T[:, 0] ** 3, 1)
+        gw = ops.GeneralWeight([lambda t: t**3])
         got = ops.weight_bound_integral(gw, 2.0, SPEC1, "hardy")
         assert got == pytest.approx(0.5, rel=1e-8)
-        flat = ops.GeneralWeight(lambda T: np.ones(T.shape[0]), 1)
+        flat = ops.GeneralWeight([np.ones_like])
         assert ops.weight_bound_integral(flat, 2.0, SPEC1, "cesaro") == math.inf
 
     def test_general_weight_matches_monomial_at_m2(self):
-        # the general weight takes the iterated quadrature, the monomial its closed form
-        gen = ops.GeneralWeight(lambda T: T[:, 0] ** 3 * T[:, 1] ** 3, 2)
+        # the general weight takes the per-factor quadrature, the monomial its closed form
+        gen = ops.GeneralWeight([lambda t: t**3] * 2)
         mono = ops.MonomialWeight((3.0, 3.0))
         for kind in ("hardy", "cesaro"):
             assert ops.weight_bound_integral(mono, 2.0, SPEC2, kind) == 0.25
             assert ops.weight_bound_integral(gen, 2.0, SPEC2, kind) == pytest.approx(0.25, rel=1e-8)
+
+    TABLES = [{"t": [0, 0.25, 0.5, 1], "values": [0, 0, 0.2, 1]},
+              {"t": [0, 0.3, 0.6, 1], "values": [0, 0, 0.5, 1]},
+              {"t": [0, 0.2, 0.7, 1], "values": [0, 0, 0.4, 0.7]}]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_table_weight_is_a_product_of_factor_integrals(self, tmp_path, m):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"factors": self.TABLES[:m]}))
+        phi = ops.parse_weight(f"table:{path}", m)
+        spec = ProductSpec.of_orders(*(1,) * m)
+        for kind, e in (("hardy", 4 / 3), ("cesaro", 4 * (1 - 1 / 3))):
+            want = 1.0
+            for tab in self.TABLES[:m]:
+                want *= quad(lambda t, tab=tab: np.interp(t, tab["t"], tab["values"]) * t**-e,
+                             0.0, 1.0, points=tab["t"][1:-1], epsabs=0.0, epsrel=1e-12)[0]
+            assert ops.weight_bound_integral(phi, 3.0, spec, kind) == pytest.approx(want, rel=1e-8)
+
+    def test_table_factor_nonzero_at_zero_is_unbounded(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"factors": [self.TABLES[0], {"t": [0, 1], "values": [1, 1]}]}))
+        phi = ops.parse_weight(f"table:{path}", 2)
+        for kind in ("hardy", "cesaro"):
+            assert ops.weight_bound_integral(phi, 2.0, SPEC2, kind) == math.inf
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -176,19 +201,21 @@ class TestNormQuotient:
     def test_weighted_quotient_routes(self):
         f = PowerOutside.extremal(SPEC1, 2.0, 0.1)
         phi = ops.MonomialWeight((3.0,))
-        closed = ops.norm_quotient(f, 2.0, SPEC1, operator="weighted-hardy", phi=phi, method="closed")
+        closed = cf.weighted_power_quotient(f.betas, phi.exponents, 2.0, SPEC1)
         rad = ops.norm_quotient(f, 2.0, SPEC1, operator="weighted-hardy", phi=phi,
                                 method="radial", tol=1e-9)
-        assert closed.value == pytest.approx(cf.weighted_family_quotient([3.0], 0.1, 2.0, SPEC1), rel=1e-14)
-        assert rad.value == pytest.approx(closed.value, rel=1e-7)
+        assert closed == pytest.approx(cf.weighted_family_quotient([3.0], 0.1, 2.0, SPEC1), rel=1e-14)
+        assert rad.value == pytest.approx(closed, rel=1e-7)
+        with pytest.raises(ValueError, match="not supported for weighted quotients"):
+            ops.norm_quotient(f, 2.0, SPEC1, operator="weighted-hardy", phi=phi, method="closed")
 
     def test_cesaro_quotient_routes(self):
         f = PowerOutside.extremal(SPEC1, 2.0, 0.1)
         phi = ops.MonomialWeight((3.0,))
-        closed = ops.norm_quotient(f, 2.0, SPEC1, operator="weighted-cesaro", phi=phi, method="closed")
+        closed = cf.cesaro_power_quotient(f.betas, phi.exponents, 2.0, SPEC1)
         rad = ops.norm_quotient(f, 2.0, SPEC1, operator="weighted-cesaro", phi=phi,
                                 method="radial", tol=1e-9)
-        assert closed.value == pytest.approx(rad.value, rel=1e-7)
+        assert closed == pytest.approx(rad.value, rel=1e-7)
 
     @pytest.mark.parametrize("p, eps", [(1.2, 0.2), (1.5, 0.0125), (2.0, 0.1), (3.0, 0.0125),
                                         (4.0, 0.0125)])
@@ -202,15 +229,16 @@ class TestNormQuotient:
         # tol=1e-9 is the tolerance weighted_sharpness runs the radial route at
         f = PowerOutside.extremal(SPEC1, 3.0, 0.2)
         phi = ops.MonomialWeight((a,))
-        closed = ops.norm_quotient(f, 3.0, SPEC1, operator=operator, phi=phi, method="closed")
+        closed = {"weighted-hardy": cf.weighted_power_quotient,
+                  "weighted-cesaro": cf.cesaro_power_quotient}[operator]
         rad = ops.norm_quotient(f, 3.0, SPEC1, operator=operator, phi=phi, method="radial", tol=1e-9)
-        assert rad.value == pytest.approx(closed.value, rel=1e-9)
+        assert rad.value == pytest.approx(closed(f.betas, phi.exponents, 3.0, SPEC1), rel=1e-9)
 
     def test_weighted_unbounded_rejected(self):
         f = PowerOutside.extremal(SPEC1, 2.0, 0.1)
         with pytest.raises(ops.UnboundedOperatorError):
             ops.norm_quotient(f, 2.0, SPEC1, operator="weighted-hardy",
-                              phi=ops.MonomialWeight((0.0,)), method="closed")
+                              phi=ops.MonomialWeight((0.0,)), method="radial")
 
 
 class TestPairings:
