@@ -35,8 +35,7 @@ FLAGS = {
     "factors": dict(default="1", help="comma-separated group orders, e.g. 1,1"),
     "eps": dict(default=",".join(map(str, DEFAULT_EPS_GRID)), help="comma-separated eps grid"),
     "weight": dict(default="monomial:3", help="one | monomial:a1,... | table:<file>"),
-    "function": dict(help="extra scored function: power-inside:a1,... | power-outside:b1,... "
-                          "| bumps:<file>"),
+    "function": dict(help="extra scored function: power-inside:a1,... | bumps:<file>"),
     "method": dict(default="closed", choices=("closed", "radial", "mc")),
     "samples": dict(type=int, default=100_000),
     "inner-samples": dict(type=int, default=768),

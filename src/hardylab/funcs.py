@@ -83,6 +83,8 @@ class PowerInside(TestFunction):
     def __post_init__(self) -> None:
         if len(self.alphas) != self.spec.m:
             raise ValueError("one exponent per factor required")
+        if not all(map(math.isfinite, self.alphas)):
+            raise ValueError(f"exponents must be finite: {self.alphas}")
 
     @classmethod
     def extremal(cls, spec: ProductSpec, p: float, eps: float) -> "PowerInside":
@@ -133,6 +135,8 @@ class PowerOutside(TestFunction):
     def __post_init__(self) -> None:
         if len(self.betas) != self.spec.m:
             raise ValueError("one exponent per factor required")
+        if not all(map(math.isfinite, self.betas)):
+            raise ValueError(f"exponents must be finite: {self.betas}")
 
     @classmethod
     def extremal(cls, spec: ProductSpec, p: float, eps: float) -> "PowerOutside":
@@ -375,14 +379,11 @@ def _bump_entry(entry, spec: ProductSpec, where: str) -> Bump:
 
 def parse_test_function(text: str, spec: ProductSpec) -> TestFunction:
     """Parse the CLI's textual function forms:
-    power-inside:a1,a2,...   power-outside:b1,b2,...   bumps:<json file>."""
+    power-inside:a1,a2,...   bumps:<json file>."""
     kind, _, rest = text.partition(":")
     if kind == "power-inside":
         alphas = tuple(float(v) for v in rest.split(","))
         return PowerInside(spec, alphas)
-    if kind == "power-outside":
-        betas = tuple(float(v) for v in rest.split(","))
-        return PowerOutside(spec, betas)
     if kind == "bumps":
         with open(rest, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -101,6 +101,20 @@ class TestExitCodes:
         assert "is zero on [0, 1]" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        # the compact estimator scored it and always refused its unbounded support
+        ("power-outside:2.1", "unknown test-function spec 'power-outside:2.1'"),
+        ("power-inside:nan", "exponents must be finite"),
+        ("power-inside:inf", "exponents must be finite"),
+    ])
+    def test_bad_function_specs_are_refused(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "r.json"
+        argv = ["fuzz", "--trials", "1", "--samples", "2000", "--function", spec]
+        assert run(argv + ["--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bad --function" in err and message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_weighted_sweep_refuses_a_table_weight(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"factors": [{"t": [0, 1], "values": [0, 1]}]}))

@@ -136,8 +136,6 @@ class TestParsing:
     def test_power_forms(self):
         f = parse_test_function("power-inside:-1.9,-1.9", SPEC2)
         assert isinstance(f, PowerInside) and f.alphas == (-1.9, -1.9)
-        g = parse_test_function("power-outside:2.1,2.1", SPEC2)
-        assert isinstance(g, PowerOutside) and g.betas == (2.1, 2.1)
 
     def test_bumps_file(self, tmp_path):
         data = [
