@@ -140,7 +140,7 @@ class TestWeightBoundIntegral:
         path.write_text(json.dumps({"factors": self.TABLES[:m]}))
         phi = ops.parse_weight(f"table:{path}", m)
         spec = ProductSpec.of_orders(*(1,) * m)
-        for kind, e in (("hardy", 4 / 3), ("cesaro", 4 * (1 - 1 / 3))):
+        for kind, e in (("hardy", 4 / 3), ("cesaro", 4 * (1 - 1 / 3))):  # Q = 4, p = 3
             want = 1.0
             for tab in self.TABLES[:m]:
                 want *= quad(lambda t, tab=tab: np.interp(t, tab["t"], tab["values"]) * t**-e,

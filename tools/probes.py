@@ -16,8 +16,8 @@ checkout's `src/`, and writes one report per probe into DIR:
 It prints one `sha256  name` line per report, in the order above.  The
 two-bump function file and the table weights (m = 1 and m = 2) are written
 into DIR and named by a relative path with DIR as the working directory, so
-the reports that record those paths hash the same in every checkout.  Comparing the output of
-two checkouts shows which reports a change moved.
+the reports that record those paths hash the same in every checkout.
+Comparing the output of two checkouts shows which reports a change moved.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ BUMPS = [
     {"centers": [[-0.3, 0.2, 0.1]], "radii": [0.5], "coefficient": -0.6},
 ]
 TABLE = {"factors": [{"t": [0, 0.25, 0.5, 1], "values": [0, 0, 0.2, 1]}]}
-TABLE2 = {"factors": [{"t": [0, 0.25, 0.5, 1], "values": [0, 0, 0.2, 1]},
-                      {"t": [0, 0.3, 0.6, 1], "values": [0, 0, 0.5, 1]}]}
+TABLE2 = {"factors": TABLE["factors"] + [{"t": [0, 0.3, 0.6, 1], "values": [0, 0, 0.5, 1]}]}
 
 # name -> argv, each run at --seed 5 as CSV and as JSON
 SMALL = {
