@@ -72,8 +72,41 @@ def _radii_of(pts: list[np.ndarray]) -> list[np.ndarray]:
     return [koranyi_norm(a) for a in pts]
 
 
+def _power_product(radii: list[np.ndarray], exponents, keep) -> np.ndarray:
+    """prod_i r_i^(e_i) where keep(r_i) holds in every factor, else 0; the
+    radius arrays broadcast against each other."""
+    radii = np.broadcast_arrays(*radii)
+    mask = np.ones_like(radii[0], dtype=bool)
+    for r in radii:
+        mask &= keep(r)
+    out = np.zeros_like(radii[0], dtype=float)
+    if mask.any():
+        acc = np.ones(int(mask.sum()))
+        with np.errstate(divide="ignore"):  # r = 0 under a negative power
+            for r, e in zip(radii, exponents):
+                acc = acc * r[mask] ** e
+        out[mask] = acc
+    return out
+
+
+class _PowerFamily(TestFunction):
+    """A product of powers of the radii |x_i|_h on a region given by the
+    radii; its dilation grids need one norm per point, since |delta_s x|_h =
+    s |x|_h."""
+
+    def _of_radii(self, radii: list[np.ndarray]) -> np.ndarray:
+        raise NotImplementedError
+
+    def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
+        return self._of_radii(_radii_of(pts))
+
+    def on_dilations(self, pts: list[np.ndarray], scales) -> np.ndarray:
+        return self._of_radii([r[:, None] * np.asarray(s, dtype=float)
+                               for r, s in zip(_radii_of(pts), scales)])
+
+
 @dataclass(frozen=True)
-class PowerInside(TestFunction):
+class PowerInside(_PowerFamily):
     """prod_i |x_i|_h^(alpha_i) restricted to the open unit polyball."""
 
     spec: ProductSpec
@@ -91,19 +124,8 @@ class PowerInside(TestFunction):
         """The near-extremal family with alpha_i = -Q_i/p + eps."""
         return cls(spec, tuple(-d.Q / p + eps for d in spec.factors))
 
-    def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
-        radii = _radii_of(pts)
-        inside = np.ones_like(radii[0], dtype=bool)
-        for r in radii:
-            inside &= r < 1.0
-        out = np.zeros_like(radii[0], dtype=float)
-        if inside.any():
-            acc = np.ones(int(inside.sum()))
-            with np.errstate(divide="ignore"):
-                for r, a in zip(radii, self.alphas):
-                    acc = acc * r[inside] ** a
-            out[inside] = acc
-        return out
+    def _of_radii(self, radii: list[np.ndarray]) -> np.ndarray:
+        return _power_product(radii, self.alphas, lambda r: r < 1.0)
 
     def support_radii(self) -> tuple[float, ...]:
         return (1.0,) * self.spec.m
@@ -125,7 +147,7 @@ class PowerInside(TestFunction):
 
 
 @dataclass(frozen=True)
-class PowerOutside(TestFunction):
+class PowerOutside(_PowerFamily):
     """prod_i |x_i|_h^(-beta_i) restricted to |x_i|_h > 1 for every factor."""
 
     spec: ProductSpec
@@ -143,18 +165,8 @@ class PowerOutside(TestFunction):
         """The outside-ball family with beta_i = Q_i/p + eps."""
         return cls(spec, tuple(d.Q / p + eps for d in spec.factors))
 
-    def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
-        radii = _radii_of(pts)
-        outside = np.ones_like(radii[0], dtype=bool)
-        for r in radii:
-            outside &= r > 1.0
-        out = np.zeros_like(radii[0], dtype=float)
-        if outside.any():
-            acc = np.ones(int(outside.sum()))
-            for r, b in zip(radii, self.betas):
-                acc = acc * r[outside] ** (-b)
-            out[outside] = acc
-        return out
+    def _of_radii(self, radii: list[np.ndarray]) -> np.ndarray:
+        return _power_product(radii, tuple(-b for b in self.betas), lambda r: r > 1.0)
 
     def support_radii(self) -> tuple[float, ...]:
         return (math.inf,) * self.spec.m

@@ -286,7 +286,7 @@ class TestOnDilations:
         scales = [rng.uniform(0.1, 2.0, K), rng.uniform(0.1, 2.0, (k, K))][: spec.m]
         for f, sc in ((PowerInside.extremal(spec, 2.0, 0.4), scales),
                       (PowerOutside.extremal(spec, 2.0, 0.4), [1.0 / s for s in scales])):
-            got = f.on_dilations(pts, sc)
+            got = funcs.TestFunction.on_dilations(f, pts, sc)
             assert got.shape == (k, K)
             assert np.count_nonzero(got[:, [0, K - 1]]) > 0
             for a in range(k):
@@ -295,3 +295,20 @@ class TestOnDilations:
                     want = f([dilate_arrays(s_i, X[a][None], d.n)
                               for s_i, X, d in zip(s, pts, spec.factors)])[0]
                     assert got[a, b] == want
+
+    @pytest.mark.parametrize("spec", [SPEC1, ProductSpec.of_orders(1, 2)])
+    def test_power_grids_scale_the_norms(self, spec):
+        # |delta_s x| = s |x|: the power families' grids match the base grid
+        # to rounding, and the indicator's support to the bit away from its edge
+        rng = np.random.default_rng(24)
+        k, K = 400, 9
+        pts = [rng.normal(scale=0.4, size=(k, d.dim)) for d in spec.factors]
+        scales = [rng.uniform(0.1, 2.0, K), rng.uniform(0.1, 2.0, (k, K))][: spec.m]
+        for f, sc in ((PowerInside.extremal(spec, 2.0, 0.4), scales),
+                      (PowerInside(spec, (0.0,) * spec.m), scales),
+                      (PowerOutside.extremal(spec, 2.0, 0.4), [1.0 / s for s in scales])):
+            got = f.on_dilations(pts, sc)
+            want = funcs.TestFunction.on_dilations(f, pts, sc)
+            assert got.shape == want.shape == (k, K)
+            assert np.count_nonzero(want) > k and np.array_equal(got == 0.0, want == 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

@@ -83,8 +83,9 @@ class TestHardyEval:
 
 
 class TestPowerFamiliesArePinned:
-    """Both pairings on the power families, whose dilation grids take the
-    base `TestFunction.on_dilations`, pinned as hex floats."""
+    """Both pairings on the power families, whose dilation grids scale the
+    per-point norms, pinned as hex floats.  The m = 2 adjoint value moved by
+    1 ulp when the grids stopped dilating the points."""
 
     @staticmethod
     def _values(spec):
@@ -104,7 +105,7 @@ class TestPowerFamiliesArePinned:
 
     def test_m2(self):
         assert self._values(ProductSpec.of_orders(1, 2)) == [
-            "0x1.dde3a08f80fadp+4", "0x1.d90d76d8bd955p+3",
+            "0x1.dde3a08f80fadp+4", "0x1.d90d76d8bd954p+3",
         ]
 
 
