@@ -284,7 +284,7 @@ class BumpMixture(TestFunction):
                 u = hgroup.squared_distance_on_dilations(
                     dilate_arrays(1.0 / radius, X, dims.n), s,
                     dilate_arrays(1.0 / radius, center, dims.n))
-                acc = _bump_profile(u) * acc
+                acc = np.multiply(_bump_profile(u), acc, out=u)
             total += acc
         return total
 

@@ -216,8 +216,14 @@ def squared_distance_on_dilations(x: np.ndarray, s, q: np.ndarray) -> np.ndarray
     a = np.einsum("ij,ij->i", xh, xh)[:, None]
     b2 = 2.0 * (xh @ qh)[:, None]
     u = (xh @ jq)[:, None]
-    h = (a * s - b2) * s + qh @ qh
-    v = (x[:, 2 * n, None] * s + u) * s - q[2 * n]
+    h = a * s  # H and V are formed in place, two grid buffers in all
+    h -= b2
+    h *= s
+    h += qh @ qh
+    v = x[:, 2 * n, None] * s
+    v += u
+    v *= s
+    v -= q[2 * n]
     h *= h
     v *= v
     h += v

@@ -581,8 +581,9 @@ def pairing_weighted_cesaro(
         for i, dims in enumerate(spec.factors):
             r = koranyi_norm(pts[i])
             lo = np.minimum(r / sup[i], 1.0)
-            t = lo[:, None] + (1.0 - lo)[:, None] * S[None, :, i]  # (k, K)
-            t = np.maximum(t, 1e-300)
+            t = (1.0 - lo)[:, None] * S[None, :, i]  # (k, K)
+            t += lo[:, None]
+            np.maximum(t, 1e-300, out=t)
             jac *= 1.0 - lo
             t2 = t * t
             tq = tq * t2
