@@ -16,12 +16,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import hgroup
 from .hgroup import ProductSpec, dilate_arrays, koranyi_norm
-from .measure import TAG_RADIALIZE, UnsupportedFamilyError, substream
+from .measure import TAG_RADIALIZE, UnsupportedFamilyError, integrate_1d, substream
 
 __all__ = [
     "TestFunction",
@@ -241,6 +242,66 @@ def _bump_profile(u: np.ndarray) -> np.ndarray:
     return np.exp(u, out=u)
 
 
+def _radial_target(s: np.ndarray, Q: int) -> np.ndarray:
+    """exp(-1/(1-s^2)) s^(Q-1): the polar integrand of a bump profile at
+    scaled distances s, a 1-D array, unimodal on (0, 1) with its mode at
+    s^2 = (Q - sqrt(2Q - 1)) / (Q - 1)."""
+    return _bump_profile(s * s) * s ** (Q - 1)
+
+
+_RADIAL_CELLS = 128
+
+
+@lru_cache(maxsize=None)
+def _bump_radial_law(Q: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(M, lower, width, height) for the scaled radius of a bump in a factor
+    of homogeneous dimension Q.  M = int_0^1 `_radial_target` ds.  The cells
+    [lower, lower + width] tile [0, 1] and each holds the same envelope mass
+    M / _RADIAL_CELLS, so a cell is picked uniformly.  The target rises
+    before its mode and falls after it, so the cells are laid out from the
+    mode both ways, and on each cell its maximum is at the edge nearer the
+    mode; a cell is as wide as that mass over this maximum, and the end cells
+    are cut at 0 and 1.  height = mass / width, raised by 2^-40 so that
+    rounding cannot lift the target above it."""
+    M = integrate_1d(lambda s: _radial_target(s, Q), 0.0, 1.0, tol=1e-14)
+    mass = M / _RADIAL_CELLS
+    mode = math.sqrt((Q - math.sqrt(2.0 * Q - 1.0)) / (Q - 1.0))
+
+    def walk(step: float) -> list[float]:
+        edges, e = [], mode
+        while 0.0 < e < 1.0:
+            g = float(_radial_target(np.array([e]), Q)[0])
+            e = e + step * mass / g if g > 0.0 else step  # the target vanishes beyond
+            edges.append(e)
+        return edges
+
+    edges = np.clip([*walk(-1.0)[::-1], mode, *walk(1.0)], 0.0, 1.0)
+    width = np.diff(edges)
+    return M, edges[:-1], width, mass * (1.0 + 2.0**-40) / width
+
+
+def sample_bump_radii(Q: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` scaled radii s in (0, 1) with density exp(-1/(1-s^2)) s^(Q-1) / M,
+    by rejection under the piecewise-constant envelope of `_bump_radial_law`:
+    a uniform cell, a uniform point in it, accepted with probability
+    target / height (about 0.95 of proposals)."""
+    _, lower, width, height = _bump_radial_law(Q)
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        k = max(64, int(1.1 * (size - filled)))
+        s, v = rng.random((2, k))
+        s *= lower.size  # the integer part picks the cell, the fraction the point
+        cell = s.astype(np.intp)
+        s -= cell
+        s *= width[cell]
+        s += lower[cell]
+        take = s[v * height[cell] < _radial_target(s, Q)][: size - filled]
+        out[filled : filled + take.size] = take
+        filled += take.size
+    return out
+
+
 @dataclass(frozen=True)
 class BumpMixture(TestFunction):
     """Finite sum of product bumps; smooth, compactly supported, generically
@@ -251,24 +312,34 @@ class BumpMixture(TestFunction):
     family: str = field(default="bump-mixture", init=False)
 
     def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
-        return self.values_and_counts(pts)[0]
+        return self.values_and_envelope(pts)[0]
 
-    def values_and_counts(self, pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """f(pts) and, per point, the number of bump product balls that
-        contain it, both from one distance per bump and factor."""
+    def values_and_envelope(self, pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """f(pts) = sum_j c_j Psi_j(pts) and the envelope sum_j |c_j| Psi_j(pts),
+        with Psi_j bump j's product profile, both from one distance per bump
+        and factor.  |f| <= envelope, with equality where no negative
+        coefficient contributes."""
         total = np.zeros(pts[0].shape[0])
-        count = np.zeros(pts[0].shape[0])
+        envelope = np.zeros(pts[0].shape[0])
         for bump in self.bumps:
             acc = np.full(pts[0].shape[0], bump.coefficient)
-            inside = np.ones(pts[0].shape[0], dtype=bool)
             for center, radius, X in zip(bump.centers, bump.radii, pts):
-                d = hgroup.distance(X, center)
-                s = d / radius
-                acc = acc * _bump_profile(s * s)
-                inside &= d < radius
+                s = hgroup.distance(X, center) / radius
+                acc *= _bump_profile(s * s)
             total += acc
-            count += inside
-        return total, count
+            envelope += np.abs(acc, out=acc)
+        return total, envelope
+
+    def bump_masses(self) -> np.ndarray:
+        """Per bump, |c_j| times the integral of its profile:
+        |c_j| prod_i omega_i r_ij^Q_i M(Q_i), by the polar formula about the
+        centre (Haar measure is left-invariant)."""
+        return np.asarray([
+            abs(bump.coefficient) * math.prod(
+                d.omega * r**d.Q * _bump_radial_law(d.Q)[0]
+                for d, r in zip(self.spec.factors, bump.radii))
+            for bump in self.bumps
+        ], dtype=float)
 
     def on_dilations(self, pts: list[np.ndarray], scales) -> np.ndarray:
         """`TestFunction.on_dilations`, one `squared_distance_on_dilations`

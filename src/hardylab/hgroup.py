@@ -279,11 +279,36 @@ def sample_unit_ball(dims: GroupDims, rng: np.random.Generator, size: int) -> np
 
 def sample_unit_sphere(dims: GroupDims, rng: np.random.Generator, size: int) -> np.ndarray:
     """Samples on the unit Koranyi sphere under the normalized polar surface
-    measure, realized by projecting a uniform ball sample x to delta_{1/|x|_h}(x)."""
-    out = sample_unit_ball(dims, rng, size=size)
-    norms = koranyi_norm(out)
-    out[:, : 2 * dims.n] /= norms[:, None]
-    out[:, 2 * dims.n] /= norms**2
+    measure, the law of delta_{1/|x|_h}(x) for x uniform on the unit ball.
+
+    With |x_h|^2 = r^2 cos(theta) and x_t = r^2 sin(theta), Lebesgue measure
+    is r^(Q-1) cos(theta)^(n-1) dr dtheta times the uniform measure on the
+    horizontal directions.  So the sphere point is (sqrt(cos(theta)) e,
+    sin(theta)) with e uniform on S^(2n-1) and w = sin(theta) of density
+    proportional to (1 - w^2)^(n/2 - 1), that is w = 2B - 1 with
+    B ~ Beta(n/2, n/2).  At n = 1 that is the arcsine law of cos(pi U), and
+    the angle of e is uniform; both are drawn as such."""
+    n = dims.n
+    out = np.empty((size, dims.dim))
+    if n == 1:  # w = cos(pi U); the angle of e, pi (2V - 1), keeps cos and sin on (-pi, pi)
+        w, phi = rng.random((2, size))
+        w *= math.pi
+        np.cos(w, out=w)
+        out[:, 2] = w
+        rho = np.sqrt(np.sqrt((1.0 - w) * (1.0 + w)))  # sqrt(cos(theta))
+        phi -= 0.5
+        phi *= 2.0 * math.pi
+        np.multiply(rho, np.cos(phi), out=out[:, 0])
+        np.multiply(rho, np.sin(phi, out=phi), out=out[:, 1])
+        return out
+    direction = rng.standard_normal((size, 2 * n))
+    w = 2.0 * rng.beta(0.5 * n, 0.5 * n, size) - 1.0
+    out[:, 2 * n] = w
+    w *= -w
+    w += 1.0
+    scale = np.sqrt(w, out=w)  # cos(theta)
+    scale /= np.einsum("ij,ij->i", direction, direction)
+    np.multiply(direction, np.sqrt(scale, out=scale)[:, None], out=out[:, : 2 * n])
     return out
 
 

@@ -383,10 +383,11 @@ def _ball_diff_average(
     f, gf, spec: ProductSpec, radii, samples: int, seed: int
 ) -> Estimate:
     """Ball average of (g_f - f) over the polyball of the given radii, by a
-    defensive mixture: half the points uniform on the ball, half targeted at
-    the bump support.  The expectation is exactly zero and both the rare
-    bump mass and the spherical redistribution are sampled with bounded
-    weights, so the standard error is trustworthy."""
+    defensive mixture: half the points uniform on the ball, half drawn in
+    proportion to the bump envelope (`operators._support_sampler`).  The
+    expectation is exactly zero and both the rare bump mass and the
+    spherical redistribution are sampled with bounded weights, so the
+    standard error is trustworthy."""
     draw_b, bump_density = operators._support_sampler(f, spec)
     vol = polyball_volume(spec, radii)
 

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .funcs import BumpMixture, TestFunction, UnsupportedFamilyError, _json_floats
+from .funcs import (
+    BumpMixture,
+    TestFunction,
+    UnsupportedFamilyError,
+    _json_floats,
+    sample_bump_radii,
+)
 from .hgroup import (
     GroupDims,
     ProductSpec,
@@ -32,7 +38,7 @@ from .hgroup import (
     koranyi_norm,
     polyball_volume,
     sample_ball,
-    sample_unit_ball,
+    sample_unit_sphere,
 )
 from .measure import (
     Estimate,
@@ -486,34 +492,43 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
     `density(pts)` returns `(dens, values)` at arbitrary points, the density
     being zero off the proposal's support.
 
-    Bump mixtures are sampled from the union of their product balls (pick a
-    bump proportionally to its ball volume, then per factor dilate one
-    unit-ball sample by the chosen bump's radius and left-translate it to
-    its centre); the mixture density at a point only needs ball-membership
-    counts, which `BumpMixture.values_and_counts` returns with f from the
-    same distances, so the weights are exact and every sample lands where f
-    can be nonzero.  Anything else falls back to uniform sampling of the
-    support polyball; a function of unbounded support is refused."""
-    if isinstance(f, BumpMixture) and f.bumps:
-        vols = np.asarray([polyball_volume(spec, bump.radii) for bump in f.bumps])
-        total = float(vols.sum())
-        probs = vols / total
-
-        def density(pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-            values, count = f.values_and_counts(pts)
-            return count / total, values
-
+    A bump mixture f = sum_j c_j Psi_j is sampled in proportion to its
+    envelope sum_j |c_j| Psi_j (importance sampling; Owen, "Monte Carlo
+    theory, methods and examples", 2013, ch. 9): pick bump j with
+    probability proportional to its mass (`BumpMixture.bump_masses`), then
+    in each factor set x_i = c_ij o delta_{r_ij s}(sigma), with sigma on the
+    unit Koranyi sphere under its polar measure and s from the bump's radial
+    law (`funcs.sample_bump_radii`).  Then d(x_i, c_ij) = r_ij s, so x has
+    density envelope / mass, which `BumpMixture.values_and_envelope` returns
+    with f from the same distances.  The weight f / density is bounded by
+    the mass, and equals it (up to rounding) when no coefficient is
+    negative.  Anything else, a mixture of zero mass included, falls back to
+    uniform sampling of the support polyball; a function of unbounded
+    support is refused."""
+    masses = f.bump_masses() if isinstance(f, BumpMixture) else np.zeros(0)
+    total = float(masses.sum())
+    if total > 0.0:
+        cdf = np.cumsum(masses)
         centers = [np.stack([bump.centers[i] for bump in f.bumps]) for i in range(spec.m)]
         radii = [np.asarray([bump.radii[i] for bump in f.bumps]) for i in range(spec.m)]
 
+        def density(pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+            values, envelope = f.values_and_envelope(pts)
+            return np.divide(envelope, total, out=envelope), values
+
         def draw(rng: np.random.Generator, k: int):
-            choice = rng.choice(len(probs), size=k, p=probs)
-            pts = [
-                group_law(c[choice], dilate_arrays(r[choice], sample_unit_ball(dims, rng, k), dims.n))
-                for dims, c, r in zip(spec.factors, centers, radii)
-            ]
+            u = rng.random(k)
+            u *= cdf[-1]  # below cdf[-1], so no bump of zero mass is picked
+            choice = np.searchsorted(cdf, u, side="right")
+            pts = []
+            for dims, c, r in zip(spec.factors, centers, radii):
+                scale = sample_bump_radii(dims.Q, rng, k)
+                scale *= r[choice]
+                pts.append(group_law(c[choice], dilate_arrays(
+                    scale, sample_unit_sphere(dims, rng, k), dims.n)))
             dens, values = density(pts)
-            return pts, np.maximum(dens, 1.0 / total), values  # drawn points are inside
+            # an envelope that underflows to 0 has f = 0 there as well
+            return pts, np.maximum(dens, np.finfo(float).tiny, out=dens), values
 
         return draw, density
 

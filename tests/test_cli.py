@@ -115,6 +115,33 @@ class TestExitCodes:
         assert "bad --function" in err and message in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_zero_bump_mixture_is_refused(self, tmp_path, capsys):
+        # every coefficient 0: no bump can be drawn in proportion to |c|, and
+        # the run stops on the zero norm instead of dividing by it
+        bumps = tmp_path / "b.json"
+        bumps.write_text(json.dumps([{"centers": [[0.1, -0.2, 0.05]], "radii": [0.7],
+                                      "coefficient": 0.0}] * 2))
+        out = tmp_path / "r.json"
+        argv = ["fuzz", "--trials", "1", "--samples", "4000", "--function", f"bumps:{bumps}"]
+        assert run(argv + ["--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "zero norm: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_signed_bump_mixture_is_scored(self, tmp_path):
+        bumps = tmp_path / "b.json"
+        bumps.write_text(json.dumps([
+            {"centers": [[0.1, -0.2, 0.05]], "radii": [0.7], "coefficient": -1.0},
+            {"centers": [[-0.3, 0.2, 0.1]], "radii": [0.5], "coefficient": 0.5},
+        ]))
+        out = tmp_path / "r.json"
+        assert run(["fuzz", "--trials", "1", "--samples", "4000", "--function", f"bumps:{bumps}",
+                    "--format", "json", "--output", str(out)]) == 0
+        given = [r for r in json.loads(out.read_text())["rows"]
+                 if r["input"].startswith("given function")]
+        assert len(given) == 1 and given[0]["verdict"] == "PASS"
+        assert 0.0 < given[0]["estimate"] < 2.0 and given[0]["std_error"] > 0.0
+
     def test_weighted_sweep_refuses_a_table_weight(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"factors": [{"t": [0, 1], "values": [0, 1]}]}))

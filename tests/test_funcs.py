@@ -188,23 +188,27 @@ class TestRandomMixtures:
         outside = koranyi_norm(pts[0]) > S
         assert np.all(vals[outside] == 0.0)
 
-    def test_values_and_counts_match_a_per_bump_loop(self):
+    def test_values_and_envelope_match_a_per_bump_loop(self):
         rng = np.random.default_rng(14)
         f = BumpMixture(SPEC2, tuple(
             Bump(tuple(rng.normal(scale=0.2, size=(2, 3))), tuple(rng.uniform(0.5, 1.0, 2)), c)
             for c in (1.0, -0.5, 0.3)
         ))
         pts = [rng.normal(scale=0.8, size=(4_000, 3)) for _ in range(2)]
-        values, counts = f.values_and_counts(pts)
+        values, envelope = f.values_and_envelope(pts)
         loop = np.zeros(4_000)
+        overlap = np.zeros(4_000)
         for bump in f.bumps:
-            inside = np.ones(4_000, dtype=bool)
+            psi = np.ones(4_000)
             for center, radius, X in zip(bump.centers, bump.radii, pts):
-                inside &= distance(X, center) < radius
-            loop += inside
-        assert np.array_equal(counts, loop)
-        assert counts.max() >= 2  # the overlapping bumps are exercised
+                s = distance(X, center) / radius
+                psi *= _masked_bump_profile(s)
+            loop += abs(bump.coefficient) * psi
+            overlap += psi > 0
+        np.testing.assert_allclose(envelope, loop, rtol=1e-14, atol=0.0)
+        assert overlap.max() >= 2  # the overlapping bumps are exercised
         assert np.array_equal(values, f(pts))
+        assert np.all(np.abs(values) <= envelope) and np.any(np.abs(values) < envelope)
 
 
 def _masked_bump_profile(s):
@@ -229,6 +233,65 @@ class TestBumpProfile:
         out = funcs._bump_profile(np.array([0.25, np.nan, 4.0]))
         assert out[0] == _masked_bump_profile(np.array([0.5]))[0]
         assert np.isnan(out[1]) and out[2] == 0.0
+
+
+class TestBumpProposal:
+    """The law a bump mixture is sampled from: the radial law of one bump
+    and the envelope under which it is drawn."""
+
+    @pytest.mark.parametrize("Q", [4, 6])
+    def test_radial_law_matches_the_quadrature_cdf(self, Q):
+        from scipy.integrate import quad
+        from scipy.stats import kstest
+
+        def target(s):
+            return math.exp(-1.0 / (1.0 - s * s)) * s ** (Q - 1) if s < 1.0 else 0.0
+
+        M = quad(target, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert funcs._bump_radial_law(Q)[0] == pytest.approx(M, rel=1e-13)
+        s = funcs.sample_bump_radii(Q, np.random.default_rng(40 + Q), 20_000)
+        assert s.shape == (20_000,) and 0.0 < s.min() and s.max() < 1.0
+
+        def cdf(x):
+            return np.array([quad(target, 0.0, min(v, 1.0), epsabs=0.0, epsrel=1e-12)[0]
+                             for v in np.atleast_1d(x)]) / M
+
+        assert kstest(s, cdf).pvalue > 1e-3
+        # the mean and the second moment, against quadrature, at 4 sigma
+        for power in (1, 2):
+            want = quad(lambda v: v**power * target(v), 0.0, 1.0, epsrel=1e-12)[0] / M
+            se = np.std(s**power) / math.sqrt(s.size)
+            assert abs(np.mean(s**power) - want) < 4.0 * se
+
+    @pytest.mark.parametrize("Q", [4, 6, 8])
+    def test_envelope_bounds_the_target_on_every_cell(self, Q):
+        M, lower, width, height = funcs._bump_radial_law(Q)
+        # the cells tile [0, 1] and hold equal envelope mass
+        assert lower[0] == 0.0 and np.all(width > 0.0)
+        np.testing.assert_allclose(lower[1:], (lower + width)[:-1], rtol=0.0, atol=1e-15)
+        assert lower[-1] + width[-1] == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(height * width, M / funcs._RADIAL_CELLS, rtol=1e-12)
+        s = lower[:, None] + width[:, None] * np.linspace(0.0, 1.0, 2001)[None, :]
+        s = np.minimum(s, np.nextafter(1.0, 0.0))
+        target = funcs._radial_target(s.ravel(), Q).reshape(s.shape)
+        assert np.all(target <= height[:, None])
+        # tight: the envelope holds no more than 1/0.9 of the target's mass
+        assert np.sum(height * width) < M / 0.9
+
+    def test_masses_are_the_bump_integrals(self):
+        # |c| times the integral of the product profile, here by radial
+        # quadrature in each factor about the centre
+        from scipy.integrate import quad
+
+        bump = Bump((np.array([0.3, -0.1, 0.2]), np.array([0.0, 0.5, 0.0, 0.1, 0.0])),
+                    (0.6, 0.8), -0.7)
+        spec = ProductSpec.of_orders(1, 2)
+        f = BumpMixture(spec, (bump,))
+        want = 0.7
+        for d, r in zip(spec.factors, bump.radii):
+            want *= d.omega * quad(lambda t: math.exp(-1.0 / (1.0 - (t / r) ** 2)) * t ** (d.Q - 1)
+                                   if t < r else 0.0, 0.0, r, epsabs=0.0, epsrel=1e-12)[0]
+        assert f.bump_masses() == pytest.approx([want], rel=1e-11)
 
 
 class TestOnDilations:

@@ -385,3 +385,31 @@ class TestSamplers:
             s1, s2 = stat(xi), stat(ball)
             se = math.hypot(s1.std() / math.sqrt(k), s2.std() / math.sqrt(k))
             assert abs(s1.mean() - s2.mean()) < 3 * se
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sphere_matches_the_projected_ball(self, n):
+        # the direct polar draw against its definition, delta_{1/|x|}(x) for
+        # x uniform on the ball: quantiles of theta = asin(x_t) and of one
+        # horizontal coordinate agree within binomial error, and the sphere
+        # is hit to rounding at every n
+        from scipy.stats import ks_2samp
+
+        d = GroupDims(n)
+        k = 40_000
+        direct = sample_unit_sphere(d, np.random.default_rng(60 + n), size=k)
+        ball = sample_unit_ball(d, np.random.default_rng(70 + n), size=k)
+        norms = koranyi_norm(ball)
+        ball[:, : 2 * n] /= norms[:, None]
+        ball[:, 2 * n] /= norms**2
+        assert np.max(np.abs(koranyi_norm(direct) - 1.0)) < 1e-14
+        theta = [np.arcsin(a[:, 2 * n]) for a in (direct, ball)]
+        probs = np.linspace(0.05, 0.95, 19)
+        q_direct, q_ball = (np.quantile(t, probs) for t in theta)
+        # each quantile of the other sample sits at its probability within
+        # 4 binomial sigmas of both samples together
+        got = np.searchsorted(np.sort(theta[0]), q_ball) / k
+        assert np.all(np.abs(got - probs) < 4.0 * np.sqrt(2.0 * probs * (1 - probs) / k))
+        if n == 1:  # theta is uniform on (-pi/2, pi/2)
+            assert np.allclose(q_direct, np.pi * (probs - 0.5), atol=4.0 * np.pi / math.sqrt(k))
+        for j in (0, 2 * n - 1):
+            assert ks_2samp(direct[:, j], ball[:, j]).pvalue > 1e-3

@@ -156,19 +156,35 @@ class TestRadialization:
         # uniform half is evaluated, so f sees every sample exactly once
         f = random_bump_mixture(SPEC1, np.random.default_rng(5), center_radius=0.3)
         rows = []
-        original = BumpMixture.values_and_counts
+        original = BumpMixture.values_and_envelope
 
         def counting(self, pts):
             rows.append(pts[0].shape[0])
             return original(self, pts)
 
-        monkeypatch.setattr(BumpMixture, "values_and_counts", counting)
+        monkeypatch.setattr(BumpMixture, "values_and_envelope", counting)
         est = lab._ball_diff_average(f, lambda pts: np.zeros(pts[0].shape[0]), SPEC1, (1.2,),
                                      16_000, 3)
         assert rows == [4096, 4096, 3904, 3904] and est.samples == 16_000
 
 
 class TestDuality:
+    def test_pair_z_scores_are_calibrated(self):
+        # 200 bump-pair z-scores at smoke size (seeds 0-9, fixed in advance
+        # like the bounds): mean 0 and sd 1 within about 3 of their standard
+        # errors (0.07 and 0.05 for 200 normal scores), and no more than 3
+        # beyond 3 sigma, where 0.54 are expected
+        z = []
+        for seed in range(10):
+            rep = lab.duality_check(MonomialWeight((4.0,)), 2.0, SPEC1,
+                                    pairs=20, samples=2_000, seed=seed)
+            z += [r.deviation / r.std_error for r in rep.rows if r.input.startswith("bump pair=")]
+        z = np.asarray(z)
+        assert z.size == 200
+        assert abs(z.mean()) <= 0.25
+        assert 0.85 <= z.std(ddof=1) <= 1.15
+        assert np.count_nonzero(np.abs(z) > 3.0) <= 3
+
     def test_indicator_and_pairs(self):
         rep = lab.duality_check(MonomialWeight((4.0,)), 2.0, SPEC1,
                                 pairs=4, samples=15_000, seed=6)

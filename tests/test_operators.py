@@ -15,7 +15,7 @@ from hardylab.funcs import (
     PowerOutside,
     random_bump_mixture,
 )
-from hardylab.hgroup import GroupDims, ProductSpec, dilate_arrays, koranyi_norm
+from hardylab.hgroup import GroupDims, ProductSpec, dilate_arrays, distance, koranyi_norm
 from hardylab.measure import TAG_NESTED, chunked_mean, substream
 
 SPEC1 = ProductSpec.of_orders(1)
@@ -240,6 +240,60 @@ class TestNormQuotient:
         with pytest.raises(ops.UnboundedOperatorError):
             ops.norm_quotient(f, 2.0, SPEC1, operator="weighted-hardy",
                               phi=ops.MonomialWeight((0.0,)), method="radial")
+
+
+class TestSupportSampler:
+    """Bump mixtures are drawn in proportion to sum_j |c_j| Psi_j."""
+
+    SIGNED = BumpMixture(SPEC2, (
+        Bump((np.array([0.1, -0.2, 0.05]), np.array([0.0, 0.3, -0.1])), (0.7, 0.5), 1.0),
+        Bump((np.array([-0.3, 0.2, 0.1]), np.array([0.2, 0.0, 0.0])), (0.5, 0.9), -0.6),
+        Bump((np.array([0.0, 0.0, 0.4]), np.array([0.0, 0.1, 0.0])), (0.4, 0.4), 0.0),
+    ))
+
+    def test_weights_are_bounded_by_the_mass(self):
+        f = self.SIGNED
+        draw, density = ops._support_sampler(f, SPEC2)
+        mass = f.bump_masses().sum()
+        pts, dens, fv = draw(substream(3, 1), 20_000)
+        w = fv / dens
+        assert np.all(np.abs(w) <= mass * (1.0 + 1e-14))
+        assert w.min() < 0.0 < w.max()
+        # the draw's density and values are those of `density` at its points
+        d2, f2 = density(pts)
+        assert np.array_equal(dens, d2) and np.array_equal(fv, f2)
+        # every point lies in a bump with a nonzero coefficient
+        inside = np.zeros(20_000, dtype=bool)
+        for bump in f.bumps[:2]:
+            inside |= np.all([distance(X, c) < r for X, c, r in zip(pts, bump.centers, bump.radii)],
+                             axis=0)
+        assert inside.all()
+
+    def test_weights_equal_the_mass_without_negative_coefficients(self):
+        f = random_bump_mixture(SPEC2, substream(4, 1))
+        draw, _ = ops._support_sampler(f, SPEC2)
+        pts, dens, fv = draw(substream(4, 2), 10_000)
+        np.testing.assert_allclose(fv / dens, f.bump_masses().sum(), rtol=1e-14, atol=0.0)
+
+    def test_integral_of_f_is_unbiased(self):
+        # E_q[f / q] is the integral of f, sum_j c_j mass_j / |c_j|
+        f = self.SIGNED
+        draw, _ = ops._support_sampler(f, SPEC2)
+        masses = f.bump_masses()
+        want = sum(b.coefficient * m / abs(b.coefficient)
+                   for b, m in zip(f.bumps, masses) if b.coefficient)
+
+        def weights(rng, k):
+            _, dens, fv = draw(rng, k)
+            return fv / dens
+
+        est = chunked_mean(weights, 40_000, 5, TAG_NESTED)
+        assert abs(est.value - want) < 4.0 * est.std_error
+
+    def test_zero_mass_falls_back_to_the_support_polyball(self):
+        zero = BumpMixture(SPEC1, (Bump((np.zeros(3),), (0.5,), 0.0),))
+        pts, dens, fv = ops._support_sampler(zero, SPEC1)[0](substream(6, 1), 100)
+        assert np.all(fv == 0.0) and np.all(dens == dens[0]) and dens[0] > 0.0
 
 
 class TestPairings:
