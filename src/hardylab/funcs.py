@@ -7,7 +7,8 @@ fuzzing surface).  Each function evaluates vectorized batches of per-factor
 coordinate arrays, one row per point, and knows its own support and, where
 available, its exact L^p norm and radial profiles.  The operators' dilation
 integrals evaluate f on grids of dilations through `TestFunction.on_dilations`,
-which bump mixtures answer without forming the dilated points.
+which bump mixtures answer without forming the dilated points, in grids of
+the chunk's `GridWorkspace`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ import numpy as np
 
 from . import hgroup
 from .hgroup import ProductSpec, dilate_arrays, koranyi_norm
-from .measure import TAG_RADIALIZE, UnsupportedFamilyError, integrate_1d, substream
+from .measure import (
+    TAG_RADIALIZE,
+    GridWorkspace,
+    UnsupportedFamilyError,
+    integrate_1d,
+    substream,
+)
 
 __all__ = [
     "TestFunction",
@@ -40,10 +47,11 @@ __all__ = [
 
 class TestFunction:
     """Base class: f(pts) maps per-factor batches pts[i] of shape
-    (N, 2n_i+1) to shape (N,).  f.on_dilations(pts, scales), with pts[i] of
-    shape (k, 2n_i+1) and scales[i] broadcasting against (k, K), is the
+    (N, 2n_i+1) to shape (N,).  f.on_dilations(pts, scales, ws), with pts[i]
+    of shape (k, 2n_i+1) and scales[i] broadcasting against (k, K), is the
     (k, K) grid of f(delta_{s_1} x_1, ..., delta_{s_m} x_m) at
-    x_i = pts[i][a], s_i = scales[i][a, b]."""
+    x_i = pts[i][a], s_i = scales[i][a, b], written into a grid of the
+    workspace ws, which the caller may overwrite."""
 
     spec: ProductSpec
     family: str = "generic"
@@ -51,11 +59,13 @@ class TestFunction:
     def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
-    def on_dilations(self, pts: list[np.ndarray], scales) -> np.ndarray:
+    def on_dilations(self, pts: list[np.ndarray], scales, ws: GridWorkspace) -> np.ndarray:
         grid = np.broadcast_shapes((pts[0].shape[0], 1), *(np.shape(s) for s in scales))
         flat = [dilate_arrays(np.broadcast_to(s, grid), X[:, None, :], d.n).reshape(-1, d.dim)
                 for d, s, X in zip(self.spec.factors, scales, pts)]
-        return np.asarray(self(flat), dtype=float).reshape(grid)
+        out = ws.grid(grid)
+        out[...] = np.reshape(self(flat), grid)
+        return out
 
     def support_radii(self) -> tuple[float, ...]:
         """Per-factor radius S_i with f = 0 outside the polyball of those radii."""
@@ -74,19 +84,21 @@ def _radii_of(pts: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _power_product(radii: list[np.ndarray], exponents, keep) -> np.ndarray:
-    """prod_i r_i^(e_i) where keep(r_i) holds in every factor, else 0; the
-    radius arrays broadcast against each other."""
-    radii = np.broadcast_arrays(*radii)
-    mask = np.ones_like(radii[0], dtype=bool)
-    for r in radii:
+    """prod_i r_i^(e_i) where keep(r_i) holds in every factor, else 0, in
+    place on the radius arrays, which share one shape: the result is
+    radii[0]."""
+    mask = keep(radii[0])
+    for r in radii[1:]:
         mask &= keep(r)
-    out = np.zeros_like(radii[0], dtype=float)
-    if mask.any():
-        acc = np.ones(int(mask.sum()))
-        with np.errstate(divide="ignore"):  # r = 0 under a negative power
-            for r, e in zip(radii, exponents):
-                acc = acc * r[mask] ** e
-        out[mask] = acc
+    out = radii[0]
+    # r = 0 under a negative power gives inf; off the region, where the
+    # mask then sets 0, a power may also overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out **= exponents[0]
+        for r, e in zip(radii[1:], exponents[1:]):
+            r **= e
+            out *= r
+    np.copyto(out, 0.0, where=np.logical_not(mask, out=mask))
     return out
 
 
@@ -96,13 +108,15 @@ class _PowerFamily(TestFunction):
     s |x|_h."""
 
     def _of_radii(self, radii: list[np.ndarray]) -> np.ndarray:
+        """f from the radius arrays, in place on them."""
         raise NotImplementedError
 
     def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
         return self._of_radii(_radii_of(pts))
 
-    def on_dilations(self, pts: list[np.ndarray], scales) -> np.ndarray:
-        return self._of_radii([r[:, None] * np.asarray(s, dtype=float)
+    def on_dilations(self, pts: list[np.ndarray], scales, ws: GridWorkspace) -> np.ndarray:
+        grid = np.broadcast_shapes((pts[0].shape[0], 1), *(np.shape(s) for s in scales))
+        return self._of_radii([np.multiply(r[:, None], s, out=ws.grid(grid))
                                for r, s in zip(_radii_of(pts), scales)])
 
 
@@ -341,22 +355,28 @@ class BumpMixture(TestFunction):
             for bump in self.bumps
         ], dtype=float)
 
-    def on_dilations(self, pts: list[np.ndarray], scales) -> np.ndarray:
+    def on_dilations(self, pts: list[np.ndarray], scales, ws: GridWorkspace) -> np.ndarray:
         """`TestFunction.on_dilations`, one `squared_distance_on_dilations`
         per bump and factor.  Dilating x and the centre by 1/radius scales
         the distance by 1/radius, so the kernel returns u = (d/radius)^2
-        from k-row inputs and the grid is never divided."""
+        from k-row inputs and the grid is never divided.  The kernel's grids
+        turn over three workspace grids (two at m = 1), so that a factor's
+        H and V never land on the bump's product so far."""
         grid = np.broadcast_shapes((pts[0].shape[0], 1), *(np.shape(s) for s in scales))
-        total = np.zeros(grid)
-        for bump in self.bumps:
-            acc = bump.coefficient
-            for dims, center, radius, X, s in zip(self.spec.factors, bump.centers, bump.radii,
-                                                  pts, scales):
-                u = hgroup.squared_distance_on_dilations(
-                    dilate_arrays(1.0 / radius, X, dims.n), s,
-                    dilate_arrays(1.0 / radius, center, dims.n))
-                acc = np.multiply(_bump_profile(u), acc, out=u)
-            total += acc
+        total = ws.grid(grid)
+        total.fill(0.0)
+        with ws.scope():
+            bufs = [ws.grid(grid) for _ in range(min(self.spec.m + 1, 3))]
+            for bump in self.bumps:
+                acc = bump.coefficient
+                for i, (dims, center, radius, X, s) in enumerate(zip(
+                        self.spec.factors, bump.centers, bump.radii, pts, scales)):
+                    u = hgroup.squared_distance_on_dilations(
+                        dilate_arrays(1.0 / radius, X, dims.n), s,
+                        dilate_arrays(1.0 / radius, center, dims.n),
+                        bufs[i % len(bufs)], bufs[(i + 1) % len(bufs)])
+                    acc = np.multiply(_bump_profile(u), acc, out=u)
+                total += acc
         return total
 
     def support_radii(self) -> tuple[float, ...]:

@@ -197,9 +197,11 @@ def distance(p, q):
     return float(val) if val.ndim == 0 else val
 
 
-def squared_distance_on_dilations(x: np.ndarray, s, q: np.ndarray) -> np.ndarray:
+def squared_distance_on_dilations(x: np.ndarray, s, q: np.ndarray, h: np.ndarray,
+                                  v: np.ndarray) -> np.ndarray:
     """d(delta_s x, q)^2 for x of shape (k, 2n+1), s broadcasting against
-    (k, K) and one point q, from per-point quadratics in s.
+    (k, K) and one point q, from per-point quadratics in s, formed in the
+    caller's (k, K) grids h (which it returns) and v.
 
     With A = |x_h|^2, B = x_h . q_h and U = x_h . (2 J q) computed once per
     point, the horizontal part of q^{-1} o delta_s x has squared length
@@ -208,19 +210,20 @@ def squared_distance_on_dilations(x: np.ndarray, s, q: np.ndarray) -> np.ndarray
     d^2 = sqrt(H^2 + V^2).  Every term of H and V is at most
     M = (s |x|_h + |q|_h)^2, so cancellation leaves an absolute error of a
     few ulp of M; unlike `distance`, the grid does not give an exact 0 where
-    delta_s x = q.  The grid buffers belong to the call, so threads may call
-    it at once."""
+    delta_s x = q.  The kernel writes nothing but h and v, so threads that
+    pass grids of their own (a chunk's `measure.GridWorkspace`) may call it
+    at once."""
     n = _coerce(x)[1]
     xh, qh = x[:, : 2 * n], q[: 2 * n]
     jq = 2.0 * np.concatenate([-q[n : 2 * n], q[:n]])
     a = np.einsum("ij,ij->i", xh, xh)[:, None]
     b2 = 2.0 * (xh @ qh)[:, None]
     u = (xh @ jq)[:, None]
-    h = a * s  # H and V are formed in place, two grid buffers in all
+    np.multiply(a, s, out=h)
     h -= b2
     h *= s
     h += qh @ qh
-    v = x[:, 2 * n, None] * s
+    np.multiply(x[:, 2 * n, None], s, out=v)
     v += u
     v *= s
     v -= q[2 * n]

@@ -10,8 +10,10 @@ for any worker count or scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,6 +29,8 @@ __all__ = [
     "IntegrandError",
     "substream",
     "subseed",
+    "GridWorkspace",
+    "grid_workspace",
     "mc_integrate",
     "integrate_1d",
     "nodewise",
@@ -166,6 +170,60 @@ def _ordered_map(fn, count: int, workers: int = 1) -> list:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, range(count)))
     return [fn(k) for k in range(count)]
+
+
+class GridWorkspace:
+    """Float grids for the draws of one Monte Carlo chunk, kept from chunk to
+    chunk by `grid_workspace`.
+
+    Grids are taken in stack order: `grid(shape)` hands out the next buffer
+    as a C-contiguous array of that shape, and `scope()` gives back, on exit,
+    the grids taken inside it.  A buffer keeps the size of the largest grid
+    it has held, so the shorter last chunk takes the front of it; a larger
+    grid replaces it."""
+
+    def __init__(self) -> None:
+        self._buffers: list[np.ndarray] = []
+        self._taken = 0
+
+    def grid(self, shape) -> np.ndarray:
+        size = math.prod(shape)
+        if self._taken == len(self._buffers):
+            self._buffers.append(np.empty(size))
+        elif self._buffers[self._taken].size < size:
+            self._buffers[self._taken] = np.empty(size)
+        self._taken += 1
+        return self._buffers[self._taken - 1][:size].reshape(shape)
+
+    @contextlib.contextmanager
+    def scope(self):
+        taken = self._taken
+        try:
+            yield
+        finally:
+            self._taken = taken
+
+
+_idle_workspaces: list[GridWorkspace] = []
+_idle_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def grid_workspace():
+    """A `GridWorkspace` for one chunk: an idle one, or a new one when all
+    are in use, handed back with its grids when the chunk ends.  Grid memory
+    freed at the end of a chunk would go back to the system and be faulted
+    in again by the next; here it stays, in at most one workspace per chunk
+    run at once, that is per worker thread.  The list is process-wide
+    because `_ordered_map` starts new threads for every call."""
+    with _idle_lock:
+        ws = _idle_workspaces.pop() if _idle_workspaces else GridWorkspace()
+    try:
+        with ws.scope():
+            yield ws
+    finally:
+        with _idle_lock:
+            _idle_workspaces.append(ws)
 
 
 def chunked_mean(

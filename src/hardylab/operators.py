@@ -42,11 +42,13 @@ from .hgroup import (
 )
 from .measure import (
     Estimate,
+    GridWorkspace,
     IntegrationError,
     TAG_COMPACT,
     TAG_NESTED,
     _ordered_map,
     chunked_mean,
+    grid_workspace,
     integrate_1d,
     lp_norm,
     mc_integrate,
@@ -75,7 +77,7 @@ class UnboundedOperatorError(ValueError):
 
 class Weight:
     """Nonnegative product weight prod_i phi_i(t_i) on [0,1]^m, one vectorized
-    1-D profile per factor; callable on (N, m) arrays."""
+    1-D profile per factor; called on one array of t_i per factor."""
 
     profiles: tuple
     label: str = "general"
@@ -88,10 +90,18 @@ class Weight:
     def is_monomial(self) -> bool:
         return False
 
-    def __call__(self, T: np.ndarray) -> np.ndarray:
-        out = np.ones(T.shape[0])
-        for i, phi_i in enumerate(self.profiles):
-            out = out * phi_i(T[:, i])
+    def __call__(self, ts: list[np.ndarray], ws: GridWorkspace) -> np.ndarray:
+        """phi at the arrays ts[i], which share one shape, factor by factor
+        into a grid of ws; each later factor is formed in a second grid."""
+        out = self._factor(0, ts[0], ws.grid(np.shape(ts[0])))
+        for i in range(1, self.m):
+            with ws.scope():
+                out *= self._factor(i, ts[i], ws.grid(out.shape))
+        return out
+
+    def _factor(self, i: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """phi_i(t) into out."""
+        out[...] = self.profiles[i](t)
         return out
 
 
@@ -113,6 +123,11 @@ class MonomialWeight(Weight):
     @property
     def label(self) -> str:
         return "monomial:" + ",".join(f"{a:g}" for a in self.exponents)
+
+    def _factor(self, i: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, t)
+        out **= self.exponents[i]  # in place, the same loop as t ** a
+        return out
 
     @property
     def is_monomial(self) -> bool:
@@ -561,10 +576,12 @@ def pairing_weighted_hardy(
     Intended for smooth g (bumps) or cases where the t-integrand is smooth."""
     S, W = _tensor_nodes(spec.m)
     sampler, _ = _support_sampler(f, spec)
+    w_phi = W * phi(list(S.T), GridWorkspace())
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         pts, dens, fvals = sampler(rng, k)
-        pg = g.on_dilations(pts, list(S.T)) @ (W * phi(S))
+        with grid_workspace() as ws:
+            pg = g.on_dilations(pts, list(S.T), ws) @ w_phi
         return fvals * pg / dens
 
     return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)
@@ -582,7 +599,9 @@ def pairing_weighted_cesaro(
 ) -> Estimate:
     """<g, P*_phi f>: Monte Carlo over the support of g; at each sample the
     t-integral is taken on the per-point support window [ |x_i|/S_i, 1 ] with
-    affine-mapped Gauss-Legendre nodes, which keeps indicator-type f exact."""
+    affine-mapped Gauss-Legendre nodes, which keeps indicator-type f exact.
+    The (k, K) grids of t, t^Q, phi(t) and the inverse scales 1/t (formed in
+    place of t) are the chunk's workspace grids."""
     S, W = _tensor_nodes(spec.m)
     _require_bounded(phi, p, spec, "cesaro")
     sup = f.support_radii()
@@ -590,25 +609,29 @@ def pairing_weighted_cesaro(
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         pts, dens, gvals = sampler(rng, k)
-        t_nodes = []
-        jac = np.ones(k)  # the affine map's Jacobian is constant along each point's nodes
-        tq = 1.0  # prod_i t_i^Q_i, by multiplication: Q = 2(n+1)
-        for i, dims in enumerate(spec.factors):
-            r = koranyi_norm(pts[i])
-            lo = np.minimum(r / sup[i], 1.0)
-            t = (1.0 - lo)[:, None] * S[None, :, i]  # (k, K)
-            t += lo[:, None]
-            np.maximum(t, 1e-300, out=t)
-            jac *= 1.0 - lo
-            t2 = t * t
-            tq = tq * t2
-            for _ in range(dims.n):
-                tq *= t2
-            t_nodes.append(t)
-        T = np.stack([t.reshape(-1) for t in t_nodes], axis=1)
-        integrand = f.on_dilations(pts, [1.0 / t for t in t_nodes])
-        integrand *= phi(T).reshape(integrand.shape)
-        integrand /= tq
-        return gvals * ((integrand @ W) * jac) / dens
+        with grid_workspace() as ws:
+            grid = (k, S.shape[0])
+            t_nodes = []
+            jac = np.ones(k)  # the affine map's Jacobian is constant along each point's nodes
+            tq = ws.grid(grid)  # prod_i t_i^Q_i, by multiplication: Q = 2(n+1)
+            tq.fill(1.0)
+            for i, dims in enumerate(spec.factors):
+                r = koranyi_norm(pts[i])
+                lo = np.minimum(r / sup[i], 1.0)
+                t = np.multiply((1.0 - lo)[:, None], S[None, :, i], out=ws.grid(grid))
+                t += lo[:, None]
+                np.maximum(t, 1e-300, out=t)
+                jac *= 1.0 - lo
+                with ws.scope():
+                    t2 = np.multiply(t, t, out=ws.grid(grid))
+                    for _ in range(dims.n + 1):
+                        tq *= t2
+                t_nodes.append(t)
+            phi_t = phi(t_nodes, ws)
+            scales = [np.divide(1.0, t, out=t) for t in t_nodes]
+            integrand = f.on_dilations(pts, scales, ws)
+            integrand *= phi_t
+            integrand /= tq
+            return gvals * ((integrand @ W) * jac) / dens
 
     return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)

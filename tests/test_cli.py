@@ -300,6 +300,20 @@ class TestArtifacts:
         assert run(base + ["--workers", "2", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_cesaro_duality_keeps_its_bytes_after_larger_grids(self, tmp_path):
+        # the pairings keep their grid buffers from call to call: the last
+        # m = 1 run takes the front of buffers grown for m = 2, on three threads
+        reports = []
+        for factors, weight, pairs, samples in (("1", "monomial:4", "2", "5000"),
+                                                ("1,1", "monomial:4,4", "1", "2500"),
+                                                ("1", "monomial:4", "2", "5000")):
+            out = tmp_path / f"run{len(reports)}.json"
+            assert run(["cesaro-duality", "--factors", factors, "--weight", weight,
+                        "--pairs", pairs, "--samples", samples, "--seed", "7", "--workers", "3",
+                        "--format", "json", "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[2]
+
     def test_radialize_check_runs_the_samples_it_is_given(self, tmp_path):
         out = tmp_path / "r.json"
         base = ["radialize-check", "--trials", "1", "--seed", "3", "--output", str(out)]

@@ -17,7 +17,7 @@ from hardylab.funcs import (
 )
 from hardylab import funcs
 from hardylab.hgroup import ProductSpec, dilate_arrays, distance, koranyi_norm
-from hardylab.measure import lp_norm
+from hardylab.measure import GridWorkspace, lp_norm
 
 SPEC1 = ProductSpec.of_orders(1)
 SPEC2 = ProductSpec.of_orders(1, 1)
@@ -304,8 +304,8 @@ class TestOnDilations:
         pts = [rng.normal(scale=0.4, size=(k, d.dim)) for d in spec.factors]
         for shape in ((K,), (k, K)):
             scales = [rng.uniform(0.05, 2.0, shape) for _ in spec.factors]
-            fused = f.on_dilations(pts, scales)
-            base = funcs.TestFunction.on_dilations(f, pts, scales)
+            fused = f.on_dilations(pts, scales, GridWorkspace())
+            base = funcs.TestFunction.on_dilations(f, pts, scales, GridWorkspace())
             assert fused.shape == base.shape == (k, K)
             assert np.count_nonzero(base) > k  # the grid meets the bumps
             assert np.max(np.abs(fused - base)) <= 1e-13 * np.max(np.abs(base))
@@ -321,7 +321,7 @@ class TestOnDilations:
         # row 0 meets the first bump; row 1 dilates to (3s, 0, 0), at
         # horizontal distance above 2.4 from both centres for s >= 1
         pts = [np.array([[0.1, -0.2, 0.05], [3.0, 0.0, 0.0]])]
-        got = self.TWO_BUMPS.on_dilations(pts, [np.linspace(1.0, 2.0, 5)])
+        got = self.TWO_BUMPS.on_dilations(pts, [np.linspace(1.0, 2.0, 5)], GridWorkspace())
         assert got[0, 0] > 0.0
         assert np.all(got[1] == 0.0)
 
@@ -330,13 +330,13 @@ class TestOnDilations:
         # coefficient * e^-1, and the second centre is 0.57 away, beyond its radius 0.5
         c = self.TWO_BUMPS.bumps[0].centers[0]
         pts = [dilate_arrays(0.5, c, 1)[None, :]]
-        got = self.TWO_BUMPS.on_dilations(pts, [np.array([2.0])])
+        got = self.TWO_BUMPS.on_dilations(pts, [np.array([2.0])], GridWorkspace())
         assert got[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_empty_mixture_grid_is_zero(self):
         f = BumpMixture(SPEC2, ())
         pts = [np.ones((4, 3)), np.ones((4, 3))]
-        got = f.on_dilations(pts, [np.linspace(0.1, 1.0, 5), np.ones((4, 5))])
+        got = f.on_dilations(pts, [np.linspace(0.1, 1.0, 5), np.ones((4, 5))], GridWorkspace())
         assert got.shape == (4, 5) and not got.any()
 
     @pytest.mark.parametrize("spec", [SPEC1, ProductSpec.of_orders(1, 2)])
@@ -349,7 +349,7 @@ class TestOnDilations:
         scales = [rng.uniform(0.1, 2.0, K), rng.uniform(0.1, 2.0, (k, K))][: spec.m]
         for f, sc in ((PowerInside.extremal(spec, 2.0, 0.4), scales),
                       (PowerOutside.extremal(spec, 2.0, 0.4), [1.0 / s for s in scales])):
-            got = funcs.TestFunction.on_dilations(f, pts, sc)
+            got = funcs.TestFunction.on_dilations(f, pts, sc, GridWorkspace())
             assert got.shape == (k, K)
             assert np.count_nonzero(got[:, [0, K - 1]]) > 0
             for a in range(k):
@@ -370,8 +370,8 @@ class TestOnDilations:
         for f, sc in ((PowerInside.extremal(spec, 2.0, 0.4), scales),
                       (PowerInside(spec, (0.0,) * spec.m), scales),
                       (PowerOutside.extremal(spec, 2.0, 0.4), [1.0 / s for s in scales])):
-            got = f.on_dilations(pts, sc)
-            want = funcs.TestFunction.on_dilations(f, pts, sc)
+            got = f.on_dilations(pts, sc, GridWorkspace())
+            want = funcs.TestFunction.on_dilations(f, pts, sc, GridWorkspace())
             assert got.shape == want.shape == (k, K)
             assert np.count_nonzero(want) > k and np.array_equal(got == 0.0, want == 0.0)
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

@@ -256,7 +256,7 @@ class TestDistanceOnDilations:
         k = x.shape[0]
         grid = np.broadcast_shapes((k, 1), np.shape(s))
         scales = np.broadcast_to(s, grid)
-        got = squared_distance_on_dilations(x, s, q)
+        got = squared_distance_on_dilations(x, s, q, np.empty(grid), np.empty(grid))
         assert got.shape == grid
         exact = np.array([[_exact_squared_distance_on_dilation(x[a], scales[a, b], q, n)
                            for b in range(grid[1])] for a in range(k)])

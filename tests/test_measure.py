@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -6,12 +8,15 @@ from scipy.integrate import quad
 
 from hardylab.funcs import PowerInside, PowerOutside, RadialProduct
 from hardylab.hgroup import GroupDims, ProductSpec, koranyi_norm
+from hardylab import measure
 from hardylab.measure import (
     ROUNDING_ULPS,
     Estimate,
+    GridWorkspace,
     IntegrandError,
     IntegrationError,
     chunked_mean,
+    grid_workspace,
     integrate_1d,
     lp_norm,
     mc_integrate,
@@ -256,6 +261,55 @@ class TestChunkedMean:
         a = chunked_mean(draw, 150_000, seed=4, tag=11, workers=1, chunk_size=40_000)
         b = chunked_mean(draw, 150_000, seed=4, tag=11, workers=3, chunk_size=40_000)
         assert a == b
+
+
+class TestGridWorkspace:
+    def test_grids_are_taken_in_stack_order(self):
+        ws = GridWorkspace()
+        a = ws.grid((4, 3))
+        with ws.scope():
+            b = ws.grid((4, 3))
+        assert not np.shares_memory(a, b)
+        with ws.scope():
+            assert np.shares_memory(ws.grid((4, 3)), b)  # b was given back
+
+    def test_a_smaller_grid_takes_the_front_and_a_larger_replaces(self):
+        ws = GridWorkspace()
+        with ws.scope():
+            big = ws.grid((4, 3))
+        with ws.scope():
+            small = ws.grid((2, 3))
+            assert small.flags.c_contiguous and small.base is big.base
+            assert small.__array_interface__["data"] == big.__array_interface__["data"]
+        with ws.scope():
+            assert ws.grid((5, 3)).shape == (5, 3)
+            assert not np.shares_memory(ws.grid((4, 3)), big)  # the next buffer is new
+
+    def test_concurrent_chunks_never_share_a_workspace(self, monkeypatch):
+        # more threads than cores and a short switch interval: a workspace
+        # handed to two chunks at once would mix their grids
+        monkeypatch.setattr(measure, "_idle_workspaces", [])
+        with grid_workspace() as first:
+            pass
+        with grid_workspace() as again:
+            assert again is first  # handed back when the chunk ended
+
+        def draw(rng, k):
+            with grid_workspace() as ws:
+                grid = ws.grid((k, 4))
+                grid[...] = rng.random((k, 1))
+                time.sleep(0)  # let another chunk run between the write and the read
+                return grid.sum(axis=1)
+
+        want = chunked_mean(draw, 64 * 40, 1, TAG_EXPERIMENT, workers=1, chunk_size=64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = chunked_mean(draw, 64 * 40, 1, TAG_EXPERIMENT, workers=6, chunk_size=64)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert 1 <= len(measure._idle_workspaces) <= 6
 
 
 class TestWithin:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hardylab.funcs import (
     random_bump_mixture,
 )
 from hardylab.hgroup import GroupDims, ProductSpec, dilate_arrays, distance, koranyi_norm
-from hardylab.measure import TAG_NESTED, chunked_mean, substream
+from hardylab.measure import TAG_NESTED, GridWorkspace, chunked_mean, substream
 
 SPEC1 = ProductSpec.of_orders(1)
 SPEC2 = ProductSpec.of_orders(1, 1)
@@ -329,7 +330,8 @@ class TestPairings:
 
         def hardy(rng, k):
             pts, dens, fvals = ops._support_sampler(f, spec)[0](rng, k)
-            return fvals * (funcs.TestFunction.on_dilations(g, pts, list(S.T)) @ (W * phi(S))) / dens
+            grid = funcs.TestFunction.on_dilations(g, pts, list(S.T), GridWorkspace())
+            return fvals * (grid @ (W * np.prod(S**4.0, axis=1))) / dens
 
         def cesaro(rng, k):
             pts, dens, gvals = ops._support_sampler(g, spec)[0](rng, k)
@@ -341,17 +343,44 @@ class TestPairings:
                 jac *= (1.0 - lo)[:, None]
                 kern /= t**dims.Q
                 t_nodes.append(t)
-            phivals = phi(np.stack([t.reshape(-1) for t in t_nodes], axis=1)).reshape(k, K)
-            fvals = funcs.TestFunction.on_dilations(f, pts, [1.0 / t for t in t_nodes])
+            phivals = np.prod([t**4.0 for t in t_nodes], axis=0)
+            fvals = funcs.TestFunction.on_dilations(f, pts, [1.0 / t for t in t_nodes], GridWorkspace())
             return gvals * ((fvals * phivals * kern * jac) @ W) / dens
 
-        for got, draw, seed in (
-            (ops.pairing_weighted_hardy(f, g, phi, spec, samples=4096, seed=5), hardy, 5),
-            (ops.pairing_weighted_cesaro(g, f, phi, spec, p=2.0, samples=4096, seed=6), cesaro, 6),
-        ):
-            ref = chunked_mean(draw, 4096, seed, TAG_NESTED, chunk_size=2048)
-            assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
-            assert got.std_error == pytest.approx(ref.std_error, rel=1e-10, abs=0.0)
+        # full chunks; a partial last chunk (5000 = 2 * 2048 + 904), which
+        # takes the front of the workspace grids; the same on two threads
+        for samples, workers in ((4096, 1), (5000, 1), (5000, 2)):
+            for pairing, draw, seed in (
+                (lambda: ops.pairing_weighted_hardy(f, g, phi, spec, samples, 5, workers), hardy, 5),
+                (lambda: ops.pairing_weighted_cesaro(g, f, phi, spec, 2.0, samples, 6, workers),
+                 cesaro, 6),
+            ):
+                got = pairing()
+                ref = chunked_mean(draw, samples, seed, TAG_NESTED, chunk_size=2048)
+                assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+                assert got.std_error == pytest.approx(ref.std_error, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2])
+    def test_pairings_allocate_no_grids_once_warm(self, spec):
+        # the first call fills the workspace; later calls form every (k, K)
+        # grid in it, so their traced peak stays below two m = 1 grids
+        # (2 * 2048 * 32 * 8 bytes = 1 MB; an m = 2 grid is 6.5 MB)
+        rng = substream(7, 1)
+        f = random_bump_mixture(spec, rng, max_bumps=2, radius_range=(0.5, 1.0), center_radius=0.3)
+        g = random_bump_mixture(spec, rng, max_bumps=2, radius_range=(0.5, 1.0), center_radius=0.3)
+        phi = ops.MonomialWeight((4.0,) * spec.m)
+        calls = (lambda: ops.pairing_weighted_hardy(f, g, phi, spec, samples=4096, seed=5),
+                 lambda: ops.pairing_weighted_cesaro(g, f, phi, spec, p=2.0, samples=4096, seed=6))
+        for call in calls:
+            call()
+        tracemalloc.start()
+        try:
+            for call in calls:
+                tracemalloc.reset_peak()
+                call()
+                assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_cesaro_pairing_refuses_an_unbounded_weight(self):
         # weight one: the adjoint characteristic integral diverges at p = 2
@@ -395,7 +424,7 @@ class TestParseWeight:
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"factors": [{"t": [0.0, 1.0], "values": [0.0, 1.0]}]}))
         w = ops.parse_weight(f"table:{path}", 1)
-        got = w(np.array([[0.25], [0.5]]))
+        got = w([np.array([0.25, 0.5])], GridWorkspace())
         assert got == pytest.approx([0.25, 0.5])
 
     @pytest.mark.parametrize("factors", [
