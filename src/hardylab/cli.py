@@ -57,7 +57,7 @@ SUBCOMMANDS = {
                   {}),
     "fuzz": (("p", "factors", "function", "samples", "trials", "workers"), {}),
     # a ball average and a nested spherical average per point: smaller samples
-    "radialize-check": (("p", "factors", "samples", "inner-samples", "trials", "workers"),
+    "radialize-check": (("p", "factors", "samples", "inner-samples", "trials"),
                         {"samples": 6250, "inner_samples": 64}),
     "weighted": (("p", "factors", "weight", "plot"), {}),
     "cesaro-duality": (("p", "factors", "weight", "samples", "pairs", "workers"), {}),
@@ -174,7 +174,7 @@ def _dispatch(cmd: str, cfg: dict) -> ExperimentReport:
     if cmd == "radialize-check":
         return radialization_check(
             cfg["trials"], cfg["p"], spec, samples=cfg["samples"],
-            inner_samples=cfg["inner_samples"], seed=seed, workers=cfg["workers"],
+            inner_samples=cfg["inner_samples"], seed=seed,
         )
     if cmd == "weighted":
         return weighted_sharpness(parse_weight(cfg["weight"], spec.m), cfg["p"], spec, seed=seed)

@@ -449,7 +449,7 @@ class TestFlagTable:
         "sharpness": {"p", "factors", "eps", "method", "samples", "inner-samples", "workers",
                       "plot"},
         "fuzz": {"p", "factors", "function", "samples", "trials", "workers"},
-        "radialize-check": {"p", "factors", "samples", "inner-samples", "trials", "workers"},
+        "radialize-check": {"p", "factors", "samples", "inner-samples", "trials"},
         "weighted": {"p", "factors", "weight", "plot"},
         "cesaro-duality": {"p", "factors", "weight", "samples", "pairs", "workers"},
         "volume": {"n", "samples"},
