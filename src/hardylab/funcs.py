@@ -23,13 +23,7 @@ import numpy as np
 
 from . import hgroup
 from .hgroup import ProductSpec, dilate_arrays, koranyi_norm
-from .measure import (
-    TAG_RADIALIZE,
-    GridWorkspace,
-    UnsupportedFamilyError,
-    integrate_1d,
-    substream,
-)
+from .measure import TAG_RADIALIZE, GridWorkspace, UnsupportedFamilyError, integrate_1d, substream
 
 __all__ = [
     "TestFunction",
