@@ -35,6 +35,7 @@ from .measure import (
     mc_integrate,
     nodewise,
     radial_integral,
+    rounding_error,
     subseed,
     substream,
 )
@@ -72,6 +73,54 @@ runs; below it the count cannot test a volume.  The box fills ever less of
 the ball as n grows: at n = 30 a million samples expect 6e-31 hits."""
 
 
+@dataclass(frozen=True)
+class Gate:
+    """The one verdict rule.  A row's estimate must lie in [lo, hi], each
+    finite end widened by k standard errors plus atol plus the rounding term
+    `measure.rounding_error`: lo = hi is a two-sided target, an infinite end
+    a one-sided bound.  With `rel` the k errors are k * rel * |end|, a
+    relative error scaled by the bound.  The row counts toward summary `key`.
+    A `budget` gate is two-sided; its row reads INFO rather than FAIL up to
+    HARD_SIGMAS, and its key FAILs when more than max(1, round(
+    EXCEEDANCE_BUDGET * n)) of its n budget rows miss.  An `info` gate
+    demonstrates rather than certifies: it reads INFO when it holds."""
+
+    key: str | None
+    lo: float = -math.inf
+    hi: float = math.inf
+    k: float = SIGMAS
+    atol: float = 0.0
+    rel: float | None = None
+    budget: bool = False
+    info: bool = False
+
+    def holds(self, est: Estimate) -> bool:
+        def allowance(end: float) -> float:
+            err = est.std_error if self.rel is None else self.rel * abs(end)
+            return self.k * err + self.atol + rounding_error(est.value, end)
+
+        v = est.value
+        return ((self.lo == -math.inf or self.lo - v <= allowance(self.lo))
+                and (self.hi == math.inf or v - self.hi <= allowance(self.hi)))
+
+    def verdict(self, est: Estimate) -> str:
+        if self.holds(est):
+            return "INFO" if self.info else "PASS"
+        near = self.budget and _sigma(est, self.hi, self.atol) <= HARD_SIGMAS
+        return "INFO" if near else "FAIL"
+
+
+def _sigma(est: Estimate, oracle: float, atol: float) -> float:
+    """|value - oracle| / max(std_error, fixed / SIGMAS), where `fixed` is the
+    part of a gate's allowance that does not scale with sigmas: atol plus the
+    rounding term.  It is the plain sigma count while the statistical error
+    dominates; when the error is at rounding scale (a constant integrand) it
+    measures the deviation against the fixed allowance, and exceeds SIGMAS
+    exactly when the deviation exceeds that allowance."""
+    err = max(est.std_error, (atol + rounding_error(est.value, oracle)) / SIGMAS)
+    return abs(est.value - oracle) / err if err > 0 else math.inf  # 0 only for non-finite values
+
+
 @dataclass
 class ReportRow:
     input: str
@@ -81,6 +130,23 @@ class ReportRow:
     deviation: float | None = None
     sigma_multiple: float | None = None
     verdict: str = "INFO"
+    gate: Gate | None = None
+
+    @classmethod
+    def of(cls, label: str, est, oracle: float | None = None, gate: Gate | None = None) -> "ReportRow":
+        """The row of an estimate (or exact float), its displayed oracle and
+        the gate that decides its verdict; a row without a gate reads INFO.
+        The deviation is from the oracle, which need not be the gate's target.
+        The sigma multiple is `_sigma` for a gated Monte Carlo estimate and 0
+        for exact values and rows that gate nothing."""
+        if not isinstance(est, Estimate):
+            est = Estimate.exact(est)
+        dev = sig = None
+        if oracle is not None:
+            dev = est.value - oracle
+            sig = 0.0 if gate is None or est.is_exact else _sigma(est, oracle, gate.atol)
+        verdict = "INFO" if gate is None else gate.verdict(est)
+        return cls(label, est.value, est.std_error, oracle, dev, sig, verdict, gate)
 
 
 @dataclass
@@ -99,79 +165,27 @@ class ExperimentReport:
         )
 
 
-def _row(
-    label: str,
-    est,
-    oracle: float | None = None,
-    sigmas: float = SIGMAS,
-    atol: float = 0.0,
-    verdict: str | None = None,
-) -> ReportRow:
-    """Build a row; when an oracle is present the verdict defaults to
-    `Estimate.within(oracle, sigmas, atol)`.
-
-    A Monte Carlo row's sigma multiple is |deviation| / max(std_error,
-    fixed / sigmas), where `fixed` is the part of the `within` tolerance that
-    does not scale with sigmas: atol plus the rounding term.  It is the plain
-    sigma count while the statistical error dominates; when the error is at
-    rounding scale (a constant integrand) it measures the deviation against
-    the fixed allowance, and exceeds sigmas exactly when the deviation
-    exceeds that allowance.  Exact values read 0."""
-    if not isinstance(est, Estimate):
-        est = Estimate.exact(est)
-    dev = None
-    sig = None
-    if oracle is not None:
-        dev = est.value - oracle
-        sig = 0.0
-        if not est.is_exact:
-            err = max(est.std_error, est.tolerance(oracle, 0.0, atol) / sigmas)
-            sig = abs(dev) / err if err > 0 else math.inf  # 0 only for non-finite values
-        if verdict is None:
-            verdict = "PASS" if est.within(oracle, sigmas, atol) else "FAIL"
-    return ReportRow(label, est.value, est.std_error, oracle, dev, sig, verdict or "INFO")
-
-
-def _report(name: str, params: dict, rows, summary, seed: int, t0: float) -> ExperimentReport:
+def _report(name: str, params: dict, rows, seed: int, t0: float, keys=()) -> ExperimentReport:
+    """The report, its summary read from the rows' gates: the given keys
+    first, in order, then any other key in row order.  A key FAILs when a
+    member row FAILs or its budget rows overrun the budget; it reads INFO
+    when every member gate is `info` (or it has none), else PASS."""
+    batches: dict[str, list[ReportRow]] = {key: [] for key in keys}
+    for r in rows:
+        if r.gate is not None and r.gate.key is not None:
+            batches.setdefault(r.gate.key, []).append(r)
+    summary = {}
+    for key, batch in batches.items():
+        budget = [r for r in batch if r.gate.budget]
+        over = sum(r.verdict != "PASS" for r in budget)
+        if any(r.verdict == "FAIL" for r in batch) or over > max(1, round(EXCEEDANCE_BUDGET * len(budget))):
+            summary[key] = "FAIL"
+        else:
+            summary[key] = "INFO" if all(r.gate.info for r in batch) else "PASS"
     return ExperimentReport(
-        name, params, list(rows), dict(summary), seed,
+        name, params, list(rows), summary, seed,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
-
-
-def _sigma_verdict(sig: float) -> str:
-    """Verdict of one row of a gated batch: PASS within SIGMAS, INFO up to
-    HARD_SIGMAS, FAIL beyond."""
-    return "PASS" if sig <= SIGMAS else ("INFO" if sig <= HARD_SIGMAS else "FAIL")
-
-
-def _sigma_row(
-    label: str, value: float, std_error: float, oracle: float, verdict: str | None = None
-) -> ReportRow:
-    """A row read in plain sigmas: |value - oracle| / std_error, 0 when the
-    error is 0.  The verdict is the one given, else `_sigma_verdict`."""
-    dev = value - oracle
-    sig = abs(dev) / std_error if std_error else 0.0
-    return ReportRow(label, value, std_error, oracle, dev, sig, verdict or _sigma_verdict(sig))
-
-
-def _sigma_gate(sigs: list[float]) -> bool:
-    """Aggregate verdict for a batch of SIGMAS comparisons: no row past
-    HARD_SIGMAS and at most the EXCEEDANCE_BUDGET past SIGMAS."""
-    if not sigs:
-        return True
-    over = sum(1 for s in sigs if s > SIGMAS)
-    return max(sigs) <= HARD_SIGMAS and over <= max(1, round(EXCEEDANCE_BUDGET * len(sigs)))
-
-
-def _bound_row(label: str, value: float, limit: float) -> ReportRow:
-    """A row that PASSes when value <= limit."""
-    return ReportRow(label, value, verdict="PASS" if value <= limit else "FAIL")
-
-
-def _within_bound(value: float, bound: float, rel: float) -> bool:
-    """One-sided verdict: value may exceed bound by SIGMAS relative errors."""
-    return value <= bound * (1.0 + SIGMAS * rel)
 
 
 # ---------------------------------------------------------------------------
@@ -196,44 +210,38 @@ def sharpness_sweep(
     sharp = closedform.sharp_constant(p, spec.m).value
     eps_grid = tuple(sorted(eps_grid, reverse=True))
     rows: list[ReportRow] = []
-    summary: dict[str, str] = {}
     tag = {1: "C1", 2: "C2"}.get(spec.m, f"m={spec.m}")
 
     closed_q = [closedform.power_family_quotient(e, p, spec) for e in eps_grid]
     lower = [closedform.extremal_lower_bound(e, p, spec) for e in eps_grid]
 
     estimates: list[Estimate] = []
-    mc_ok = True
     for i, eps in enumerate(eps_grid):
         f = PowerInside.extremal(spec, p, eps)
+        q = closed_q[i]
         if method == "closed":
-            est = Estimate.exact(closed_q[i])
-            rows.append(_row(f"quotient eps={eps:g}", est, verdict="INFO"))
+            est, gate = Estimate.exact(q), None
         elif method == "radial":
             est = operators.norm_quotient(f, p, spec, method="radial")
-            rows.append(_row(f"quotient eps={eps:g}", est, oracle=closed_q[i], atol=1e-6))
+            gate = Gate(None, q, q, atol=1e-6)
         elif method == "mc":
             est = operators.norm_quotient(
                 f, p, spec, method="mc", samples=samples,
                 seed=subseed(seed, TAG_EXPERIMENT, i), inner_samples=inner_samples, workers=workers,
             )
-            r = _row(f"quotient eps={eps:g}", est, oracle=closed_q[i])
-            rows.append(r)
-            mc_ok &= r.verdict == "PASS"
+            gate = Gate(f"{tag}:mc-agrees-3sigma", q, q)
         else:
             raise ValueError(f"unknown method {method!r}")
         estimates.append(est)
-        rows.append(_row(f"lower-bound eps={eps:g}", lower[i], verdict="INFO"))
+        rows.append(ReportRow.of(f"quotient eps={eps:g}", est, None if gate is None else q, gate))
+        rows.append(ReportRow.of(f"lower-bound eps={eps:g}", lower[i]))
 
     # C4 chain: lower bound <= quotient < sharp constant, on the exact values
-    chain_ok = all(
+    chain = all(
         lo <= q < sharp for lo, q in zip(lower, closed_q)
     ) and all(q1 < q2 for q1, q2 in zip(closed_q, closed_q[1:]))
-    summary["C4:bound-chain"] = "PASS" if chain_ok else "FAIL"
-    rows.append(
-        ReportRow("bound-chain (lower <= quotient < sharp, monotone)", float(chain_ok),
-                  verdict="PASS" if chain_ok else "FAIL")
-    )
+    rows.append(ReportRow.of("bound-chain (lower <= quotient < sharp, monotone)", float(chain),
+                             gate=Gate("C4:bound-chain", lo=1.0)))
 
     # linear extrapolation to eps = 0 with a residual guard
     values = np.asarray([e.value for e in estimates])
@@ -246,14 +254,11 @@ def sharpness_sweep(
     c = np.linalg.pinv(np.column_stack([eps_grid, np.ones(len(eps_grid))]))[1]
     fit = Estimate(intercept, math.sqrt(sum((ci * e.std_error) ** 2 for ci, e in zip(c, estimates))),
                    max(e.samples for e in estimates))
-    extrap_ok = abs(intercept - sharp) <= 0.02 * sharp
-    rows.append(_row("extrapolated quotient eps->0", fit, oracle=sharp, atol=0.02 * sharp,
-                     verdict="PASS" if extrap_ok else "FAIL"))
-    rows.append(_bound_row("extrapolation fit residual", residual, fit_tol))
-    summary[f"{tag}:extrapolation-2pct"] = "PASS" if extrap_ok else "FAIL"
-    summary["fit-residual-guard"] = rows[-1].verdict
-    if method == "mc":
-        summary[f"{tag}:mc-agrees-3sigma"] = "PASS" if mc_ok else "FAIL"
+    extrapolation = f"{tag}:extrapolation-2pct"
+    rows.append(ReportRow.of("extrapolated quotient eps->0", fit, sharp,
+                             Gate(extrapolation, sharp, sharp, k=0.0, atol=0.02 * sharp)))
+    rows.append(ReportRow.of("extrapolation fit residual", residual,
+                             gate=Gate("fit-residual-guard", hi=fit_tol)))
 
     params = {
         "p": p, "factors": [d.n for d in spec.factors], "eps_grid": list(eps_grid),
@@ -261,7 +266,8 @@ def sharpness_sweep(
         "sharp_constant": sharp,
         "plot_series": "quotient", "plot_rule": sharp,
     }
-    return _report("sharpness", params, rows, summary, seed, t0)
+    return _report("sharpness", params, rows, seed, t0,
+                   keys=("C4:bound-chain", extrapolation, "fit-residual-guard"))
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +292,10 @@ def bound_fuzz(
     sharp = closedform.sharp_constant(p, spec.m).value
     rows: list[ReportRow] = []
     worst = -math.inf
-    ok = True
+    key = "C5:no-quotient-exceeds-bound"
 
-    def below_sharp(q: Estimate) -> bool:
-        return _within_bound(q.value, sharp, q.std_error / q.value if q.value > 0 else 0.0)
+    def bound(q: Estimate) -> Gate:
+        return Gate(key, hi=sharp, rel=q.std_error / q.value if q.value > 0 else 0.0)
 
     if extra_function is not None:
         method = "closed" if extra_function.family == "power-inside" else "mc"
@@ -297,21 +303,15 @@ def bound_fuzz(
             extra_function, p, spec, method=method, samples=samples,
             seed=subseed(seed, TAG_EXPERIMENT, 999_000), workers=workers,
         )
-        good = below_sharp(q)
-        ok &= good
-        rows.append(_row(f"given function ({extra_function.family})", q, oracle=sharp,
-                         verdict="PASS" if good else "FAIL"))
+        rows.append(ReportRow.of(f"given function ({extra_function.family})", q, sharp, bound(q)))
     for k in range(trials):
         rng = substream(seed, TAG_EXPERIMENT, k)
         f = random_bump_mixture(spec, rng)
         q = operators.norm_quotient(
             f, p, spec, method="mc", samples=samples, seed=subseed(seed, TAG_EXPERIMENT, k), workers=workers
         )
-        good = below_sharp(q)
-        ok &= good
         worst = max(worst, q.value)
-        rows.append(_sigma_row(f"trial={k} bumps={len(f.bumps)}", q.value, q.std_error, sharp,
-                               "PASS" if good else "FAIL"))
+        rows.append(ReportRow.of(f"trial={k} bumps={len(f.bumps)}", q, sharp, bound(q)))
 
     # control: one centered radial bump behaves like a mollified indicator
     centers = tuple(np.zeros(d.dim) for d in spec.factors)
@@ -319,28 +319,24 @@ def bound_fuzz(
     qc = operators.norm_quotient(
         control, p, spec, method="mc", samples=samples, seed=subseed(seed, TAG_EXPERIMENT, trials), workers=workers
     )
-    control_ok = qc.value < sharp
-    ok &= control_ok
-    rows.append(_row("control: centered radial bump", qc,
-                     oracle=closedform.indicator_quotient(p, spec.m),
-                     verdict="PASS" if control_ok else "FAIL"))
+    below = Gate(key, hi=sharp, k=0.0)
+    rows.append(ReportRow.of("control: centered radial bump", qc,
+                             closedform.indicator_quotient(p, spec.m), below))
 
     # control: a zero mixture must be rejected, not scored
     zero = BumpMixture(spec, ())
     try:
         operators.norm_quotient(zero, p, spec, method="mc", samples=2048, seed=seed)
-        rows.append(ReportRow("control: zero mixture", math.nan, verdict="FAIL"))
-        ok = False
+        rows.append(ReportRow.of("control: zero mixture", math.nan, gate=below))
     except ValueError as err:
-        rows.append(ReportRow(f"control: zero mixture rejected ({err})", 0.0, verdict="INFO"))
+        rows.append(ReportRow.of(f"control: zero mixture rejected ({err})", 0.0))
 
-    rows.append(_row("max quotient", worst, oracle=sharp, verdict="INFO"))
-    summary = {"C5:no-quotient-exceeds-bound": "PASS" if ok else "FAIL"}
+    rows.append(ReportRow.of("max quotient", worst, sharp))
     params = {
         "trials": trials, "p": p, "factors": [d.n for d in spec.factors],
         "samples": samples, "sharp_constant": sharp,
     }
-    return _report("bound-fuzz", params, rows, summary, seed, t0)
+    return _report("bound-fuzz", params, rows, seed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +344,12 @@ def bound_fuzz(
 # ---------------------------------------------------------------------------
 
 
-def _sphere_profile_norms(f, p: float, spec: ProductSpec, seed: int) -> tuple[float, float, float]:
-    """(||g_f||_p, ||f||_p, sigma_rel) from 384 common sphere samples per node
-    of a 24-node radial quadrature grid per factor.  Jensen's inequality
-    holds per node for the *samples*, so the contraction ||g_f||_p <= ||f||_p
-    is exact for these estimates."""
+def _sphere_profile_norms(f, p: float, spec: ProductSpec, seed: int) -> tuple[Estimate, float]:
+    """(||g_f||_p, ||f||_p) from 384 common sphere samples per node of a
+    24-node radial quadrature grid per factor; the first carries the error
+    ||f||_p / sqrt(384).  Jensen's inequality holds per node for the
+    *samples*, so the contraction ||g_f||_p <= ||f||_p is exact for these
+    estimates."""
     nodes, sphere_samples = 24, 384
     S = [s if math.isfinite(s) else 2.5 for s in f.support_radii()]
     gx, gw = np.polynomial.legendre.leggauss(nodes)
@@ -375,8 +372,9 @@ def _sphere_profile_norms(f, p: float, spec: ProductSpec, seed: int) -> tuple[fl
         vals = np.asarray(f(pts), dtype=float)
         acc_g += wprod * abs(float(vals.mean())) ** p
         acc_f += wprod * float(np.mean(np.abs(vals) ** p))
-    sigma_rel = 1.0 / math.sqrt(sphere_samples)
-    return acc_g ** (1.0 / p), acc_f ** (1.0 / p), sigma_rel
+    nf = acc_f ** (1.0 / p)
+    return Estimate(acc_g ** (1.0 / p), nf * (1.0 / math.sqrt(sphere_samples)),
+                    nodes**spec.m * sphere_samples), nf
 
 
 def _ball_diff_average(
@@ -424,8 +422,7 @@ def radialization_check(
     if spec is None:
         spec = ProductSpec.of_orders(1)
     rows: list[ReportRow] = []
-    ok = True
-    point_sigs: list[float] = []
+    key = "C6:radialization"
     for k in range(trials):
         rng = substream(seed, TAG_EXPERIMENT, 7000 + k)
         # centers near the origin so the spherical averages and ball averages
@@ -437,21 +434,15 @@ def radialization_check(
             radii = [rng.uniform(0.6, 1.1) * s for s in sup]
             point_seed = subseed(seed, TAG_EXPERIMENT, 3 * k + 1 + j)
             diff = _ball_diff_average(f, gf, spec, radii, samples, point_seed)
-            rows.append(_sigma_row(f"trial={k} point={j} ball-avg(g_f - f)",
-                                   diff.value, diff.std_error, 0.0))
-            point_sigs.append(rows[-1].sigma_multiple)
-        ng, nf, sig_rel = _sphere_profile_norms(f, p, spec, subseed(seed, TAG_EXPERIMENT, 3 * k + 2))
-        good = _within_bound(ng, nf, sig_rel)
-        ok &= good
-        rows.append(_sigma_row(f"trial={k} norm contraction ||g_f|| <= ||f||", ng, nf * sig_rel, nf,
-                               "PASS" if good else "FAIL"))
-    ok &= _sigma_gate(point_sigs)
-    summary = {"C6:radialization": "PASS" if ok else "FAIL"}
+            rows.append(ReportRow.of(f"trial={k} point={j} ball-avg(g_f - f)", diff, 0.0,
+                                     Gate(key, 0.0, 0.0, budget=True)))
+        ng, nf = _sphere_profile_norms(f, p, spec, subseed(seed, TAG_EXPERIMENT, 3 * k + 2))
+        rows.append(ReportRow.of(f"trial={k} norm contraction ||g_f|| <= ||f||", ng, nf, Gate(key, hi=nf)))
     params = {
         "trials": trials, "p": p, "factors": [d.n for d in spec.factors],
         "samples": samples, "inner_samples": inner_samples,
     }
-    return _report("radialize-check", params, rows, summary, seed, t0)
+    return _report("radialize-check", params, rows, seed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +467,26 @@ def duality_check(
     q_exp = p / (p - 1.0)
     operators._require_bounded(phi, q_exp, spec, "cesaro")
     rows: list[ReportRow] = []
-    ok = True
+    key = "C8:duality"
     ind = PowerInside(spec, (0.0,) * spec.m)
 
     if phi.is_monomial:
         oracle = 1.0
         for dims, a in zip(spec.factors, phi.exponents):
             oracle *= dims.ball_volume / (a + 1.0)
-        lhs_q = _indicator_pairing_quad(phi, spec, adjoint=False)
-        rhs_q = _indicator_pairing_quad(phi, spec, adjoint=True)
-        r1 = _row("indicator pairing <f,Pg> (quadrature)", lhs_q, oracle=oracle, atol=1e-8)
-        r2 = _row("indicator pairing <g,P*f> (quadrature)", rhs_q, oracle=oracle, atol=1e-8)
+        quad = Gate(key, oracle, oracle, atol=1e-8)
+        rows.append(ReportRow.of("indicator pairing <f,Pg> (quadrature)",
+                                 _indicator_pairing_quad(phi, spec, adjoint=False), oracle, quad))
+        rows.append(ReportRow.of("indicator pairing <g,P*f> (quadrature)",
+                                 _indicator_pairing_quad(phi, spec, adjoint=True), oracle, quad))
         lhs_mc = operators.pairing_weighted_hardy(ind, ind, phi, spec, samples,
                                                   subseed(seed, TAG_EXPERIMENT, 1), workers)
         rhs_mc = operators.pairing_weighted_cesaro(ind, ind, phi, spec, q_exp, samples,
                                                    subseed(seed, TAG_EXPERIMENT, 2), workers)
-        r3 = _row("indicator pairing <f,Pg> (mc)", lhs_mc, oracle=oracle, atol=1e-9)
-        r4 = _row("indicator pairing <g,P*f> (mc)", rhs_mc, oracle=oracle, atol=1e-9)
-        rows += [r1, r2, r3, r4]
-        ok &= all(r.verdict == "PASS" for r in (r1, r2, r3, r4))
+        mc = Gate(key, oracle, oracle, atol=1e-9)
+        rows.append(ReportRow.of("indicator pairing <f,Pg> (mc)", lhs_mc, oracle, mc))
+        rows.append(ReportRow.of("indicator pairing <g,P*f> (mc)", rhs_mc, oracle, mc))
 
-    pair_sigs: list[float] = []
     for k in range(pairs):
         rng = substream(seed, TAG_EXPERIMENT, 9000 + k)
         f = random_bump_mixture(spec, rng, max_bumps=3, radius_range=(0.5, 1.0), center_radius=0.3)
@@ -505,10 +495,9 @@ def duality_check(
                                                subseed(seed, TAG_EXPERIMENT, 10 + 2 * k), workers)
         rhs = operators.pairing_weighted_cesaro(g, f, phi, spec, q_exp, samples,
                                                 subseed(seed, TAG_EXPERIMENT, 11 + 2 * k), workers)
-        rows.append(_sigma_row(f"bump pair={k} pairing match", lhs.value,
-                               math.hypot(lhs.std_error, rhs.std_error), rhs.value))
-        pair_sigs.append(rows[-1].sigma_multiple)
-    ok &= _sigma_gate(pair_sigs)
+        match = Estimate(lhs.value, math.hypot(lhs.std_error, rhs.std_error), lhs.samples)
+        rows.append(ReportRow.of(f"bump pair={k} pairing match", match, rhs.value,
+                                 Gate(key, rhs.value, rhs.value, budget=True)))
 
     # adjoint norm conjecture, reported as INFO only
     if phi.is_monomial:
@@ -521,19 +510,15 @@ def duality_check(
                 except ValueError:
                     continue
                 approach.append(q)
-                rows.append(_row(f"adjoint family quotient eps={eps:g}", q, oracle=cstar,
-                                 verdict="INFO"))
+                rows.append(ReportRow.of(f"adjoint family quotient eps={eps:g}", q, cstar))
             mono = all(a < b for a, b in zip(approach, approach[1:])) and all(
                 q <= cstar for q in approach
             )
-            rows.append(ReportRow(
-                "adjoint quotients increase toward the adjoint characteristic",
-                float(mono), verdict="INFO"))
-    summary = {"C8:duality": "PASS" if ok else "FAIL",
-               "cesaro-norm-conjecture": "INFO"}
+            rows.append(ReportRow.of("adjoint quotients increase toward the adjoint characteristic",
+                                     float(mono)))
     params = {"phi": phi.label, "p": p, "factors": [d.n for d in spec.factors],
               "samples": samples, "pairs": pairs}
-    return _report("cesaro-duality", params, rows, summary, seed, t0)
+    return _report("cesaro-duality", params, rows, seed, t0, keys=(key, "cesaro-norm-conjecture"))
 
 
 def _indicator_pairing_quad(phi: MonomialWeight, spec: ProductSpec, adjoint: bool) -> float:
@@ -583,34 +568,28 @@ def weighted_sharpness(
         grid = eps_grid + (1e-4,)
         bounds = [closedform.weighted_extremal_bound(phi.exponents, e, p, spec) for e in grid]
         for e, b in zip(grid, bounds):
-            rows.append(ReportRow(f"rigorous-bound eps={e:g}", b, verdict="INFO"))
+            rows.append(ReportRow.of(f"rigorous-bound eps={e:g}", b))
         growing = all(a < b for a, b in zip(bounds, bounds[1:])) and bounds[-1] > 10.0 * max(bounds[0], 1.0)
-        rows.append(ReportRow("bounds grow without limit (operator unbounded)",
-                              float(growing), verdict="INFO" if growing else "FAIL"))
-        summary = {"C7:unbounded-demonstrated": "INFO" if growing else "FAIL"}
+        rows.append(ReportRow.of("bounds grow without limit (operator unbounded)", float(growing),
+                                 gate=Gate("C7:unbounded-demonstrated", lo=1.0, info=True)))
         params = {"phi": phi.label, "p": p, "factors": [d.n for d in spec.factors],
                   "eps_grid": list(grid), "characteristic": "inf",
                   "plot_series": "rigorous-bound", "plot_rule": None}
-        return _report("weighted", params, rows, summary, seed, t0)
+        return _report("weighted", params, rows, seed, t0)
 
-    ok = True
+    key = "C7:weighted-bounds"
     for e in eps_grid:
         bound = closedform.weighted_extremal_bound(phi.exponents, e, p, spec)
         uncorrected = closedform.truncated_weight_integral(phi.exponents, e, p, spec)
         quot = closedform.weighted_family_quotient(phi.exponents, e, p, spec)
-        good = bound <= quot <= c_phi
-        ok &= good
-        rows.append(_row(f"quotient eps={e:g}", quot, oracle=c_phi,
-                         verdict="PASS" if good else "FAIL"))
-        rows.append(_sigma_row(f"rigorous-bound eps={e:g}", bound, 0.0, c_phi, "INFO"))
-        rows.append(_sigma_row(f"uncorrected-bound eps={e:g}", uncorrected, 0.0, c_phi, "INFO"))
+        rows.append(ReportRow.of(f"quotient eps={e:g}", quot, c_phi, Gate(key, bound, c_phi)))
+        rows.append(ReportRow.of(f"rigorous-bound eps={e:g}", bound, c_phi))
+        rows.append(ReportRow.of(f"uncorrected-bound eps={e:g}", uncorrected, c_phi))
 
     e_min = eps_grid[-1]
     b_min = closedform.weighted_extremal_bound(phi.exponents, e_min, p, spec)
-    conv = abs(b_min - c_phi) <= 0.05 * c_phi
-    ok &= conv
-    rows.append(_row(f"bound at eps={e_min:g} within 5% of characteristic", b_min,
-                     oracle=c_phi, verdict="PASS" if conv else "FAIL"))
+    rows.append(ReportRow.of(f"bound at eps={e_min:g} within 5% of characteristic", b_min, c_phi,
+                             Gate(key, c_phi, c_phi, atol=0.05 * c_phi)))
 
     # dual route: the closed quotient against profile quadrature at one eps
     f = PowerOutside.extremal(spec, p, eps_grid[0])
@@ -618,16 +597,13 @@ def weighted_sharpness(
         f, p, spec, operator="weighted-hardy", phi=phi, method="radial", tol=1e-9
     )
     q_closed = closedform.weighted_family_quotient(phi.exponents, eps_grid[0], p, spec)
-    r = _row(f"quotient eps={eps_grid[0]:g} (quadrature route)", q_rad,
-             oracle=q_closed, atol=1e-7)
-    ok &= r.verdict == "PASS"
-    rows.append(r)
+    rows.append(ReportRow.of(f"quotient eps={eps_grid[0]:g} (quadrature route)", q_rad, q_closed,
+                             Gate(key, q_closed, q_closed, atol=1e-7)))
 
-    summary = {"C7:weighted-bounds": "PASS" if ok else "FAIL"}
     params = {"phi": phi.label, "p": p, "factors": [d.n for d in spec.factors],
               "eps_grid": list(eps_grid), "characteristic": c_phi,
               "plot_series": "quotient", "plot_rule": c_phi}
-    return _report("weighted", params, rows, summary, seed, t0)
+    return _report("weighted", params, rows, seed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -658,16 +634,17 @@ def _box_volume_mc(n: int, samples: int, rng: np.random.Generator, radius: float
 
 
 def _volume_rows(
-    n: int, samples: int, rng: np.random.Generator, method: str = "", of_n: str = ""
+    n: int, samples: int, rng: np.random.Generator, key: str, method: str = "", of_n: str = ""
 ) -> list[ReportRow]:
     """The box-rejection unit-ball volume against the closed form, and its
     ratio to the alternative normalization (INFO)."""
     vol = _box_volume_mc(n, samples, rng)
+    exact = hgroup.unit_ball_volume(n)
     alt = hgroup.alt_unit_ball_volume(n)
     return [
-        _row(f"unit ball volume n={n}{method}", vol, oracle=hgroup.unit_ball_volume(n)),
-        ReportRow(f"volume ratio to alternative normalization{of_n}",
-                  vol.value / alt, vol.std_error / alt, 0.5, vol.value / alt - 0.5, 0.0, "INFO"),
+        ReportRow.of(f"unit ball volume n={n}{method}", vol, exact, Gate(key, exact, exact)),
+        ReportRow.of(f"volume ratio to alternative normalization{of_n}",
+                     Estimate(vol.value / alt, vol.std_error / alt, samples), 0.5),
     ]
 
 
@@ -710,24 +687,28 @@ def geometry_selftest(
     viol = int(np.count_nonzero(
         hgroup.distance(P, Qp) > hgroup.distance(P, W) + hgroup.distance(W, Qp) + 1e-12
     ))
+    key = "C9:geometry"
     rows = [
-        _bound_row("associativity max relative deviation (1e4 triples)", assoc, 1e-12),
-        _bound_row("x o (-x) = 0 max deviation", inv, 1e-12),
-        _bound_row("norm homogeneity |delta_r x| = r |x| max rel dev", hom, 1e-12),
-        _bound_row("left invariance of distance max rel dev", float(np.max(dleft)), 1e-12),
-        _bound_row(f"triangle inequality violations ({triples} triples)", float(viol), 0.0),
+        ReportRow.of(label, value, gate=Gate(key, hi=limit)) for label, value, limit in (
+            ("associativity max relative deviation (1e4 triples)", assoc, 1e-12),
+            ("x o (-x) = 0 max deviation", inv, 1e-12),
+            ("norm homogeneity |delta_r x| = r |x| max rel dev", hom, 1e-12),
+            ("left invariance of distance max rel dev", float(np.max(dleft)), 1e-12),
+            (f"triangle inequality violations ({triples} triples)", float(viol), 0.0),
+        )
     ]
 
     # Monte Carlo volumes vs the derived constants; alt-normalization ratio
     for i, nn in enumerate(ns):
-        rows += _volume_rows(nn, samples, substream(seed, TAG_EXPERIMENT, 100 + i),
+        rows += _volume_rows(nn, samples, substream(seed, TAG_EXPERIMENT, 100 + i), key,
                              f" (box rejection, {samples} samples)", f" n={nn}")
 
     # measure scaling |delta_r E| = r^Q |E| via box rejection at radius r
     r_dil = 1.7
-    rows.append(_row(f"measure scaling |B(0,{r_dil})| = r^Q V_Q",
-                     _box_volume_mc(n, samples, substream(seed, TAG_EXPERIMENT, 200), r_dil),
-                     oracle=ball_volume(dims, r_dil)))
+    scaled = ball_volume(dims, r_dil)
+    rows.append(ReportRow.of(f"measure scaling |B(0,{r_dil})| = r^Q V_Q",
+                             _box_volume_mc(n, samples, substream(seed, TAG_EXPERIMENT, 200), r_dil),
+                             scaled, Gate(key, scaled, scaled)))
 
     # polar identity: 1D radial quadrature vs Monte Carlo for exp(-r^4)
     spec1 = ProductSpec.of_orders(1)
@@ -737,20 +718,19 @@ def geometry_selftest(
         lambda pts: np.exp(-koranyi_norm(pts[0]) ** 4), spec1, [trunc],
         min(samples, 400_000), subseed(seed, TAG_EXPERIMENT, 300),
     )
-    rows.append(_row("polar identity: quadrature vs mc for exp(-r^4)", est, oracle=quad))
+    rows.append(ReportRow.of("polar identity: quadrature vs mc for exp(-r^4)", est, quad,
+                             Gate(key, quad, quad)))
 
-    summary = {"C9:geometry": "FAIL" if any(r.verdict == "FAIL" for r in rows) else "PASS"}
     params = {"samples": samples, "ns": list(ns), "triples": triples}
-    return _report("geometry-check", params, rows, summary, seed, t0)
+    return _report("geometry-check", params, rows, seed, t0)
 
 
 def volume_check(n: int, samples: int = 1_000_000, seed: int = 0) -> ExperimentReport:
     """Box-rejection volume of the unit Koranyi ball against the closed form,
     with the alternative-normalization ratio flagged."""
     t0 = time.perf_counter()
-    rows = _volume_rows(n, samples, substream(seed, TAG_EXPERIMENT, 0))
-    summary = {"C9:volume": rows[0].verdict}
+    rows = _volume_rows(n, samples, substream(seed, TAG_EXPERIMENT, 0), "C9:volume")
     params = {"n": n, "samples": samples,
               "derived_volume": hgroup.unit_ball_volume(n),
               "alt_volume_constant": hgroup.alt_unit_ball_volume(n)}
-    return _report("volume", params, rows, summary, seed, t0)
+    return _report("volume", params, rows, seed, t0)

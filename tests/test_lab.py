@@ -25,21 +25,30 @@ def verdicts_ok(report):
             assert r.deviation is not None and r.sigma_multiple is not None
 
 
+def gated(est, oracle, gate=None, **rule):
+    """A row held to a gate (two-sided at the oracle unless one is given)."""
+    return lab.ReportRow.of("row", est, oracle, gate or lab.Gate("key", oracle, oracle, **rule))
+
+
+def summary_of(rows):
+    return lab._report("x", {}, rows, 0, 0.0).summary
+
+
 class TestRow:
     def test_zero_error_row_passes_at_a_few_ulp(self):
-        r = lab._row("constant integrand", Estimate(1.0 - 0.8, 0.0, 40_000), oracle=0.2)
+        r = gated(Estimate(1.0 - 0.8, 0.0, 40_000), 0.2)
         assert r.verdict == "PASS"
         assert r.deviation != 0.0
         assert 0.0 < r.sigma_multiple <= 3.0
 
     def test_zero_error_row_fails_at_relative_1e_12(self):
-        r = lab._row("constant integrand", Estimate(0.2 * (1 + 1e-12), 0.0, 40_000), oracle=0.2)
+        r = gated(Estimate(0.2 * (1 + 1e-12), 0.0, 40_000), 0.2)
         assert r.verdict == "FAIL"
         assert r.sigma_multiple > 3.0
 
     def test_rounding_scale_error_reads_against_the_rounding_term(self):
         # a standard error far below rounding must not inflate the sigma count
-        r = lab._row("near-constant", Estimate(1.0 - 0.8, 1e-20, 40_000), oracle=0.2)
+        r = gated(Estimate(1.0 - 0.8, 1e-20, 40_000), 0.2)
         assert r.verdict == "PASS"
         assert r.sigma_multiple <= 3.0
 
@@ -47,33 +56,137 @@ class TestRow:
         # the duality indicator row: constant integrand, many-ulp summation
         # rounding, gated by atol
         est = Estimate(0.2 + 1e-14, 1e-18, 20_000)
-        r = lab._row("indicator", est, oracle=0.2, atol=1e-9)
+        r = gated(est, 0.2, atol=1e-9)
         assert r.verdict == "PASS"
         assert 0.0 < r.sigma_multiple < 1e-3
-        assert lab._row("indicator", est, oracle=0.2).sigma_multiple > 3.0
+        assert gated(est, 0.2).sigma_multiple > 3.0
 
     def test_statistical_row_reads_plain_sigmas(self):
-        r = lab._row("mc", Estimate(1.02, 0.01, 1_000), oracle=1.0)
+        r = gated(Estimate(1.02, 0.01, 1_000), 1.0)
         assert r.sigma_multiple == abs(1.02 - 1.0) / 0.01
         assert r.verdict == "PASS"
-        assert lab._row("mc", Estimate(1.04, 0.01, 1_000), oracle=1.0).verdict == "FAIL"
+        assert gated(Estimate(1.04, 0.01, 1_000), 1.0).verdict == "FAIL"
 
     def test_exact_row_gated_by_atol(self):
-        r = lab._row("quadrature", 1.0 + 1e-9, oracle=1.0, atol=1e-8)
+        r = gated(1.0 + 1e-9, 1.0, atol=1e-8)
         assert r.verdict == "PASS" and r.sigma_multiple == 0.0
-        assert lab._row("quadrature", 1.0 + 1e-7, oracle=1.0, atol=1e-8).verdict == "FAIL"
+        assert gated(1.0 + 1e-7, 1.0, atol=1e-8).verdict == "FAIL"
 
+    def test_oracle_is_separate_from_the_target(self):
+        # the C5 control: shown against one value, gated against another
+        r = gated(Estimate(1.3, 0.01, 1_000), 1.2, lab.Gate("key", hi=2.0, k=0.0))
+        assert r.verdict == "PASS"
+        assert r.deviation == 1.3 - 1.2 and r.sigma_multiple == pytest.approx(10.0)
+        assert gated(Estimate(2.01, 0.01, 1_000), 1.2, lab.Gate("key", hi=2.0, k=0.0)).verdict == "FAIL"
 
 class TestSigmaRow:
     def test_zero_error_reads_zero_sigma(self):
-        r = lab._sigma_row("bound", 0.41, 0.0, 0.5, "INFO")
-        assert r.sigma_multiple == 0.0 and r.deviation == 0.41 - 0.5 and r.verdict == "INFO"
+        # exact values and rows that gate nothing read 0
+        r = lab.ReportRow.of("bound", Estimate(0.41, 0.01, 100), 0.5)
+        assert (r.verdict, r.deviation, r.sigma_multiple, r.gate) == ("INFO", 0.41 - 0.5, 0.0, None)
+        assert gated(0.41, 0.5, lab.Gate("key", lo=0.4)).sigma_multiple == 0.0
+        r = lab.ReportRow.of("bound", 0.41)
+        assert (r.oracle, r.deviation, r.sigma_multiple) == (None, None, None)
 
     @pytest.mark.parametrize("dev, verdict", [(0.02, "PASS"), (-0.04, "INFO"), (0.06, "FAIL")])
     def test_default_verdict_follows_sigma_verdict(self, dev, verdict):
-        r = lab._sigma_row("pair", dev, 0.01, 0.0)
+        # a budget row reads PASS within 3 sigma, INFO to 4.5, FAIL beyond;
+        # a row outside a budget FAILs past 3
+        r = gated(Estimate(dev, 0.01, 1_000), 0.0, budget=True)
         assert r.sigma_multiple == abs(dev) / 0.01
-        assert r.verdict == lab._sigma_verdict(r.sigma_multiple) == verdict
+        assert r.verdict == verdict
+        assert gated(Estimate(dev, 0.01, 1_000), 0.0).verdict == ("PASS" if dev == 0.02 else "FAIL")
+
+
+class TestGateRules:
+    def test_one_sided_relative_bound_of_c5(self):
+        # value <= sharp * (1 + 3 se / value): the allowance scales the
+        # relative error by the bound, not 3 se
+        def c5(value, se):
+            return gated(Estimate(value, se, 1_000), 2.0,
+                         lab.Gate("key", hi=2.0, rel=se / value)).verdict
+
+        assert c5(2.029, 0.01) == "PASS"  # allowance 2 * 3 * 0.01 / 2.029 = 0.02957
+        assert c5(2.0298, 0.01) == "FAIL"  # within 3 se = 0.03, beyond 0.02956
+        assert gated(Estimate(2.0298, 0.01, 1_000), 2.0, lab.Gate("key", hi=2.0)).verdict == "PASS"
+        assert c5(1.0, 1e-6) == "PASS"  # far below: one-sided
+
+    def test_one_sided_contraction_of_c6(self):
+        nf, rel = 1.3, 1.0 / math.sqrt(384)
+
+        def c6(ng):
+            return gated(Estimate(ng, nf * rel, 384), nf, lab.Gate("key", hi=nf)).verdict
+
+        assert c6(nf * (1 + 2.9 * rel)) == "PASS"
+        assert c6(nf * (1 + 3.1 * rel)) == "FAIL"
+        assert c6(0.2 * nf) == "PASS"
+        r = gated(Estimate(nf * (1 + 2.0 * rel), nf * rel, 384), nf, lab.Gate("key", hi=nf))
+        assert r.sigma_multiple == pytest.approx(2.0)  # an exact value would read 0
+
+    def test_percentage_rule_has_no_error_term(self):
+        # the 2% extrapolation rule: k = 0 with atol, whatever the error
+        rule = dict(k=0.0, atol=0.02 * 3.0)
+        assert gated(Estimate(3.05, 0.5, 100), 3.0, **rule).verdict == "PASS"
+        assert gated(Estimate(3.07, 0.5, 100), 3.0, **rule).verdict == "FAIL"
+        assert gated(Estimate(2.93, 0.5, 100), 3.0, **rule).verdict == "FAIL"
+        assert gated(Estimate(3.07, 0.5, 100), 3.0).verdict == "PASS"  # k = 3 would allow it
+
+    def test_two_sided_interval_of_c7(self):
+        def c7(quot):
+            return gated(quot, 0.5, lab.Gate("key", 0.41, 0.5))
+
+        assert [c7(q).verdict for q in (0.41, 0.45, 0.5)] == ["PASS"] * 3
+        assert [c7(q).verdict for q in (0.40, 0.51, math.nan)] == ["FAIL"] * 3
+        assert c7(0.45).sigma_multiple == 0.0 and c7(0.45).deviation == 0.45 - 0.5
+
+    def test_bound_rows(self):
+        def bound(value, **ends):
+            return lab.ReportRow.of("bound", value, gate=lab.Gate("key", **ends))
+
+        assert bound(float(True), lo=1.0).verdict == "PASS"
+        assert bound(float(False), lo=1.0).verdict == "FAIL"
+        assert bound(3e-13, hi=1e-12).verdict == "PASS"
+        assert bound(2e-12, hi=1e-12).verdict == "FAIL"
+        assert bound(0.0, hi=0.0).verdict == "PASS" and bound(1.0, hi=0.0).verdict == "FAIL"
+        assert bound(math.nan, hi=0.0).verdict == "FAIL"
+        r = bound(1.0, lo=1.0, info=True)
+        assert (r.verdict, r.oracle, r.deviation, r.sigma_multiple) == ("INFO", None, None, None)
+
+
+class TestSummary:
+    @staticmethod
+    def batch(n, sigmas):
+        """n budget rows, the first len(sigmas) at the given sigma multiples
+        and the rest at 1 sigma."""
+        devs = list(sigmas) + [1.0] * (n - len(sigmas))
+        return [gated(Estimate(0.01 * d, 0.01, 1_000), 0.0, budget=True) for d in devs]
+
+    @pytest.mark.parametrize("n, sigmas, verdict", [
+        (20, [3.5], "PASS"), (20, [3.5, 3.2], "FAIL"),
+        (100, [3.5, 3.2], "PASS"), (100, [3.5, 3.2, 4.0], "FAIL"),
+        (100, [4.6], "FAIL"), (1, [4.6], "FAIL"),
+    ])
+    def test_exceedance_budget(self, n, sigmas, verdict):
+        assert summary_of(self.batch(n, sigmas)) == {"key": verdict}
+
+    def test_budget_counts_only_budget_rows(self):
+        # C6: the contraction rows share the key but not the budget
+        rows = self.batch(20, [3.5]) + [gated(0.9, 1.0, lab.Gate("key", hi=1.0))] * 30
+        assert summary_of(rows) == {"key": "PASS"}
+
+    def test_keys_pass_fail_info(self):
+        passing = gated(1.0, 1.0)
+        failing = gated(2.0, 1.0)
+        demo = lab.ReportRow.of("demo", 1.0, gate=lab.Gate("demo", lo=1.0, info=True))
+        broken = lab.ReportRow.of("demo", 0.0, gate=lab.Gate("demo", lo=1.0, info=True))
+        assert summary_of([passing, lab.ReportRow.of("note", 3.0, 1.0), demo]) == {"key": "PASS", "demo": "INFO"}
+        assert summary_of([passing, failing, broken]) == {"key": "FAIL", "demo": "FAIL"}
+
+    def test_declared_keys_come_first_and_empty_ones_read_info(self):
+        rows = [lab.ReportRow.of("b", 1.0, gate=lab.Gate("b", lo=1.0)),
+                lab.ReportRow.of("a", 1.0, gate=lab.Gate("a", lo=1.0))]
+        rep = lab._report("x", {}, rows, 0, 0.0, keys=("a", "conjecture"))
+        assert list(rep.summary.items()) == [("a", "PASS"), ("conjecture", "INFO"), ("b", "PASS")]
 
 
 class TestSharpnessSweep:
