@@ -85,7 +85,7 @@ class Gate:
     EXCEEDANCE_BUDGET * n)) of its n budget rows miss.  An `info` gate
     demonstrates rather than certifies: it reads INFO when it holds."""
 
-    key: str | None
+    key: str
     lo: float = -math.inf
     hi: float = math.inf
     k: float = SIGMAS
@@ -160,9 +160,7 @@ class ExperimentReport:
 
     @property
     def passed(self) -> bool:
-        return all(v != "FAIL" for v in self.summary.values()) and all(
-            r.verdict != "FAIL" for r in self.rows
-        )
+        return "FAIL" not in self.summary.values()
 
 
 def _report(name: str, params: dict, rows, seed: int, t0: float, keys=()) -> ExperimentReport:
@@ -172,7 +170,7 @@ def _report(name: str, params: dict, rows, seed: int, t0: float, keys=()) -> Exp
     when every member gate is `info` (or it has none), else PASS."""
     batches: dict[str, list[ReportRow]] = {key: [] for key in keys}
     for r in rows:
-        if r.gate is not None and r.gate.key is not None:
+        if r.gate is not None:
             batches.setdefault(r.gate.key, []).append(r)
     summary = {}
     for key, batch in batches.items():
@@ -223,7 +221,7 @@ def sharpness_sweep(
             est, gate = Estimate.exact(q), None
         elif method == "radial":
             est = operators.norm_quotient(f, p, spec, method="radial")
-            gate = Gate(None, q, q, atol=1e-6)
+            gate = Gate(f"{tag}:radial-agrees", q, q, atol=1e-6)
         elif method == "mc":
             est = operators.norm_quotient(
                 f, p, spec, method="mc", samples=samples,

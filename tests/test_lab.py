@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from collections import Counter
@@ -209,6 +210,7 @@ class TestSharpnessSweep:
     def test_radial_method(self):
         rep = lab.sharpness_sweep(2.0, SPEC1, eps_grid=(0.2, 0.1), method="radial", seed=0)
         assert all(r.verdict != "FAIL" for r in rep.rows)
+        assert rep.summary["C1:radial-agrees"] == "PASS"
 
     def test_reproducible(self):
         a = lab.sharpness_sweep(2.0, SPEC1, eps_grid=(0.2, 0.1), method="mc",
@@ -385,3 +387,41 @@ def test_no_substream_key_is_drawn_twice(monkeypatch):
         run()
         repeated = [k for k, c in Counter(keys).items() if c > 1]
         assert keys and not repeated, f"{name}: {len(repeated)} of {len(keys)} keys drawn twice"
+
+
+TABLE_WEIGHT = {"factors": [{"t": [0, 0.25, 0.5, 1], "values": [0, 0, 0.2, 1]}]}
+
+
+@pytest.mark.parametrize("argv", [
+    "sharpness --method closed --factors 1 --p 2",
+    "sharpness --method closed --factors 1 --p 2 --eps 0.9,0.85,0.8",
+    "sharpness --method radial --factors 1 --p 3 --eps 0.2,0.1",
+    "sharpness --method mc --factors 1 --p 2 --eps 0.2,0.1 --samples 4000 --inner-samples 16",
+    "fuzz --factors 1 --p 2 --trials 2 --samples 4000",
+    "radialize-check --factors 1 --p 2 --trials 2 --samples 2000 --inner-samples 16",
+    "weighted --weight monomial:3 --p 2",
+    "weighted --weight one --p 2",
+    "cesaro-duality --weight monomial:4 --p 2 --factors 1 --pairs 3 --samples 2000",
+    "cesaro-duality --weight table:table.json --p 2 --factors 1 --pairs 3 --samples 2000",
+    "geometry-check --samples 20000",
+    "volume --n 1 --samples 20000",
+])
+def test_every_summary_key_comes_from_its_rows(argv, tmp_path, monkeypatch):
+    """The row walk: each subcommand's summary is what `_report` derives from
+    the report's own rows, every gated row counts toward a listed key, and a
+    row that gates nothing reads INFO.  A key assigned by hand, or a verdict
+    kept outside the rows, shows up as a difference."""
+    from hardylab import cli
+
+    (tmp_path / "table.json").write_text(json.dumps(TABLE_WEIGHT))
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    monkeypatch.setattr(cli, "emit_report", lambda report, *args, **kwargs: reports.append(report))
+    code = cli.run(argv.split() + ["--seed", "1"])
+    (rep,) = reports
+    assert code == (2 if "FAIL" in rep.summary.values() else 0)
+    assert rep.summary and ("FAIL" in rep.summary.values()) == ("--eps 0.9" in argv)
+    derived = lab._report(rep.experiment, rep.params, rep.rows, rep.seed, 0.0, keys=tuple(rep.summary))
+    assert list(derived.summary.items()) == list(rep.summary.items())
+    for r in rep.rows:
+        assert r.gate.key in rep.summary if r.gate else r.verdict == "INFO", r.input
