@@ -289,7 +289,7 @@ def bound_fuzz(
     t0 = time.perf_counter()
     sharp = closedform.sharp_constant(p, spec.m).value
     rows: list[ReportRow] = []
-    worst = -math.inf
+    worst = -math.inf  # reported only when trials ran
     key = "C5:no-quotient-exceeds-bound"
 
     def bound(q: Estimate) -> Gate:
@@ -329,7 +329,8 @@ def bound_fuzz(
     except ValueError as err:
         rows.append(ReportRow.of(f"control: zero mixture rejected ({err})", 0.0))
 
-    rows.append(ReportRow.of("max quotient", worst, sharp))
+    if trials:
+        rows.append(ReportRow.of("max quotient", worst, sharp))
     params = {
         "trials": trials, "p": p, "factors": [d.n for d in spec.factors],
         "samples": samples, "sharp_constant": sharp,

@@ -253,6 +253,18 @@ class TestBoundFuzz:
         rep = lab.bound_fuzz(4, 1.5, SPEC2, samples=30_000, seed=3)
         assert rep.summary["C5:no-quotient-exceeds-bound"] == "PASS"
 
+    def test_zero_trials_run_the_control_alone(self):
+        # a control-only run has no maximum to report, and its report must
+        # serialize as standard JSON
+        from hardylab import cli
+
+        rep = lab.bound_fuzz(0, 2.0, SPEC1, samples=4_000, seed=1)
+        assert rep.summary == {"C5:no-quotient-exceeds-bound": "PASS"}
+        assert not any(r.input == "max quotient" for r in rep.rows)
+        rows = json.loads(cli.report_to_json(rep))["rows"]
+        assert [r["input"].split(" (")[0] for r in rows] == ["control: centered radial bump",
+                                                             "control: zero mixture rejected"]
+
 
 class TestRadialization:
     def test_m1(self):
