@@ -4,6 +4,8 @@ reports.
 Each experiment returns an ExperimentReport: rows of (input, estimate,
 oracle, deviation, sigma multiple, verdict) plus a summary keyed by the
 laboratory's numbered acceptance checks (C1..C10, listed in the README).
+Every verdict comes from one rule, a row's `Gate`, and `_report` derives
+each summary value from the rows whose gates name that key.
 Rows derive their randomness from per-row substreams of the experiment seed,
 so a report is a pure function of (config, seed).
 """
@@ -35,7 +37,6 @@ from .measure import (
     mc_integrate,
     nodewise,
     radial_integral,
-    rounding_error,
     subseed,
     substream,
 )
@@ -76,8 +77,8 @@ the ball as n grows: at n = 30 a million samples expect 6e-31 hits."""
 @dataclass(frozen=True)
 class Gate:
     """The one verdict rule.  A row's estimate must lie in [lo, hi], each
-    finite end widened by k standard errors plus atol plus the rounding term
-    `measure.rounding_error`: lo = hi is a two-sided target, an infinite end
+    finite end widened by `Estimate.tolerance`: k standard errors plus atol
+    plus the rounding term.  lo = hi is a two-sided target, an infinite end
     a one-sided bound.  With `rel` the k errors are k * rel * |end|, a
     relative error scaled by the bound.  The row counts toward summary `key`.
     A `budget` gate is two-sided; its row reads INFO rather than FAIL up to
@@ -96,8 +97,8 @@ class Gate:
 
     def holds(self, est: Estimate) -> bool:
         def allowance(end: float) -> float:
-            err = est.std_error if self.rel is None else self.rel * abs(end)
-            return self.k * err + self.atol + rounding_error(est.value, end)
+            held = est if self.rel is None else Estimate(est.value, self.rel * abs(end))
+            return held.tolerance(end, self.k, self.atol)
 
         v = est.value
         return ((self.lo == -math.inf or self.lo - v <= allowance(self.lo))
@@ -117,7 +118,7 @@ def _sigma(est: Estimate, oracle: float, atol: float) -> float:
     dominates; when the error is at rounding scale (a constant integrand) it
     measures the deviation against the fixed allowance, and exceeds SIGMAS
     exactly when the deviation exceeds that allowance."""
-    err = max(est.std_error, (atol + rounding_error(est.value, oracle)) / SIGMAS)
+    err = max(est.std_error, est.tolerance(oracle, 0.0, atol) / SIGMAS)
     return abs(est.value - oracle) / err if err > 0 else math.inf  # 0 only for non-finite values
 
 
