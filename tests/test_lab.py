@@ -80,6 +80,7 @@ class TestRow:
         assert r.deviation == 1.3 - 1.2 and r.sigma_multiple == pytest.approx(10.0)
         assert gated(Estimate(2.01, 0.01, 1_000), 1.2, lab.Gate("key", hi=2.0, k=0.0)).verdict == "FAIL"
 
+
 class TestSigmaRow:
     def test_zero_error_reads_zero_sigma(self):
         # exact values and rows that gate nothing read 0
