@@ -33,9 +33,7 @@ from .measure import (
     TAG_EXPERIMENT,
     TAG_SPHERE,
     chunked_mean,
-    integrate_1d,
     mc_integrate,
-    nodewise,
     radial_integral,
     subseed,
     substream,
@@ -525,20 +523,14 @@ def _indicator_pairing_quad(phi: MonomialWeight, spec: ProductSpec, adjoint: boo
     """Pairing of the polyball indicator with itself, factor by factor:
     <f, P g>  = prod_i omega_i int_0^1 (int_0^1 t^a dt) R^(Q-1) dR,
     <g, P* f> = prod_i omega_i int_0^1 (int_R^1 t^(a-Q) dt) R^(Q-1) dR,
-    each inner integral done by quadrature (both sides equal V/(a+1))."""
+    each inner integral the image profile of the indicator's factor (both
+    sides equal V/(a+1))."""
     out = 1.0
-    for dims, a in zip(spec.factors, phi.exponents):
-        if adjoint:
-            prof = nodewise(lambda R, a=a, Q=dims.Q: 0.0 if R >= 1.0 else integrate_1d(
-                lambda t: t ** (a - Q), R, 1.0, tol=1e-12
-            ))
-        else:
-            inner = integrate_1d(lambda t: t**a, 0.0, 1.0, tol=1e-12)
-
-            def prof(Rv: np.ndarray, inner=inner) -> np.ndarray:
-                return np.full(Rv.shape[0], inner)
-
-        out *= radial_integral(prof, dims, 1.0, tol=1e-11)
+    ind = PowerInside(spec, (0.0,) * spec.m)
+    for dims, a, (F, lo, hi) in zip(spec.factors, phi.exponents, ind.radial_profiles()):
+        kernel = operators._weight_kernel(a, dims, adjoint)
+        out *= radial_integral(operators._image_profile(F, lo, hi, kernel, adjoint, 1e-12),
+                               dims, 1.0, tol=1e-11)
     return out
 
 

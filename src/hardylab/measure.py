@@ -33,7 +33,6 @@ __all__ = [
     "grid_workspace",
     "mc_integrate",
     "integrate_1d",
-    "nodewise",
     "radial_integral",
     "lp_norm",
 ]
@@ -414,13 +413,6 @@ def integrate_1d(
         mid = 0.5 * (a + b)
         push(a, mid)
         push(mid, b)
-
-
-def nodewise(inner):
-    """Vectorize a scalar inner integral over the nodes of an outer rule:
-    nodewise(inner)(R) is [inner(R_0), inner(R_1), ...].  Every nested
-    quadrature evaluates its inner integrals node by node through here."""
-    return lambda Rv: np.fromiter((inner(R) for R in Rv), dtype=float, count=len(Rv))
 
 
 def radial_integral(

@@ -24,6 +24,7 @@ import numpy as np
 from . import closedform
 from .funcs import (
     BumpMixture,
+    RadialProduct,
     TestFunction,
     UnsupportedFamilyError,
     _json_floats,
@@ -32,7 +33,6 @@ from .funcs import (
 from .hgroup import (
     GroupDims,
     ProductSpec,
-    ball_volume,
     dilate_arrays,
     group_law,
     koranyi_norm,
@@ -52,8 +52,6 @@ from .measure import (
     integrate_1d,
     lp_norm,
     mc_integrate,
-    nodewise,
-    radial_integral,
     substream,
 )
 
@@ -195,12 +193,6 @@ def hardy_eval(
     smooth (common-random-numbers) quotient surface."""
     est = mc_integrate(f, f.spec, radii, samples, seed, workers=workers)
     return est.scaled(1.0 / polyball_volume(f.spec, radii))
-
-
-def _radial_ball_average(F, a: float, b: float, dims: GroupDims, R: float, tol: float) -> float:
-    """Average over B(0, R) of the radial profile F supported on [a, b], by
-    polar quadrature."""
-    return radial_integral(F, dims, min(R, b), tol, lower=a) / ball_volume(dims, R)
 
 
 def weight_bound_integral(phi: Weight, p: float, spec: ProductSpec, kind: str) -> float:
@@ -381,44 +373,62 @@ def _hardy_norm_compact(
     return Estimate((J_full / F_full) ** (1.0 / p), q_sem, per_rep * replicates)
 
 
+def _image_profile(F, a: float, b: float, kernel, adjoint: bool, tol: float):
+    """The vectorized radial profile R -> int kernel(t) F(tR) dt of a
+    dilation average of the profile F supported on [a, b]; with adjoint,
+    F(R/t) in place of F(tR).  t runs over the window of [0, 1] where the
+    dilated radius meets [a, b], and each node R gets its own adaptive
+    quadrature; an empty window gives 0.
+
+    The ball average over B(0, R) is the kernel Q t^(Q-1), since
+    omega_Q = Q |B(0, 1)|; the weighted operator with weight t^a has the
+    kernel t^a, its adjoint t^(a-Q)."""
+
+    def image(R: float) -> float:
+        if adjoint:
+            lo, hi = R / b, 1.0 if a == 0.0 else min(1.0, R / a)
+        else:
+            lo, hi = a / R, min(1.0, b / R)
+        if not lo < hi:
+            return 0.0
+        return integrate_1d(lambda t: kernel(t) * F(R / t if adjoint else t * R), lo, hi, tol=tol)
+
+    return lambda Rv: np.fromiter((image(R) for R in Rv), dtype=float, count=len(Rv))
+
+
+def _weight_kernel(a: float, dims: GroupDims, adjoint: bool):
+    """t^a, the kernel of the factor t^a of a monomial weight, or t^(a-Q), its
+    adjoint's."""
+    e = a - dims.Q if adjoint else a
+    return lambda t: t**e
+
+
+def _image_norm(f, p: float, spec: ProductSpec, kernels, adjoint: bool, tol: float) -> float:
+    """||T f||_p for a radial product f whose image under T is the product of
+    the factors' `_image_profile`s with the given kernels: this route never
+    touches the closed forms it is used to validate."""
+    image = RadialProduct(spec, tuple(
+        _image_profile(F, a, b, kernel, adjoint, tol)
+        for (F, a, b), kernel in zip(f.radial_profiles(), kernels)
+    ))
+    return lp_norm(image, spec, p, method="radial", tol=tol).value
+
+
 def _radial_hardy_norm(f, p: float, spec: ProductSpec, tol: float) -> float:
-    """||T f||_p by per-factor quadrature: the image profile is itself
-    computed by inner quadrature, so this route never touches the closed
-    forms it is used to validate."""
-    normp = 1.0
-    for dims, (F, a, b) in zip(spec.factors, f.radial_profiles()):
-        avg = nodewise(lambda R: _radial_ball_average(F, a, b, dims, R, tol))
-        normp *= radial_integral(lambda Rv: np.abs(avg(Rv)) ** p, dims, math.inf, tol)
-    return normp ** (1.0 / p)
+    """||T f||_p under the ball-average operator, by per-factor quadrature."""
+    kernels = [lambda t, Q=dims.Q: Q * t ** (Q - 1) for dims in spec.factors]
+    return _image_norm(f, p, spec, kernels, False, tol)
 
 
 def _weighted_radial_norm(
     f, phi: MonomialWeight, p: float, spec: ProductSpec, tol: float, adjoint: bool
 ) -> float:
     """||T f||_p for the outside power family under the (adjoint) weighted
-    operator, by per-factor quadrature of the explicit image profile."""
+    operator, by per-factor quadrature."""
     if f.family != "power-outside":
         raise UnsupportedFamilyError("radial weighted norms target the outside power family")
-    normp = 1.0
-    for dims, beta, a in zip(spec.factors, f.betas, phi.exponents):
-        Q = dims.Q
-
-        def image(R: float) -> float:
-            # delta_{1/t} (resp. delta_t) of a radius-R point meets the support
-            # |y| > 1 exactly for t < R (resp. t > 1/R)
-            if adjoint:
-                return integrate_1d(
-                    lambda t: (R / t) ** -beta * t ** (a - Q),
-                    0.0, min(R, 1.0), tol=tol,
-                )
-            lo = 1.0 / R
-            if lo >= 1.0:
-                return 0.0
-            return integrate_1d(lambda t: (t * R) ** -beta * t**a, lo, 1.0, tol=tol)
-
-        prof = nodewise(image)
-        normp *= radial_integral(lambda Rv: np.abs(prof(Rv)) ** p, dims, math.inf, tol)
-    return normp ** (1.0 / p)
+    kernels = [_weight_kernel(a, dims, adjoint) for dims, a in zip(spec.factors, phi.exponents)]
+    return _image_norm(f, p, spec, kernels, adjoint, tol)
 
 
 def norm_quotient(

@@ -24,6 +24,11 @@ SPEC2 = ProductSpec.of_orders(1, 1)
 D1 = GroupDims(1)
 
 
+def hardy_kernel(t):
+    """Q t^(Q-1): the ball average over B(0, R) as a dilation average."""
+    return D1.Q * t ** (D1.Q - 1)
+
+
 class TestHardyEval:
     def test_constant_average_is_one(self):
         f = PowerInside(SPEC1, (0.0,))
@@ -34,14 +39,15 @@ class TestHardyEval:
         f = PowerInside(SPEC1, (-1.0,))
         want = 8 / 3
         (F, a, b), = f.radial_profiles()
-        assert ops._radial_ball_average(F, a, b, D1, 0.5, 1e-10) == pytest.approx(want, rel=1e-9)
+        avg = ops._image_profile(F, a, b, hardy_kernel, False, 1e-10)
+        assert avg(np.array([0.5]))[0] == pytest.approx(want, rel=1e-9)
         mc = ops.hardy_eval(f, [0.5], samples=100_000, seed=2)
         assert mc.within(want, sigmas=3.0)
 
     def test_saturated_average(self):
         f = PowerInside(SPEC1, (-1.0,))
         (F, a, b), = f.radial_profiles()
-        got = ops._radial_ball_average(F, a, b, D1, 2.0, 1e-10)
+        got = ops._image_profile(F, a, b, hardy_kernel, False, 1e-10)(np.array([2.0]))[0]
         assert got == pytest.approx(1 / 12, rel=1e-9)
 
     def test_zero_radius_rejected(self):
@@ -241,6 +247,47 @@ class TestNormQuotient:
         with pytest.raises(ops.UnboundedOperatorError):
             ops.norm_quotient(f, 2.0, SPEC1, operator="weighted-hardy",
                               phi=ops.MonomialWeight((0.0,)), method="radial")
+
+
+class TestImageProfile:
+    """`_image_profile` against closed-form images at R in {0.3, 1, 4}."""
+
+    RADII = np.array([0.3, 1.0, 4.0])
+
+    def _check(self, got, want):
+        for g, w in zip(got, want):
+            if w == 0.0:
+                assert g == 0.0  # an empty window, exactly
+            else:
+                assert g == pytest.approx(w, rel=1e-9)
+
+    def test_weighted_image_of_the_outside_power(self):
+        a, beta = 3.0, 2.5
+        (F, lo, hi), = PowerOutside(SPEC1, (beta,)).radial_profiles()
+        got = ops._image_profile(F, lo, hi, ops._weight_kernel(a, D1, False), False, 1e-10)(self.RADII)
+        e = a - beta + 1.0
+        want = [R**-beta * (1.0 - R**-e) / e if R > 1.0 else 0.0 for R in self.RADII]
+        self._check(got, want)
+
+    def test_adjoint_image_of_the_outside_power(self):
+        a, beta = 3.0, 2.5
+        (F, lo, hi), = PowerOutside(SPEC1, (beta,)).radial_profiles()
+        got = ops._image_profile(F, lo, hi, ops._weight_kernel(a, D1, True), True, 1e-10)(self.RADII)
+        e = a - D1.Q + beta + 1.0
+        self._check(got, [R**-beta * min(R, 1.0) ** e / e for R in self.RADII])
+
+    def test_adjoint_indicator_profile(self):
+        # at a = Q - 1 the adjoint kernel is 1/t, and int_R^1 dt/t = -ln R
+        (F, lo, hi), = PowerInside(SPEC1, (0.0,)).radial_profiles()
+        kernel = ops._weight_kernel(D1.Q - 1.0, D1, True)
+        got = ops._image_profile(F, lo, hi, kernel, True, 1e-10)(self.RADII)
+        self._check(got, [-math.log(R) if R < 1.0 else 0.0 for R in self.RADII])
+
+    def test_ball_average_outside_the_support_is_zero(self):
+        (F, lo, hi), = PowerOutside(SPEC1, (2.5,)).radial_profiles()
+        got = ops._image_profile(F, lo, hi, hardy_kernel, False, 1e-10)(self.RADII)
+        assert got[0] == 0.0 and got[1] == 0.0  # B(0, R) misses |x| > 1 for R <= 1
+        assert got[2] == pytest.approx(D1.Q / (D1.Q - 2.5) * (4.0**-2.5 - 4.0**-D1.Q), rel=1e-9)
 
 
 class TestSupportSampler:
