@@ -468,7 +468,7 @@ def duality_check(
     key = "C8:duality"
     ind = PowerInside(spec, (0.0,) * spec.m)
 
-    if phi.is_monomial:
+    if isinstance(phi, MonomialWeight):
         oracle = 1.0
         for dims, a in zip(spec.factors, phi.exponents):
             oracle *= dims.ball_volume / (a + 1.0)
@@ -498,7 +498,7 @@ def duality_check(
                                  Gate(key, rhs.value, rhs.value, budget=True)))
 
     # adjoint norm conjecture, reported as INFO only
-    if phi.is_monomial:
+    if isinstance(phi, MonomialWeight):
         cstar = operators.weight_bound_integral(phi, p, spec, "cesaro")
         if math.isfinite(cstar):
             approach = []
@@ -550,7 +550,7 @@ def weighted_sharpness(
     below; an infinite C_phi is demonstrated by bounds growing without limit
     (INFO)."""
     t0 = time.perf_counter()
-    if not phi.is_monomial:
+    if not isinstance(phi, MonomialWeight):
         raise ValueError("weighted sharpness sweeps use monomial weights")
     c_phi = closedform.monomial_weight_characteristic(phi.exponents, p, spec, "hardy")
     rows: list[ReportRow] = []

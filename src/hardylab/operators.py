@@ -84,10 +84,6 @@ class Weight:
     def m(self) -> int:
         return len(self.profiles)
 
-    @property
-    def is_monomial(self) -> bool:
-        return False
-
     def __call__(self, ts: list[np.ndarray], ws: GridWorkspace) -> np.ndarray:
         """phi at the arrays ts[i], which share one shape, factor by factor
         into a grid of ws; each later factor is formed in a second grid."""
@@ -126,10 +122,6 @@ class MonomialWeight(Weight):
         np.copyto(out, t)
         out **= self.exponents[i]  # in place, the same loop as t ** a
         return out
-
-    @property
-    def is_monomial(self) -> bool:
-        return True
 
 
 class GeneralWeight(Weight):
@@ -203,7 +195,7 @@ def weight_bound_integral(phi: Weight, p: float, spec: ProductSpec, kind: str) -
         raise ValueError("kind must be 'hardy' or 'cesaro'")
     if phi.m != spec.m:
         raise ValueError("weight and product space disagree on m")
-    if phi.is_monomial:
+    if isinstance(phi, MonomialWeight):
         return closedform.monomial_weight_characteristic(phi.exponents, p, spec, kind)
     # the weight is a product, so the integral is a product of 1-D integrals
     total = 1.0
@@ -473,7 +465,7 @@ def norm_quotient(
         _require_bounded(phi, p, spec, "cesaro" if adjoint else "hardy")
         if method != "radial":
             raise ValueError(f"method {method!r} not supported for weighted quotients")
-        if not phi.is_monomial:
+        if not isinstance(phi, MonomialWeight):
             raise UnsupportedFamilyError("radial weighted quotients need a monomial weight")
         num = _weighted_radial_norm(f, phi, p, spec, tol, adjoint)
         den = lp_norm(f, spec, p, method="radial", tol=tol)
