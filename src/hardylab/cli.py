@@ -2,7 +2,7 @@
 and emits CSV/JSON reports plus optional SVG convergence plots.
 
 Exit codes: 0 when every check passes (INFO rows never fail a run), 2 when
-any verdict is FAIL, 1 for usage or I/O errors.  The same configuration and
+any verdict is FAIL, 1 for usage, I/O or quadrature errors.  The same configuration and
 seed always produce byte-identical artifacts, whatever the worker count.
 """
 
@@ -27,6 +27,7 @@ from .lab import (
     weighted_sharpness,
 )
 from .funcs import parse_test_function
+from .measure import IntegrationError
 from .operators import parse_weight
 
 # flag name -> add_argument keyword arguments
@@ -347,6 +348,11 @@ def run(argv) -> int:
         return 1
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
+        return 1
+    except IntegrationError as err:
+        # a quadrature that cannot converge at these parameters, e.g. an
+        # endpoint singularity that is not integrable as p nears 1
+        print(f"quadrature error: {err}", file=sys.stderr)
         return 1
     if report.wall_time_ms is not None:
         print(f"[{report.experiment}] wall time {report.wall_time_ms:.0f} ms, "

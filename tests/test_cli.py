@@ -12,6 +12,7 @@ import pytest
 import hardylab
 from hardylab import cli
 from hardylab.lab import ExperimentReport, ReportRow
+from hardylab.measure import IntegrationError
 
 
 def run(argv):
@@ -61,6 +62,20 @@ class TestExitCodes:
         assert code == 2
         rep = json.loads(out.read_text())
         assert any(v == "FAIL" for v in rep["summary"].values())
+
+    def test_quadrature_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # `sharpness --method radial --p 1.0001 --eps 0.0003,0.0002` fails
+        # this way after about 12 s, in `measure._power_closeout`
+        def fail(*args, **kwargs):
+            raise IntegrationError("endpoint behaviour ~ s^-0.9997 is not integrable")
+
+        monkeypatch.setattr(cli, "sharpness_sweep", fail)
+        out = tmp_path / "r.json"
+        assert run(["sharpness", "--method", "radial", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "quadrature error: endpoint behaviour" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_nested_mc_refuses_fractional_p(self, tmp_path, capsys):
         out = tmp_path / "r.json"
