@@ -366,15 +366,11 @@ def _hardy_norm_compact(
 
 
 def _image_profile(F, a: float, b: float, kernel, adjoint: bool, tol: float):
-    """The vectorized radial profile R -> int kernel(t) F(tR) dt of a
-    dilation average of the profile F supported on [a, b]; with adjoint,
-    F(R/t) in place of F(tR).  t runs over the window of [0, 1] where the
-    dilated radius meets [a, b], and each node R gets its own adaptive
-    quadrature; an empty window gives 0.
-
-    The ball average over B(0, R) is the kernel Q t^(Q-1), since
-    omega_Q = Q |B(0, 1)|; the weighted operator with weight t^a has the
-    kernel t^a, its adjoint t^(a-Q)."""
+    """The vectorized image profile R -> int kernel(t) F(tR) dt, with F(R/t)
+    when adjoint, of a profile F supported on [a, b].  t runs over the window
+    of [0, 1] where the dilated radius meets [a, b] (an empty one gives 0),
+    with one `integrate_1d` call per node.  The ball average over B(0, R) has
+    the kernel Q t^(Q-1), since omega_Q = Q |B(0, 1)|."""
 
     def image(R: float) -> float:
         if adjoint:
