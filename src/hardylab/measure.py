@@ -179,20 +179,29 @@ class GridWorkspace:
     as a C-contiguous array of that shape, and `scope()` gives back, on exit,
     the grids taken inside it.  A buffer keeps the size of the largest grid
     it has held, so the shorter last chunk takes the front of it; a larger
-    grid replaces it."""
+    grid replaces it, and so does one that needs less than an eighth of it.
+    `trim()` drops the buffers more than eight times the largest grid taken
+    since the last trim, so that a workspace grown for m = 2 grids (12.5
+    times an m = 1 grid) does not keep them through later m = 1 chunks."""
 
     def __init__(self) -> None:
         self._buffers: list[np.ndarray] = []
         self._taken = 0
+        self._largest = 0
 
     def grid(self, shape) -> np.ndarray:
         size = math.prod(shape)
         if self._taken == len(self._buffers):
             self._buffers.append(np.empty(size))
-        elif self._buffers[self._taken].size < size:
+        elif not size <= self._buffers[self._taken].size <= 8 * size:
             self._buffers[self._taken] = np.empty(size)
         self._taken += 1
+        self._largest = max(self._largest, size)
         return self._buffers[self._taken - 1][:size].reshape(shape)
+
+    def trim(self) -> None:
+        self._buffers = [b for b in self._buffers if b.size <= 8 * self._largest]
+        self._largest = 0
 
     @contextlib.contextmanager
     def scope(self):
@@ -210,7 +219,7 @@ _idle_lock = threading.Lock()
 @contextlib.contextmanager
 def grid_workspace():
     """A `GridWorkspace` for one chunk: an idle one, or a new one when all
-    are in use, handed back with its grids when the chunk ends.  Grid memory
+    are in use, handed back with its grids, trimmed, when the chunk ends.  Grid memory
     freed at the end of a chunk would go back to the system and be faulted
     in again by the next; here it stays, in at most one workspace per chunk
     run at once, that is per worker thread.  The list is process-wide
@@ -221,6 +230,7 @@ def grid_workspace():
         with ws.scope():
             yield ws
     finally:
+        ws.trim()
         with _idle_lock:
             _idle_workspaces.append(ws)
 

@@ -285,6 +285,32 @@ class TestGridWorkspace:
             assert ws.grid((5, 3)).shape == (5, 3)
             assert not np.shares_memory(ws.grid((4, 3)), big)  # the next buffer is new
 
+    def test_a_grid_under_an_eighth_of_its_buffer_replaces_it(self):
+        ws = GridWorkspace()
+        with ws.scope():
+            big = ws.grid((16, 4))
+        with ws.scope():
+            assert np.shares_memory(ws.grid((2, 4)), big)  # an eighth: kept
+        with ws.scope():
+            small = ws.grid((2, 3))
+            assert not np.shares_memory(small, big)
+            assert small.base.size == 6
+
+    def test_trim_drops_buffers_beyond_eight_times_the_largest_grid(self):
+        ws = GridWorkspace()
+        with ws.scope():
+            ws.grid((100, 4))
+            ws.grid((100, 4))
+            ws.grid((10, 4))
+        ws.trim()
+        assert [b.size for b in ws._buffers] == [400, 400, 40]
+        with ws.scope():
+            ws.grid((10, 4))  # replaces the first buffer
+        ws.trim()  # the second, at 10x, goes
+        assert [b.size for b in ws._buffers] == [40, 40]
+        ws.trim()  # no grid since the last trim: nothing is kept
+        assert ws._buffers == []
+
     def test_concurrent_chunks_never_share_a_workspace(self, monkeypatch):
         # more threads than cores and a short switch interval: a workspace
         # handed to two chunks at once would mix their grids

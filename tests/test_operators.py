@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from hardylab import closedform as cf
 from hardylab import funcs
+from hardylab import measure
 from hardylab import operators as ops
 from hardylab.funcs import (
     Bump,
@@ -428,6 +429,19 @@ class TestPairings:
                 assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
+
+    def test_idle_workspaces_drop_m2_grids_after_m1_pairings(self, monkeypatch):
+        # an m = 2 grid is 12.5 m = 1 grids; after m = 1 chunks no idle
+        # buffer may hold more than 8 of them
+        monkeypatch.setattr(measure, "_idle_workspaces", [])
+        for spec in (SPEC2, SPEC1):
+            rng = substream(7, 1)
+            f = random_bump_mixture(spec, rng, max_bumps=2, radius_range=(0.5, 1.0), center_radius=0.3)
+            phi = ops.MonomialWeight((4.0,) * spec.m)
+            ops.pairing_weighted_hardy(f, f, phi, spec, samples=4096, seed=5)
+            ops.pairing_weighted_cesaro(f, f, phi, spec, p=2.0, samples=4096, seed=6)
+        sizes = [b.size for ws in measure._idle_workspaces for b in ws._buffers]
+        assert sizes and max(sizes) <= 8 * 2048 * 32
 
     def test_cesaro_pairing_refuses_an_unbounded_weight(self):
         # weight one: the adjoint characteristic integral diverges at p = 2
