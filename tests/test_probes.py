@@ -1,0 +1,39 @@
+import importlib.util
+import json
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "probes", Path(__file__).resolve().parent.parent / "tools" / "probes.py")
+probes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(probes)
+
+HEADER = "experiment,param_json,input,estimate,std_error,oracle,deviation,sigma_multiple,verdict\n"
+
+
+def _csv(path, rows):
+    path.write_text(HEADER + "".join(f'x,"{{}}","{label}",{est},{se},,0,0,{verdict}\n'
+                                     for label, est, se, verdict in rows), encoding="utf-8")
+    return path
+
+
+def _json(path, rows, summary):
+    rows = [{"input": label, "estimate": est, "std_error": se, "oracle": 2.0 * est, "verdict": verdict}
+            for label, est, se, verdict in rows]
+    path.write_text(json.dumps({"rows": rows, "summary": summary}), encoding="utf-8")
+    return path
+
+
+def test_compare_matches_rows_by_label_and_reports_the_largest_move(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    old = [("pair=0", 2.0, 0.5, "PASS"), ("pair=1", 4.0, 0.0, "PASS"), ("pair=1", 1.0, 1.0, "PASS")]
+    new = [("pair=1", 4.0, 0.0, "PASS"), ("pair=0", 2.0 * (1 + 2**-51), 0.5, "PASS"),
+           ("pair=1", 1.0, 1.5, "FAIL")]
+    line = probes.compare(_csv(tmp_path / "a" / "r.csv", old), _csv(tmp_path / "b" / "r.csv", new))
+    assert line == ("r.csv: estimate 4.4e-16, std_error 0.5, oracle 0 relative; "
+                    "verdicts CHANGED; summary same")
+    line = probes.compare(_json(tmp_path / "a" / "r.json", old, {"k": "PASS"}),
+                          _json(tmp_path / "b" / "r.json", old, {"k": "FAIL"}))
+    assert line == "r.json: estimate 0, std_error 0, oracle 0 relative; verdicts same; summary CHANGED"
+    line = probes.compare(tmp_path / "a" / "r.json", _json(tmp_path / "b" / "s.json", old[:2], {}))
+    assert line == "s.json: rows differ (3 -> 2, by input label)"

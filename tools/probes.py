@@ -18,15 +18,26 @@ two-bump function file and the table weights (m = 1 and m = 2) are written
 into DIR and named by a relative path with DIR as the working directory, so
 the reports that record those paths hash the same in every checkout.
 Comparing the output of two checkouts shows which reports a change moved.
+
+    python3 tools/probes.py --out DIR --against OLD
+
+then says how far each report that differs from its namesake in OLD (the
+`--out` of another checkout) moved: the largest relative change of
+`estimate`, `std_error` and `oracle` (a pairing row's oracle is the other
+pairing's estimate) over its rows, matched by their `input` label, and
+whether any row verdict or summary value changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -93,10 +104,52 @@ def probes() -> list[tuple[str, list[str]]]:
     return out
 
 
+def _rows_and_summary(path: Path) -> tuple[dict, dict]:
+    """A report's rows by (input label, occurrence), and its summary (CSV has none)."""
+    if path.suffix == ".csv":
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows, summary = list(csv.DictReader(fh)), {}
+    else:
+        report = json.loads(path.read_text(encoding="utf-8"))
+        rows, summary = report["rows"], report["summary"]
+    keyed, seen = {}, collections.Counter()
+    for row in rows:
+        keyed[(row["input"], seen[row["input"]])] = row
+        seen[row["input"]] += 1
+    return keyed, summary
+
+
+def _relative_change(old, new) -> float:
+    """|new - old| / |old|; a value that appears or vanishes (JSON null, an
+    empty CSV cell) is an infinite change."""
+    if old in (None, "") or new in (None, ""):
+        return 0.0 if old == new else math.inf
+    old, new = float(old), float(new)
+    if old == new:
+        return 0.0
+    return abs(new - old) / abs(old) if old != 0.0 else math.inf
+
+
+def compare(old: Path, new: Path) -> str:
+    """One line on how far the report `new` moved from `old`."""
+    (old_rows, old_summary), (new_rows, new_summary) = map(_rows_and_summary, (old, new))
+    if old_rows.keys() != new_rows.keys():
+        return f"{new.name}: rows differ ({len(old_rows)} -> {len(new_rows)}, by input label)"
+    moved = {field: max((_relative_change(old_rows[k][field], new_rows[k][field]) for k in old_rows),
+                        default=0.0) for field in ("estimate", "std_error", "oracle")}
+    verdicts = any(old_rows[k]["verdict"] != new_rows[k]["verdict"] for k in old_rows)
+    return (f"{new.name}: estimate {moved['estimate']:.2g}, std_error {moved['std_error']:.2g}, "
+            f"oracle {moved['oracle']:.2g} relative; verdicts {'CHANGED' if verdicts else 'same'}; "
+            f"summary {'CHANGED' if old_summary != new_summary else 'same'}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="directory for the reports (created if missing)")
+    ap.add_argument("--against", type=Path,
+                    help="the --out directory of another checkout, to compare each moved report with")
     args = ap.parse_args(argv)
+    against = args.against.resolve() if args.against else None
 
     sys.path.insert(0, str(ROOT / "src"))
     from hardylab import cli
@@ -107,7 +160,7 @@ def main(argv=None) -> int:
     (out / TABLE_FILE).write_text(json.dumps(TABLE) + "\n", encoding="utf-8")
     (out / TABLE2_FILE).write_text(json.dumps(TABLE2) + "\n", encoding="utf-8")
     os.chdir(out)
-    failed = 0
+    failed, moved = 0, []
     for name, probe_argv in probes():
         log = io.StringIO()
         with contextlib.redirect_stderr(log):
@@ -117,6 +170,13 @@ def main(argv=None) -> int:
             print(f"{name}: exit {rc}: {log.getvalue().strip()}", file=sys.stderr)
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest() if (out / name).exists() else "-"
         print(f"{digest}  {name}", flush=True)
+        if against and digest != "-":
+            if not (against / name).exists():
+                moved.append(f"{name}: not in the comparison directory")
+            elif (against / name).read_bytes() != (out / name).read_bytes():
+                moved.append(compare(against / name, out / name))
+    if against:
+        print(f"{len(moved)} of {len(probes())} reports differ from {against}:", *moved, sep="\n")
     return 1 if failed else 0
 
 
