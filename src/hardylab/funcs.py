@@ -41,11 +41,15 @@ __all__ = [
 
 class TestFunction:
     """Base class: f(pts) maps per-factor batches pts[i] of shape
-    (N, 2n_i+1) to shape (N,).  f.on_dilations(pts, scales, ws), with pts[i]
-    of shape (k, 2n_i+1) and scales[i] broadcasting against (k, K), is the
-    (k, K) grid of f(delta_{s_1} x_1, ..., delta_{s_m} x_m) at
+    (N, 2n_i+1) to shape (N,).  f.on_dilations(pts, scales, nodes, starts,
+    ws), with pts[i] of shape (k, 2n_i+1) and scales[i] broadcasting against
+    (k, K), is the (k, K) grid of f(delta_{s_1} x_1, ..., delta_{s_m} x_m) at
     x_i = pts[i][a], s_i = scales[i][a, b], written into a grid of the
-    workspace ws, which the caller may overwrite."""
+    workspace ws, which the caller may overwrite.  nodes and starts are the
+    map that made the scales from the nodes nodes[i] (K,): scales[i] is
+    nodes[i] when starts is None, else 1/t with t = lo + (1 - lo) nodes[i] at
+    lo = starts[i][:, None] (the adjoint pairing's windows).  Bump mixtures
+    read the map; the other families read the scales."""
 
     spec: ProductSpec
     family: str = "generic"
@@ -53,7 +57,8 @@ class TestFunction:
     def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
-    def on_dilations(self, pts: list[np.ndarray], scales, ws: GridWorkspace) -> np.ndarray:
+    def on_dilations(self, pts: list[np.ndarray], scales, nodes, starts,
+                     ws: GridWorkspace) -> np.ndarray:
         grid = np.broadcast_shapes((pts[0].shape[0], 1), *(np.shape(s) for s in scales))
         flat = [dilate_arrays(np.broadcast_to(s, grid), X[:, None, :], d.n).reshape(-1, d.dim)
                 for d, s, X in zip(self.spec.factors, scales, pts)]
@@ -108,7 +113,8 @@ class _PowerFamily(TestFunction):
     def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
         return self._of_radii(_radii_of(pts))
 
-    def on_dilations(self, pts: list[np.ndarray], scales, ws: GridWorkspace) -> np.ndarray:
+    def on_dilations(self, pts: list[np.ndarray], scales, nodes, starts,
+                     ws: GridWorkspace) -> np.ndarray:
         grid = np.broadcast_shapes((pts[0].shape[0], 1), *(np.shape(s) for s in scales))
         return self._of_radii([np.multiply(r[:, None], s, out=ws.grid(grid))
                                for r, s in zip(_radii_of(pts), scales)])
@@ -349,26 +355,26 @@ class BumpMixture(TestFunction):
             for bump in self.bumps
         ], dtype=float)
 
-    def on_dilations(self, pts: list[np.ndarray], scales, ws: GridWorkspace) -> np.ndarray:
-        """`TestFunction.on_dilations`, one `squared_distance_on_dilations`
-        per bump and factor.  Dilating x and the centre by 1/radius scales
-        the distance by 1/radius, so the kernel returns u = (d/radius)^2
-        from k-row inputs and the grid is never divided.  The kernel's grids
-        turn over three workspace grids (two at m = 1), so that a factor's
-        H and V never land on the bump's product so far."""
-        grid = np.broadcast_shapes((pts[0].shape[0], 1), *(np.shape(s) for s in scales))
+    def on_dilations(self, pts: list[np.ndarray], scales, nodes, starts,
+                     ws: GridWorkspace) -> np.ndarray:
+        """`TestFunction.on_dilations` from the node map, through one
+        `hgroup.DilationDistances` per factor, which folds each bump's
+        1/radius into its coefficient rows and so returns u = (d/radius)^2.
+        The distance grids turn over three workspace grids (two at m = 1), so
+        that a factor's H and V never land on the bump's product so far."""
+        grid = (pts[0].shape[0], len(nodes[0]))
         total = ws.grid(grid)
         total.fill(0.0)
+        windows = [None] * len(pts) if starts is None else starts
         with ws.scope():
+            dists = [hgroup.DilationDistances(X, [b.centers[i] for b in self.bumps],
+                                              np.array([b.radii[i] for b in self.bumps]), nodes[i], lo, s)
+                     for i, (X, lo, s) in enumerate(zip(pts, windows, scales))]
             bufs = [ws.grid(grid) for _ in range(min(self.spec.m + 1, 3))]
-            for bump in self.bumps:
+            for j, bump in enumerate(self.bumps):
                 acc = bump.coefficient
-                for i, (dims, center, radius, X, s) in enumerate(zip(
-                        self.spec.factors, bump.centers, bump.radii, pts, scales)):
-                    u = hgroup.squared_distance_on_dilations(
-                        dilate_arrays(1.0 / radius, X, dims.n), s,
-                        dilate_arrays(1.0 / radius, center, dims.n),
-                        bufs[i % len(bufs)], bufs[(i + 1) % len(bufs)])
+                for i, dist in enumerate(dists):
+                    u = dist(j, bufs[i % len(bufs)], bufs[(i + 1) % len(bufs)])
                     acc = np.multiply(_bump_profile(u), acc, out=u)
                 total += acc
         return total

@@ -28,7 +28,7 @@ __all__ = [
     "dilate_arrays",
     "koranyi_norm",
     "distance",
-    "squared_distance_on_dilations",
+    "DilationDistances",
     "unit_ball_volume",
     "alt_unit_ball_volume",
     "ball_volume",
@@ -197,40 +197,83 @@ def distance(p, q):
     return float(val) if val.ndim == 0 else val
 
 
-def squared_distance_on_dilations(x: np.ndarray, s, q: np.ndarray, h: np.ndarray,
-                                  v: np.ndarray) -> np.ndarray:
-    """d(delta_s x, q)^2 for x of shape (k, 2n+1), s broadcasting against
-    (k, K) and one point q, from per-point quadratics in s, formed in the
-    caller's (k, K) grids h (which it returns) and v.
+class DilationDistances:
+    """Grids u_j = (d(delta_s x, q_j) / r_j)^2 for one factor's points x
+    (k, 2n+1), centres q_j (J, 2n+1) and radii r_j, on the (k, K) scales a
+    pairing makes from its nodes sigma (K,): s = sigma (shared nodes), or,
+    given window starts lo (k,), s = 1/t with t = lo + (1 - lo) sigma, whose
+    (k, K) grid `scales` the window form also reads.
 
-    With A = |x_h|^2, B = x_h . q_h and U = x_h . (2 J q) computed once per
-    point, the horizontal part of q^{-1} o delta_s x has squared length
-    H = (A s - 2B) s + |q_h|^2 and the vertical part is
-    V = (x_t s + U) s - q_t (as in `distance`, q_h . J q = 0), so
-    d^2 = sqrt(H^2 + V^2).  Every term of H and V is at most
-    M = (s |x|_h + |q|_h)^2, so cancellation leaves an absolute error of a
-    few ulp of M; unlike `distance`, the grid does not give an exact 0 where
-    delta_s x = q.  The kernel writes nothing but h and v, so threads that
-    pass grids of their own (a chunk's `measure.GridWorkspace`) may call it
-    at once."""
-    n = _coerce(x)[1]
-    xh, qh = x[:, : 2 * n], q[: 2 * n]
-    jq = 2.0 * np.concatenate([-q[n : 2 * n], q[:n]])
-    a = np.einsum("ij,ij->i", xh, xh)[:, None]
-    b2 = 2.0 * (xh @ qh)[:, None]
-    u = (xh @ jq)[:, None]
-    np.multiply(a, s, out=h)
-    h -= b2
-    h *= s
-    h += qh @ qh
-    np.multiply(x[:, 2 * n, None], s, out=v)
-    v += u
-    v *= s
-    v -= q[2 * n]
-    h *= h
-    v *= v
-    h += v
-    return np.sqrt(h, out=h)
+    With A = |x_h|^2, B = x_h . q_h and U = x_h . (2 J q), the horizontal part
+    of q^{-1} o delta_s x has squared length H = A s^2 - 2B s + |q_h|^2 and
+    its vertical part is V = x_t s^2 + U s - q_t (as in `distance`,
+    q_h . J q = 0), so d^2 = sqrt(H^2 + V^2).  With shared nodes H and V
+    are quadratics in sigma.  In the window form H = s^2 X + |q_h|^2 and
+    V = s^2 Y - q_t, with X = A - 2B t and Y = x_t + U t linear in sigma;
+    the constants are added after the products with s, so that the rounding
+    of t (s t = 1 only to a few ulp) reaches the B and U terms alone.  Each
+    grid of H, V, X or Y is one (k, 3) @ (3, K) product of per-point
+    coefficient rows with node powers.  The per-point features (A, x_t and
+    x_h, or lo x_h and (1 - lo) x_h) are formed once per chunk and factor,
+    and a centre's rows, 1/r^2 folded in, are one product of them with that
+    centre's matrix.
+
+    Every term of H and V is at most M = (s |x|_h + |q|_h)^2, so cancellation
+    leaves an absolute error of a few ulp of M / r^2 (the tests hold it to 4);
+    unlike `distance`, the grid does not give an exact 0 where delta_s x = q.
+    A call writes nothing but the grids h and v it is given and the
+    instance's own rows, so threads that each make an instance and pass
+    grids of their own (a chunk's `measure.GridWorkspace`) may run at once."""
+
+    def __init__(self, x: np.ndarray, centers, radii: np.ndarray, nodes: np.ndarray,
+                 starts: np.ndarray | None, scales) -> None:
+        n = _coerce(x)[1]
+        q = np.reshape(centers, (-1, 2 * n + 1))
+        qh, qt = q[:, : 2 * n], q[:, 2 * n]
+        p = np.einsum("ji,ji->j", qh, qh)
+        jq = 2.0 * np.concatenate([-q[:, n : 2 * n], q[:, :n]], axis=1)
+        inv_r2 = 1.0 / np.square(radii)
+        xh = np.ascontiguousarray(x[:, : 2 * n].T)
+        a = np.einsum("ik,ik->k", xh, xh)
+        # one feature per row, so that each is a contiguous pass over the
+        # points; matrix columns per centre: three for H (or X), then three
+        # for V (or Y), which multiply the node powers
+        if starts is None:  # features x_h, x_t, 1, A; powers sigma^2, sigma, 1
+            features = np.vstack([xh, x[:, 2 * n], np.ones(len(a)), a])
+            mat = np.zeros((2 * n + 3, len(q), 6))
+            mat[: 2 * n, :, 1], mat[: 2 * n, :, 4] = -2.0 * qh.T, jq.T
+            mat[-3, :, 3] = mat[-1, :, 0] = 1.0
+            mat[-2, :, 2], mat[-2, :, 5] = p, -qt
+            self._powers = np.stack([nodes * nodes, nodes, np.ones_like(nodes)])
+            self._scales = None
+        else:  # features lo x_h, (1 - lo) x_h, x_t, A; powers sigma, 1, 1:
+            # X = -2B (1 - lo) sigma - 2B lo + A, with A added last, and
+            # Y = U (1 - lo) sigma + U lo + x_t
+            features = np.vstack([xh * starts, xh * (1.0 - starts), x[:, 2 * n], a])
+            mat = np.zeros((4 * n + 2, len(q), 6))
+            mat[: 2 * n, :, 1], mat[: 2 * n, :, 4] = -2.0 * qh.T, jq.T
+            mat[2 * n : 4 * n, :, 0], mat[2 * n : 4 * n, :, 3] = -2.0 * qh.T, jq.T
+            mat[-2, :, 5] = mat[-1, :, 2] = 1.0
+            self._powers = np.stack([nodes, np.ones_like(nodes), np.ones_like(nodes)])
+            self._scales, self._p, self._qt = scales, p * inv_r2, qt * inv_r2
+        mat *= inv_r2[:, None]
+        self._features, self._mat = features.T, mat
+        self._rows = np.empty((len(x), 6))
+
+    def __call__(self, j: int, h: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """u_j in the (k, K) grid h, which it returns, with v for scratch."""
+        rows = np.matmul(self._features, self._mat[:, j], out=self._rows)
+        np.matmul(rows[:, :3], self._powers, out=h)
+        np.matmul(rows[:, 3:], self._powers, out=v)
+        if self._scales is not None:
+            for grid, const in ((h, self._p[j]), (v, -self._qt[j])):
+                grid *= self._scales
+                grid *= self._scales
+                grid += const
+        h *= h
+        v *= v
+        h += v
+        return np.sqrt(h, out=h)
 
 
 def ball_volume(dims: GroupDims, r: float) -> float:

@@ -579,7 +579,7 @@ def pairing_weighted_hardy(
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         pts, dens, fvals = sampler(rng, k)
         with grid_workspace() as ws:
-            pg = g.on_dilations(pts, list(S.T), ws) @ w_phi
+            pg = g.on_dilations(pts, list(S.T), list(S.T), None, ws) @ w_phi
         return fvals * pg / dens
 
     return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)
@@ -599,7 +599,8 @@ def pairing_weighted_cesaro(
     t-integral is taken on the per-point support window [ |x_i|/S_i, 1 ] with
     affine-mapped Gauss-Legendre nodes, which keeps indicator-type f exact.
     The (k, K) grids of t, t^Q, phi(t) and the inverse scales 1/t (formed in
-    place of t) are the chunk's workspace grids."""
+    place of t) are the chunk's workspace grids.  f gets the window starts
+    and the nodes next to the scales, the map that made them."""
     S, W = _tensor_nodes(spec.m)
     _require_bounded(phi, p, spec, "cesaro")
     sup = f.support_radii()
@@ -609,7 +610,7 @@ def pairing_weighted_cesaro(
         pts, dens, gvals = sampler(rng, k)
         with grid_workspace() as ws:
             grid = (k, S.shape[0])
-            t_nodes = []
+            t_nodes, starts = [], []
             jac = np.ones(k)  # the affine map's Jacobian is constant along each point's nodes
             tq = ws.grid(grid)  # prod_i t_i^Q_i, by multiplication: Q = 2(n+1)
             tq.fill(1.0)
@@ -625,9 +626,10 @@ def pairing_weighted_cesaro(
                     for _ in range(dims.n + 1):
                         tq *= t2
                 t_nodes.append(t)
+                starts.append(lo)
             phi_t = phi(t_nodes, ws)
             scales = [np.divide(1.0, t, out=t) for t in t_nodes]
-            integrand = f.on_dilations(pts, scales, ws)
+            integrand = f.on_dilations(pts, scales, list(S.T), starts, ws)
             integrand *= phi_t
             integrand /= tq
             return gvals * ((integrand @ W) * jac) / dens

@@ -302,10 +302,17 @@ class TestOnDilations:
         f = random_bump_mixture(spec, rng, radius_range=(0.5, 1.0), center_radius=0.5)
         k, K = 300, 9
         pts = [rng.normal(scale=0.4, size=(k, d.dim)) for d in spec.factors]
-        for shape in ((K,), (k, K)):
-            scales = [rng.uniform(0.05, 2.0, shape) for _ in spec.factors]
-            fused = f.on_dilations(pts, scales, GridWorkspace())
-            base = funcs.TestFunction.on_dilations(f, pts, scales, GridWorkspace())
+        # shared nodes, the scales themselves; and the adjoint pairing's
+        # windows, at the materialized scales 1/(lo + (1 - lo) sigma) >= 1,
+        # on points nearer the origin so that the grid still meets the bumps
+        nodes = [rng.uniform(0.05, 2.0, K) for _ in spec.factors]
+        sigma = [rng.uniform(0.0, 1.0, K) for _ in spec.factors]
+        starts = [rng.uniform(0.0, 1.0, k) for _ in spec.factors]
+        windows = [1.0 / (lo[:, None] + (1.0 - lo)[:, None] * s) for lo, s in zip(starts, sigma)]
+        for pts, scales, nodes, starts in ((pts, nodes, nodes, None),
+                                           ([0.5 * X for X in pts], windows, sigma, starts)):
+            fused = f.on_dilations(pts, scales, nodes, starts, GridWorkspace())
+            base = funcs.TestFunction.on_dilations(f, pts, scales, nodes, starts, GridWorkspace())
             assert fused.shape == base.shape == (k, K)
             assert np.count_nonzero(base) > k  # the grid meets the bumps
             assert np.max(np.abs(fused - base)) <= 1e-13 * np.max(np.abs(base))
@@ -321,7 +328,8 @@ class TestOnDilations:
         # row 0 meets the first bump; row 1 dilates to (3s, 0, 0), at
         # horizontal distance above 2.4 from both centres for s >= 1
         pts = [np.array([[0.1, -0.2, 0.05], [3.0, 0.0, 0.0]])]
-        got = self.TWO_BUMPS.on_dilations(pts, [np.linspace(1.0, 2.0, 5)], GridWorkspace())
+        nodes = [np.linspace(1.0, 2.0, 5)]
+        got = self.TWO_BUMPS.on_dilations(pts, nodes, nodes, None, GridWorkspace())
         assert got[0, 0] > 0.0
         assert np.all(got[1] == 0.0)
 
@@ -330,13 +338,17 @@ class TestOnDilations:
         # coefficient * e^-1, and the second centre is 0.57 away, beyond its radius 0.5
         c = self.TWO_BUMPS.bumps[0].centers[0]
         pts = [dilate_arrays(0.5, c, 1)[None, :]]
-        got = self.TWO_BUMPS.on_dilations(pts, [np.array([2.0])], GridWorkspace())
+        nodes = [np.array([2.0])]
+        got = self.TWO_BUMPS.on_dilations(pts, nodes, nodes, None, GridWorkspace())
         assert got[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_empty_mixture_grid_is_zero(self):
         f = BumpMixture(SPEC2, ())
         pts = [np.ones((4, 3)), np.ones((4, 3))]
-        got = f.on_dilations(pts, [np.linspace(0.1, 1.0, 5), np.ones((4, 5))], GridWorkspace())
+        nodes = [np.linspace(0.1, 1.0, 5), np.ones(5)]
+        starts = [np.zeros(4), np.full(4, 0.5)]
+        got = f.on_dilations(pts, [1.0 / (lo[:, None] + (1.0 - lo)[:, None] * s)
+                                   for lo, s in zip(starts, nodes)], nodes, starts, GridWorkspace())
         assert got.shape == (4, 5) and not got.any()
 
     @pytest.mark.parametrize("spec", [SPEC1, ProductSpec.of_orders(1, 2)])
@@ -349,7 +361,7 @@ class TestOnDilations:
         scales = [rng.uniform(0.1, 2.0, K), rng.uniform(0.1, 2.0, (k, K))][: spec.m]
         for f, sc in ((PowerInside.extremal(spec, 2.0, 0.4), scales),
                       (PowerOutside.extremal(spec, 2.0, 0.4), [1.0 / s for s in scales])):
-            got = funcs.TestFunction.on_dilations(f, pts, sc, GridWorkspace())
+            got = funcs.TestFunction.on_dilations(f, pts, sc, None, None, GridWorkspace())
             assert got.shape == (k, K)
             assert np.count_nonzero(got[:, [0, K - 1]]) > 0
             for a in range(k):
@@ -370,8 +382,8 @@ class TestOnDilations:
         for f, sc in ((PowerInside.extremal(spec, 2.0, 0.4), scales),
                       (PowerInside(spec, (0.0,) * spec.m), scales),
                       (PowerOutside.extremal(spec, 2.0, 0.4), [1.0 / s for s in scales])):
-            got = f.on_dilations(pts, sc, GridWorkspace())
-            want = funcs.TestFunction.on_dilations(f, pts, sc, GridWorkspace())
+            got = f.on_dilations(pts, sc, None, None, GridWorkspace())
+            want = funcs.TestFunction.on_dilations(f, pts, sc, None, None, GridWorkspace())
             assert got.shape == want.shape == (k, K)
             assert np.count_nonzero(want) > k and np.array_equal(got == 0.0, want == 0.0)
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

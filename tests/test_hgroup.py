@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from hardylab import hgroup
 from hardylab.hgroup import (
+    DilationDistances,
     GroupDims,
     ProductSpec,
     ball_volume,
@@ -20,7 +21,6 @@ from hardylab.hgroup import (
     polyball_volume,
     sample_unit_ball,
     sample_unit_sphere,
-    squared_distance_on_dilations,
     unit_ball_volume,
 )
 
@@ -247,19 +247,25 @@ def _exact_squared_distance_on_dilation(x, s, q, n):
 
 
 class TestDistanceOnDilations:
-    """The grid kernel `squared_distance_on_dilations` against exact
-    arithmetic, within a bound fixed in advance: 4 ulp of
-    M = (s |x|_h + |q|_h)^2, which bounds every term of H and V."""
+    """The grid kernel `DilationDistances` against exact arithmetic, within a
+    bound fixed in advance: 4 ulp of M = (s |x|_h + |q|_h)^2, which bounds
+    every term of H and V.  The window form is held to it at the scales the
+    adjoint pairing forms, s = fl(1/t) with t = fl(lo + fl((1 - lo) sigma))."""
 
     @staticmethod
-    def _check(x, s, q, n):
-        k = x.shape[0]
-        grid = np.broadcast_shapes((k, 1), np.shape(s))
-        scales = np.broadcast_to(s, grid)
-        got = squared_distance_on_dilations(x, s, q, np.empty(grid), np.empty(grid))
-        assert got.shape == grid
+    def _check(x, nodes, q, n, starts=None):
+        k, K = x.shape[0], len(nodes)
+        if starts is None:
+            scales = np.broadcast_to(nodes, (k, K))
+        else:  # the adjoint pairing's t grid, inverted in place
+            t = np.multiply((1.0 - starts)[:, None], nodes[None, :])
+            t += starts[:, None]
+            scales = np.divide(1.0, np.maximum(t, 1e-300, out=t), out=t)
+        dist = DilationDistances(x, q[None, :], np.array([1.0]), nodes, starts, scales)
+        got = dist(0, np.empty((k, K)), np.empty((k, K)))
+        assert got.shape == (k, K)
         exact = np.array([[_exact_squared_distance_on_dilation(x[a], scales[a, b], q, n)
-                           for b in range(grid[1])] for a in range(k)])
+                           for b in range(K)] for a in range(k)])
         bound = 4 * np.spacing((scales * koranyi_norm(x)[:, None] + koranyi_norm(q)) ** 2)
         assert np.all(np.abs(got - exact) <= bound)
         return got, bound
@@ -270,8 +276,8 @@ class TestDistanceOnDilations:
         rng = np.random.default_rng(30 + n)
         x = rng.normal(size=(40, 2 * n + 1))
         q = dilate_arrays(scale, rng.normal(size=2 * n + 1), n)
-        self._check(x, scale * rng.uniform(0.0, 2.0, 16), q, n)  # (K,) scales
-        self._check(x, scale * rng.uniform(0.0, 2.0, (40, 16)), q, n)  # (k, K) scales
+        self._check(x, scale * rng.uniform(0.0, 2.0, 16), q, n)  # shared nodes
+        self._check(x, rng.uniform(0.0, 1.0, 16), q, n, starts=rng.uniform(0.0, 1.0, 40))  # windows
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -285,6 +291,39 @@ class TestDistanceOnDilations:
         x[0] = dilate_arrays(0.5, q, n)
         got, bound = self._check(x, np.array([0.5, 1.0, 2.0, 2.0 + 1e-6, 4.0]), q, n)
         assert abs(got[0, 2]) <= bound[0, 2]
+
+    # window starts: 0, tiny, inner, next to 1 and 1 itself (t = 1 on every node)
+    STARTS = np.array([0.0, 1e-6, 0.3, 0.9, 0.999, 1.0 - 2.0**-40, 1.0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_window_form_at_every_start(self, n, scale):
+        # the Gauss-Legendre nodes of the m = 1 pairings; points and centre
+        # at the scale, so every term of H and V is of order scale^2
+        rng = np.random.default_rng(50 + n)
+        nodes = 0.5 * (np.polynomial.legendre.leggauss(32)[0] + 1.0)
+        x = dilate_arrays(scale, rng.normal(size=(42, 2 * n + 1)), n)
+        q = dilate_arrays(scale, rng.normal(size=2 * n + 1), n)
+        self._check(x, nodes, q, n, starts=np.resize(self.STARTS, 42))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_window_points_next_to_delta_t_q(self, n, scale):
+        # x next to delta_t q at one node's t per row, so that delta_{1/t} x
+        # is next to q there; rows 0 and 1 are delta_t q itself, at t = 1/2
+        # (lo = 0, sigma = 1/2) and t = 1 (lo = 1/2, sigma = 1), where d is
+        # exactly 0
+        rng = np.random.default_rng(60 + n)
+        q = dilate_arrays(scale, rng.normal(size=2 * n + 1), n)
+        nodes = np.array([0.1, 0.25, 0.5, 0.5 + 1e-6, 0.75, 1.0])
+        starts = np.resize(self.STARTS, 40)
+        t = starts + (1.0 - starts) * nodes[rng.integers(0, len(nodes), 40)]
+        x = dilate_arrays(t, q, n)
+        x += dilate_arrays(scale, rng.normal(scale=1e-4, size=(40, 2 * n + 1)), n)
+        x[0], x[1] = dilate_arrays(0.5, q, n), q
+        starts[0], starts[1] = 0.0, 0.5
+        got, bound = self._check(x, nodes, q, n, starts=starts)
+        assert abs(got[0, 2]) <= bound[0, 2] and abs(got[1, 5]) <= bound[1, 5]
 
 
 def _ball_volume_reduction(n: int) -> float:

@@ -378,21 +378,23 @@ class TestPairings:
 
         def hardy(rng, k):
             pts, dens, fvals = ops._support_sampler(f, spec)[0](rng, k)
-            grid = funcs.TestFunction.on_dilations(g, pts, list(S.T), GridWorkspace())
+            grid = funcs.TestFunction.on_dilations(g, pts, list(S.T), list(S.T), None, GridWorkspace())
             return fvals * (grid @ (W * np.prod(S**4.0, axis=1))) / dens
 
         def cesaro(rng, k):
             pts, dens, gvals = ops._support_sampler(g, spec)[0](rng, k)
             K = S.shape[0]
-            t_nodes, jac, kern = [], np.ones((k, K)), np.ones((k, K))
+            t_nodes, starts, jac, kern = [], [], np.ones((k, K)), np.ones((k, K))
             for i, (dims, sup) in enumerate(zip(spec.factors, f.support_radii())):
                 lo = np.minimum(koranyi_norm(pts[i]) / sup, 1.0)
                 t = np.maximum(lo[:, None] + (1.0 - lo)[:, None] * S[None, :, i], 1e-300)
                 jac *= (1.0 - lo)[:, None]
                 kern /= t**dims.Q
                 t_nodes.append(t)
+                starts.append(lo)
             phivals = np.prod([t**4.0 for t in t_nodes], axis=0)
-            fvals = funcs.TestFunction.on_dilations(f, pts, [1.0 / t for t in t_nodes], GridWorkspace())
+            fvals = funcs.TestFunction.on_dilations(f, pts, [1.0 / t for t in t_nodes], list(S.T),
+                                                    starts, GridWorkspace())
             return gvals * ((fvals * phivals * kern * jac) @ W) / dens
 
         # full chunks; a partial last chunk (5000 = 2 * 2048 + 904), which
