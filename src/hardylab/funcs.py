@@ -45,11 +45,11 @@ class TestFunction:
     ws), with pts[i] of shape (k, 2n_i+1) and scales[i] broadcasting against
     (k, K), is the (k, K) grid of f(delta_{s_1} x_1, ..., delta_{s_m} x_m) at
     x_i = pts[i][a], s_i = scales[i][a, b], written into a grid of the
-    workspace ws, which the caller may overwrite.  nodes and starts are the
-    map that made the scales from the nodes nodes[i] (K,): scales[i] is
-    nodes[i] when starts is None, else 1/t with t = lo + (1 - lo) nodes[i] at
-    lo = starts[i][:, None] (the adjoint pairing's windows).  Bump mixtures
-    read the map; the other families read the scales."""
+    workspace ws, which the caller may overwrite.  nodes and starts give the
+    map that made the scales: scales[i] is nodes[i] (K,) when starts is
+    None, else 1/t with t = lo + (1 - lo) nodes[i] at lo = starts[i][:, None]
+    (the adjoint pairing's windows).  Bump mixtures read the map; the other
+    families read the scales."""
 
     spec: ProductSpec
     family: str = "generic"

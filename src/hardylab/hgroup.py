@@ -261,7 +261,7 @@ class DilationDistances:
         self._rows = np.empty((len(x), 6))
 
     def __call__(self, j: int, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """u_j in the (k, K) grid h, which it returns, with v for scratch."""
+        """u_j in the (k, K) grid h, which it returns; v is working space."""
         rows = np.matmul(self._features, self._mat[:, j], out=self._rows)
         np.matmul(rows[:, :3], self._powers, out=h)
         np.matmul(rows[:, 3:], self._powers, out=v)

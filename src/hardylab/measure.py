@@ -219,11 +219,12 @@ _idle_lock = threading.Lock()
 @contextlib.contextmanager
 def grid_workspace():
     """A `GridWorkspace` for one chunk: an idle one, or a new one when all
-    are in use, handed back with its grids, trimmed, when the chunk ends.  Grid memory
-    freed at the end of a chunk would go back to the system and be faulted
-    in again by the next; here it stays, in at most one workspace per chunk
-    run at once, that is per worker thread.  The list is process-wide
-    because `_ordered_map` starts new threads for every call."""
+    are in use, trimmed and handed back with its grids when the chunk ends.
+    Grid memory freed at the end of a chunk would go back to the system and
+    be faulted in again by the next; here it stays, in at most one
+    workspace per chunk run at once, that is per worker thread.  The list
+    is process-wide because `_ordered_map` starts new threads for every
+    call."""
     with _idle_lock:
         ws = _idle_workspaces.pop() if _idle_workspaces else GridWorkspace()
     try:
