@@ -247,38 +247,52 @@ def chunked_mean(
     """Mean of `draw(rng, size) -> values` over `samples` draws, with its
     standard error, accumulated chunk by chunk in fixed order.  The error is
     the statistical one, sqrt(sum (v - mean)^2) / samples, which is
-    0 up to rounding for a constant integrand."""
+    0 up to rounding for a constant integrand.  The deviations are squared
+    at a power-of-two scale, so the error neither underflows nor overflows
+    where the values lie far from 1; the scaling is exact, which leaves the
+    error's bits unchanged wherever the unscaled squares stay normal."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     sizes = _chunk_sizes(samples, chunk_size)
 
-    def run(k: int) -> tuple[float, float]:
+    def run(k: int) -> tuple[float, float, int | None]:
+        """The chunk's sum, and its centred sum of squares in units of
+        4^e, with 2^e above the largest deviation (None when all are 0)."""
         rng = substream(seed, tag, k)
         vals = np.asarray(draw(rng, sizes[k]), dtype=float)
         if vals.shape != (sizes[k],):
             raise ValueError(f"draw returned shape {vals.shape}, expected ({sizes[k]},)")
         s = float(vals.sum())
         dev = vals - s / sizes[k]
+        largest = float(np.max(np.abs(dev)))
+        if largest == 0.0:
+            return s, 0.0, None
+        e = math.frexp(largest)[1]
+        np.ldexp(dev, -e, out=dev)
         dev *= dev
-        return s, float(dev.sum())
+        return s, float(dev.sum()), e
 
     parts = _ordered_map(run, len(sizes), workers)
 
     # Merge the chunks' sums and centred sums of squares in fixed order (bit-
     # identical for any worker count) with the pairwise update of Chan, Golub
-    # & LeVeque (1979); s2/n - mean^2 would cancel catastrophically.
+    # & LeVeque (1979); s2/n - mean^2 would cancel catastrophically.  The
+    # sums of squares are merged in units of 4^top, top the largest scale.
+    top = max((e for _, _, e in parts if e is not None), default=0)
     s1 = 0.0
     m2 = 0.0
     done = 0
-    for size, (s, c) in zip(sizes, parts):
+    for size, (s, c, e) in zip(sizes, parts):
+        if e is not None:
+            c = math.ldexp(c, 2 * (e - top))
         if done:
-            delta = s / size - s1 / done
+            delta = math.ldexp(s / size - s1 / done, -top)
             c += delta * delta * (done * size / (done + size))
         s1 += s
         m2 += c
         done += size
     n = float(samples)
-    return Estimate(s1 / n, math.sqrt(m2 / n / n), samples)
+    return Estimate(s1 / n, math.ldexp(math.sqrt(m2 / n / n), top), samples)
 
 
 def mc_integrate(

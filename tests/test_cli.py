@@ -211,6 +211,18 @@ class TestExitCodes:
         rep = json.loads(out.read_text())
         assert rep["summary"]["C8:duality"] == "PASS"
 
+    def test_large_n_pairing_errors_do_not_underflow(self, tmp_path):
+        # the pairings are of order 1e-160 at n = 100, and their squared
+        # deviations used to underflow: a zero error, and a FAIL at 3e15 sigma
+        out = tmp_path / "r.json"
+        argv = ["cesaro-duality", "--weight", "monomial:120", "--p", "2", "--factors", "100",
+                "--pairs", "2", "--samples", "2000", "--seed", "1"]
+        assert run(argv + ["--output", str(out)]) == 0
+        mc = [row for row in json.loads(out.read_text())["rows"]
+              if "(mc)" in row["input"] or "pairing match" in row["input"]]
+        assert len(mc) == 4
+        assert [row["input"] for row in mc if row["estimate"] != 0.0 and row["std_error"] == 0.0] == []
+
     @pytest.mark.parametrize("argv, flag", [
         (["fuzz", "--trials", "1", "--samples", "1000", "--workers", "0"], "--workers"),
         (["radialize-check", "--trials", "1", "--samples", "1000", "--inner-samples", "0"],

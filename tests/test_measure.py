@@ -262,6 +262,22 @@ class TestChunkedMean:
         b = chunked_mean(draw, 150_000, seed=4, tag=11, workers=3, chunk_size=40_000)
         assert a == b
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("scale", [2.0**-560, 2.0**560], ids=["2^-560", "2^560"])
+    def test_error_scales_exactly_far_from_one(self, scale, workers):
+        # the squared deviations would underflow to 0 or overflow to inf,
+        # and an infinite error passes any gate
+        def unit(rng, k):
+            return rng.random(k)
+
+        def scaled(rng, k):
+            return rng.random(k) * scale
+
+        want = chunked_mean(unit, 150_000, seed=4, tag=11, workers=workers, chunk_size=40_000)
+        got = chunked_mean(scaled, 150_000, seed=4, tag=11, workers=workers, chunk_size=40_000)
+        assert got.value == want.value * scale
+        assert got.std_error == want.std_error * scale
+
 
 class TestGridWorkspace:
     def test_grids_are_taken_in_stack_order(self):
