@@ -37,3 +37,35 @@ def test_compare_matches_rows_by_label_and_reports_the_largest_move(tmp_path):
     assert line == "r.json: estimate 0, std_error 0, oracle 0 relative; verdicts same; summary CHANGED"
     line = probes.compare(tmp_path / "a" / "r.json", _json(tmp_path / "b" / "s.json", old[:2], {}))
     assert line == "s.json: rows differ (3 -> 2, by input label)"
+
+
+def test_against_exits_one_when_a_verdict_summary_or_row_changes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # main works in --out; undo it afterwards
+    argv = "sharpness --method closed --factors 1 --p 2 --seed 5".split()
+    monkeypatch.setattr(probes, "probes", lambda: [(f"r.{fmt}", argv + ["--format", fmt])
+                                                   for fmt in ("csv", "json")])
+    assert probes.main(["--out", str(tmp_path / "old")]) == 0
+    assert probes.main(["--out", str(tmp_path / "new"), "--against", str(tmp_path / "old")]) == 0
+    assert "0 of 2 reports differ" in capsys.readouterr().out
+
+    report = json.loads((tmp_path / "old" / "r.json").read_text())
+    key = next(iter(report["summary"]))
+    for doctor, want in (
+        (lambda r: r["rows"][0].update(estimate=r["rows"][0]["estimate"] * (1 + 2**-50)),
+         "verdicts same; summary same"),
+        (lambda r: r["rows"][0].update(verdict="FAIL"), "verdicts CHANGED"),
+        (lambda r: r["summary"].update({key: "FAIL"}), "summary CHANGED"),
+        (lambda r: r["rows"].pop(), "rows differ"),
+    ):
+        changed = json.loads(json.dumps(report))
+        doctor(changed)
+        (tmp_path / "old" / "r.json").write_text(json.dumps(changed))
+        code = probes.main(["--out", str(tmp_path / "new"), "--against", str(tmp_path / "old")])
+        out, err = capsys.readouterr()
+        line = out.splitlines()[-1]
+        assert line.startswith("r.json: ") and want in line
+        if want.endswith("summary same"):
+            assert code == 0 and err == ""
+        else:
+            assert code == 1
+            assert err.splitlines() == ["1 reports changed their rows, a verdict or the summary:", line]

@@ -25,7 +25,10 @@ then says how far each report that differs from its namesake in OLD (the
 `--out` of another checkout) moved: the largest relative change of
 `estimate`, `std_error` and `oracle` (a pairing row's oracle is the other
 pairing's estimate) over its rows, matched by their `input` label, and
-whether any row verdict or summary value changed.
+whether any row verdict or summary value changed.  It exits 1, and prints
+those reports' lines again on stderr, when a verdict or a summary value
+changed or the rows differ: a byte guard that moves numbers may pass, one
+that moves an answer may not.
 """
 
 from __future__ import annotations
@@ -172,12 +175,16 @@ def main(argv=None) -> int:
         print(f"{digest}  {name}", flush=True)
         if against and digest != "-":
             if not (against / name).exists():
-                moved.append(f"{name}: not in the comparison directory")
+                moved.append(f"{name}: rows differ (not in the comparison directory)")
             elif (against / name).read_bytes() != (out / name).read_bytes():
                 moved.append(compare(against / name, out / name))
+    broken = [line for line in moved if "rows differ" in line or "CHANGED" in line]
     if against:
         print(f"{len(moved)} of {len(probes())} reports differ from {against}:", *moved, sep="\n")
-    return 1 if failed else 0
+    if broken:
+        print(f"{len(broken)} reports changed their rows, a verdict or the summary:", *broken,
+              sep="\n", file=sys.stderr)
+    return 1 if failed or broken else 0
 
 
 if __name__ == "__main__":
