@@ -366,17 +366,16 @@ class BumpMixture(TestFunction):
         total = ws.grid(grid)
         total.fill(0.0)
         windows = [None] * len(pts) if starts is None else starts
-        with ws.scope():
-            dists = [hgroup.DilationDistances(X, [b.centers[i] for b in self.bumps],
-                                              np.array([b.radii[i] for b in self.bumps]), nodes[i], lo, s)
-                     for i, (X, lo, s) in enumerate(zip(pts, windows, scales))]
-            bufs = [ws.grid(grid) for _ in range(min(self.spec.m + 1, 3))]
-            for j, bump in enumerate(self.bumps):
-                acc = bump.coefficient
-                for i, dist in enumerate(dists):
-                    u = dist(j, bufs[i % len(bufs)], bufs[(i + 1) % len(bufs)])
-                    acc = np.multiply(_bump_profile(u), acc, out=u)
-                total += acc
+        dists = [hgroup.DilationDistances(X, [b.centers[i] for b in self.bumps],
+                                          np.array([b.radii[i] for b in self.bumps]), nodes[i], lo, s)
+                 for i, (X, lo, s) in enumerate(zip(pts, windows, scales))]
+        bufs = [ws.grid(grid) for _ in range(min(self.spec.m + 1, 3))]
+        for j, bump in enumerate(self.bumps):
+            acc = bump.coefficient
+            for i, dist in enumerate(dists):
+                u = dist(j, bufs[i % len(bufs)], bufs[(i + 1) % len(bufs)])
+                acc = np.multiply(_bump_profile(u), acc, out=u)
+            total += acc
         return total
 
     def support_radii(self) -> tuple[float, ...]:

@@ -527,8 +527,8 @@ def _indicator_pairing_quad(phi: MonomialWeight, spec: ProductSpec, adjoint: boo
     sides equal V/(a+1))."""
     out = 1.0
     ind = PowerInside(spec, (0.0,) * spec.m)
-    for dims, a, (F, lo, hi) in zip(spec.factors, phi.exponents, ind.radial_profiles()):
-        kernel = operators._weight_kernel(a, dims, adjoint)
+    for i, (dims, (F, lo, hi)) in enumerate(zip(spec.factors, ind.radial_profiles())):
+        kernel = phi.kernel(i, dims, adjoint)
         out *= radial_integral(operators._image_profile(F, lo, hi, kernel, adjoint, 1e-12),
                                dims, 1.0, tol=1e-11)
     return out

@@ -175,14 +175,15 @@ class GridWorkspace:
     """Float grids for the draws of one Monte Carlo chunk, kept from chunk to
     chunk by `grid_workspace`.
 
-    Grids are taken in stack order: `grid(shape)` hands out the next buffer
-    as a C-contiguous array of that shape, and `scope()` gives back, on exit,
-    the grids taken inside it.  A buffer keeps the size of the largest grid
-    it has held, so the shorter last chunk takes the front of it; a larger
-    grid replaces it, and so does one that needs less than an eighth of it.
-    `trim()` drops the buffers more than eight times the largest grid taken
-    since the last trim, so that a workspace grown for m = 2 grids (12.5
-    times an m = 1 grid) does not keep them through later m = 1 chunks."""
+    Grids are taken in order: `grid(shape)` hands out the next buffer as a
+    C-contiguous array of that shape, and `trim()`, when the chunk ends,
+    gives them all back.  A buffer keeps the size of the largest grid it has
+    held, so the shorter last chunk takes the front of it; a larger grid
+    replaces it, and so does one that needs less than an eighth of it.
+    `trim()` also drops the buffers more than eight times the largest grid
+    taken since the last trim, so that a workspace grown for m = 2 grids
+    (12.5 times an m = 1 grid) does not keep them through later m = 1
+    chunks."""
 
     def __init__(self) -> None:
         self._buffers: list[np.ndarray] = []
@@ -201,15 +202,7 @@ class GridWorkspace:
 
     def trim(self) -> None:
         self._buffers = [b for b in self._buffers if b.size <= 8 * self._largest]
-        self._largest = 0
-
-    @contextlib.contextmanager
-    def scope(self):
-        taken = self._taken
-        try:
-            yield
-        finally:
-            self._taken = taken
+        self._taken = self._largest = 0
 
 
 _idle_workspaces: list[GridWorkspace] = []
@@ -228,8 +221,7 @@ def grid_workspace():
     with _idle_lock:
         ws = _idle_workspaces.pop() if _idle_workspaces else GridWorkspace()
     try:
-        with ws.scope():
-            yield ws
+        yield ws
     finally:
         ws.trim()
         with _idle_lock:

@@ -42,7 +42,6 @@ from .hgroup import (
 )
 from .measure import (
     Estimate,
-    GridWorkspace,
     IntegrationError,
     TAG_COMPACT,
     TAG_NESTED,
@@ -75,7 +74,7 @@ class UnboundedOperatorError(ValueError):
 
 class Weight:
     """Nonnegative product weight prod_i phi_i(t_i) on [0,1]^m, one vectorized
-    1-D profile per factor; called on one array of t_i per factor."""
+    1-D profile per factor."""
 
     profiles: tuple
     label: str = "general"
@@ -84,19 +83,18 @@ class Weight:
     def m(self) -> int:
         return len(self.profiles)
 
-    def __call__(self, ts: list[np.ndarray], ws: GridWorkspace) -> np.ndarray:
-        """phi at the arrays ts[i], which share one shape, factor by factor
-        into a grid of ws; each later factor is formed in a second grid."""
-        out = self._factor(0, ts[0], ws.grid(np.shape(ts[0])))
-        for i in range(1, self.m):
-            with ws.scope():
-                out *= self._factor(i, ts[i], ws.grid(out.shape))
-        return out
+    def kernel(self, i: int, dims: GroupDims, adjoint: bool):
+        """Factor i of the operator's kernel as a vectorized f(t, out=None):
+        phi_i(t), or phi_i(t) t^(-Q_i) for the adjoint, written into out
+        when one is given."""
+        phi, e = self.profiles[i], -dims.Q if adjoint else 0.0
 
-    def _factor(self, i: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """phi_i(t) into out."""
-        out[...] = self.profiles[i](t)
-        return out
+        def f(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            out = np.power(t, e, out=out)
+            out *= phi(t)
+            return out
+
+        return f
 
 
 @dataclass(frozen=True)
@@ -118,10 +116,10 @@ class MonomialWeight(Weight):
     def label(self) -> str:
         return "monomial:" + ",".join(f"{a:g}" for a in self.exponents)
 
-    def _factor(self, i: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, t)
-        out **= self.exponents[i]  # in place, the same loop as t ** a
-        return out
+    def kernel(self, i: int, dims: GroupDims, adjoint: bool):
+        """t^a, or t^(a - Q) for the adjoint, from one power."""
+        e = self.exponents[i] - dims.Q if adjoint else self.exponents[i]
+        return lambda t, out=None: np.power(t, e, out=out)
 
 
 class GeneralWeight(Weight):
@@ -384,13 +382,6 @@ def _image_profile(F, a: float, b: float, kernel, adjoint: bool, tol: float):
     return lambda Rv: np.fromiter((image(R) for R in Rv), dtype=float, count=len(Rv))
 
 
-def _weight_kernel(a: float, dims: GroupDims, adjoint: bool):
-    """t^a, the kernel of the factor t^a of a monomial weight, or t^(a-Q), its
-    adjoint's."""
-    e = a - dims.Q if adjoint else a
-    return lambda t: t**e
-
-
 def _image_norm(f, p: float, spec: ProductSpec, kernels, adjoint: bool, tol: float) -> float:
     """||T f||_p for a radial product f whose image under T is the product of
     the factors' `_image_profile`s with the given kernels: this route never
@@ -409,13 +400,13 @@ def _radial_hardy_norm(f, p: float, spec: ProductSpec, tol: float) -> float:
 
 
 def _weighted_radial_norm(
-    f, phi: MonomialWeight, p: float, spec: ProductSpec, tol: float, adjoint: bool
+    f, phi: Weight, p: float, spec: ProductSpec, tol: float, adjoint: bool
 ) -> float:
     """||T f||_p for the outside power family under the (adjoint) weighted
     operator, by per-factor quadrature."""
     if f.family != "power-outside":
         raise UnsupportedFamilyError("radial weighted norms target the outside power family")
-    kernels = [_weight_kernel(a, dims, adjoint) for dims, a in zip(spec.factors, phi.exponents)]
+    kernels = [phi.kernel(i, dims, adjoint) for i, dims in enumerate(spec.factors)]
     return _image_norm(f, p, spec, kernels, adjoint, tol)
 
 
@@ -574,7 +565,8 @@ def pairing_weighted_hardy(
     Intended for smooth g (bumps) or cases where the t-integrand is smooth."""
     S, W = _tensor_nodes(spec.m)
     sampler, _ = _support_sampler(f, spec)
-    w_phi = W * phi(list(S.T), GridWorkspace())
+    w_phi = W * math.prod(phi.kernel(i, dims, False)(S[:, i])
+                          for i, dims in enumerate(spec.factors))
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         pts, dens, fvals = sampler(rng, k)
@@ -598,9 +590,10 @@ def pairing_weighted_cesaro(
     """<g, P*_phi f>: Monte Carlo over the support of g; at each sample the
     t-integral is taken on the per-point support window [ |x_i|/S_i, 1 ] with
     affine-mapped Gauss-Legendre nodes, which keeps indicator-type f exact.
-    The (k, K) grids of t, t^Q, phi(t) and the inverse scales 1/t (formed in
-    place of t) are the chunk's workspace grids.  f gets the window starts
-    and the nodes next to the scales, the map that made them."""
+    The (k, K) grids of t, of the inverse scales 1/t (formed in place of t)
+    and of the kernel phi(t) prod t_i^(-Q_i) are the chunk's workspace
+    grids.  f gets the window starts and the nodes next to the scales, the
+    map that made them."""
     S, W = _tensor_nodes(spec.m)
     _require_bounded(phi, p, spec, "cesaro")
     sup = f.support_radii()
@@ -610,10 +603,8 @@ def pairing_weighted_cesaro(
         pts, dens, gvals = sampler(rng, k)
         with grid_workspace() as ws:
             grid = (k, S.shape[0])
-            t_nodes, starts = [], []
+            t_nodes, starts, kernels = [], [], []
             jac = np.ones(k)  # the affine map's Jacobian is constant along each point's nodes
-            tq = ws.grid(grid)  # prod_i t_i^Q_i, by multiplication: Q = 2(n+1)
-            tq.fill(1.0)
             for i, dims in enumerate(spec.factors):
                 r = koranyi_norm(pts[i])
                 lo = np.minimum(r / sup[i], 1.0)
@@ -621,17 +612,14 @@ def pairing_weighted_cesaro(
                 t += lo[:, None]
                 np.maximum(t, 1e-300, out=t)
                 jac *= 1.0 - lo
-                with ws.scope():
-                    t2 = np.multiply(t, t, out=ws.grid(grid))
-                    for _ in range(dims.n + 1):
-                        tq *= t2
+                kernels.append(phi.kernel(i, dims, True)(t, out=ws.grid(grid)))
                 t_nodes.append(t)
                 starts.append(lo)
-            phi_t = phi(t_nodes, ws)
+            for factor in kernels[1:]:
+                kernels[0] *= factor
             scales = [np.divide(1.0, t, out=t) for t in t_nodes]
             integrand = f.on_dilations(pts, scales, list(S.T), starts, ws)
-            integrand *= phi_t
-            integrand /= tq
+            integrand *= kernels[0]
             return gvals * ((integrand @ W) * jac) / dens
 
     return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)

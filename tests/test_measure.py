@@ -281,47 +281,44 @@ class TestChunkedMean:
 
 class TestGridWorkspace:
     def test_grids_are_taken_in_stack_order(self):
+        # in order within a chunk, and all given back when it ends
         ws = GridWorkspace()
         a = ws.grid((4, 3))
-        with ws.scope():
-            b = ws.grid((4, 3))
+        b = ws.grid((4, 3))
         assert not np.shares_memory(a, b)
-        with ws.scope():
-            assert np.shares_memory(ws.grid((4, 3)), b)  # b was given back
+        ws.trim()
+        assert np.shares_memory(ws.grid((4, 3)), a)
+        assert np.shares_memory(ws.grid((4, 3)), b)
 
     def test_a_smaller_grid_takes_the_front_and_a_larger_replaces(self):
         ws = GridWorkspace()
-        with ws.scope():
-            big = ws.grid((4, 3))
-        with ws.scope():
-            small = ws.grid((2, 3))
-            assert small.flags.c_contiguous and small.base is big.base
-            assert small.__array_interface__["data"] == big.__array_interface__["data"]
-        with ws.scope():
-            assert ws.grid((5, 3)).shape == (5, 3)
-            assert not np.shares_memory(ws.grid((4, 3)), big)  # the next buffer is new
+        big = ws.grid((4, 3))
+        ws.trim()
+        small = ws.grid((2, 3))
+        assert small.flags.c_contiguous and small.base is big.base
+        assert small.__array_interface__["data"] == big.__array_interface__["data"]
+        ws.trim()
+        assert ws.grid((5, 3)).shape == (5, 3)
+        assert not np.shares_memory(ws.grid((4, 3)), big)  # the next buffer is new
 
     def test_a_grid_under_an_eighth_of_its_buffer_replaces_it(self):
         ws = GridWorkspace()
-        with ws.scope():
-            big = ws.grid((16, 4))
-        with ws.scope():
-            assert np.shares_memory(ws.grid((2, 4)), big)  # an eighth: kept
-        with ws.scope():
-            small = ws.grid((2, 3))
-            assert not np.shares_memory(small, big)
-            assert small.base.size == 6
+        big = ws.grid((16, 4))
+        ws.trim()
+        assert np.shares_memory(ws.grid((2, 4)), big)  # an eighth: kept
+        ws.trim()
+        small = ws.grid((2, 3))
+        assert not np.shares_memory(small, big)
+        assert small.base.size == 6
 
     def test_trim_drops_buffers_beyond_eight_times_the_largest_grid(self):
         ws = GridWorkspace()
-        with ws.scope():
-            ws.grid((100, 4))
-            ws.grid((100, 4))
-            ws.grid((10, 4))
+        ws.grid((100, 4))
+        ws.grid((100, 4))
+        ws.grid((10, 4))
         ws.trim()
         assert [b.size for b in ws._buffers] == [400, 400, 40]
-        with ws.scope():
-            ws.grid((10, 4))  # replaces the first buffer
+        ws.grid((10, 4))  # replaces the first buffer
         ws.trim()  # the second, at 10x, goes
         assert [b.size for b in ws._buffers] == [40, 40]
         ws.trim()  # no grid since the last trim: nothing is kept
