@@ -3,10 +3,10 @@
 
     python3 tools/probes.py --out DIR
 
-Runs 47 hardylab CLI invocations in-process, importing hardylab from this
+Runs 49 hardylab CLI invocations in-process, importing hardylab from this
 checkout's `src/`, and writes one report per probe into DIR:
 
-* 18 configurations at `--seed 5`, each as CSV and as JSON (36 reports);
+* 19 configurations at `--seed 5`, each as CSV and as JSON (38 reports);
 * the full-size `fuzz --factors 1`, `fuzz --factors 1,1` and
   `cesaro-duality --factors 1` invocations at `--seed 1001`, `1` and `3`
   (JSON; 9 reports);
@@ -64,6 +64,7 @@ SMALL = {
     "sharp-mc-m1": "sharpness --method mc --factors 1 --p 2 --samples 20000 --inner-samples 64",
     "sharp-mc-m2": "sharpness --method mc --factors 1,1 --p 2 --samples 20000 --inner-samples 64",
     "sharp-radial-p3": "sharpness --method radial --factors 1 --p 3",
+    "sharp-radial-m2": "sharpness --method radial --factors 1,1 --p 2 --eps 0.2,0.1",
     "fuzz-m1": "fuzz --factors 1 --p 2 --trials 5 --samples 20000",
     "fuzz-m2-w2": "fuzz --factors 1,1 --p 2 --trials 3 --samples 20000 --workers 2",
     "fuzz-function": f"fuzz --factors 1 --p 2 --trials 2 --samples 20000 --function bumps:{BUMPS_FILE}",
