@@ -9,12 +9,10 @@ Carlo.  Everything is pure and stateless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .hgroup import GroupDims, ProductSpec
 
 __all__ = [
-    "SharpConstant",
     "sharp_constant",
     "ball_average_power",
     "outside_ball_average_power",
@@ -32,23 +30,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SharpConstant:
+def sharp_constant(p: float, m: int) -> float:
     """The exact operator norm (p/(p-1))^m of the m-fold ball-average operator."""
-
-    p: float
-    m: int
-    value: float
-
-
-def sharp_constant(p: float, m: int) -> SharpConstant:
     if not 1.0 < p < math.inf:
         raise ValueError("p must lie in (1, inf)")
     if m < 1:
         raise ValueError("m must be a positive integer")
     if p / (p - 1.0) == 1.0:
         raise ValueError(f"p={p:g} is too large: p/(p-1) rounds to 1")
-    return SharpConstant(p, m, (p / (p - 1.0)) ** m)
+    return (p / (p - 1.0)) ** m
 
 
 def ball_average_power(alpha: float, dims: GroupDims, R: float) -> float:

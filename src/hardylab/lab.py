@@ -33,6 +33,7 @@ from .measure import (
     TAG_EXPERIMENT,
     TAG_SPHERE,
     chunked_mean,
+    integrate_1d,
     mc_integrate,
     radial_integral,
     subseed,
@@ -204,7 +205,7 @@ def sharpness_sweep(
     lower bounds, and a linear eps -> 0 extrapolation against the sharp
     constant (p/(p-1))^m."""
     t0 = time.perf_counter()
-    sharp = closedform.sharp_constant(p, spec.m).value
+    sharp = closedform.sharp_constant(p, spec.m)
     eps_grid = tuple(sorted(eps_grid, reverse=True))
     rows: list[ReportRow] = []
     tag = {1: "C1", 2: "C2"}.get(spec.m, f"m={spec.m}")
@@ -286,7 +287,7 @@ def bound_fuzz(
     Includes a centered radial control bump and a zero-mixture error row;
     `extra_function` (e.g. a CLI-supplied family) gets its own scored row."""
     t0 = time.perf_counter()
-    sharp = closedform.sharp_constant(p, spec.m).value
+    sharp = closedform.sharp_constant(p, spec.m)
     rows: list[ReportRow] = []
     worst = -math.inf  # reported only when trials ran
     key = "C5:no-quotient-exceeds-bound"
@@ -523,14 +524,13 @@ def _indicator_pairing_quad(phi: MonomialWeight, spec: ProductSpec, adjoint: boo
     """Pairing of the polyball indicator with itself, factor by factor:
     <f, P g>  = prod_i omega_i int_0^1 (int_0^1 t^a dt) R^(Q-1) dR,
     <g, P* f> = prod_i omega_i int_0^1 (int_R^1 t^(a-Q) dt) R^(Q-1) dR,
-    each inner integral the image profile of the indicator's factor (both
-    sides equal V/(a+1))."""
+    each inner integral the indicator's image R^e G(R), with R^e folded into
+    R^(Q-1) so that nothing overflows at large Q (both sides equal V/(a+1))."""
     out = 1.0
     ind = PowerInside(spec, (0.0,) * spec.m)
-    for i, (dims, (F, lo, hi)) in enumerate(zip(spec.factors, ind.radial_profiles())):
-        kernel = phi.kernel(i, dims, adjoint)
-        out *= radial_integral(operators._image_profile(F, lo, hi, kernel, adjoint, 1e-12),
-                               dims, 1.0, tol=1e-11)
+    for dims, a, (F, lo, hi) in zip(spec.factors, phi.exponents, ind.radial_profiles()):
+        e, G = operators._image_profile(F, lo, hi, a - dims.Q if adjoint else a, adjoint, 1e-12)
+        out *= dims.omega * integrate_1d(lambda R: G(R) * R ** (e + dims.Q - 1), 0.0, 1.0, tol=1e-11)
     return out
 
 

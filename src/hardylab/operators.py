@@ -24,7 +24,6 @@ import numpy as np
 from . import closedform
 from .funcs import (
     BumpMixture,
-    RadialProduct,
     TestFunction,
     UnsupportedFamilyError,
     _json_floats,
@@ -51,6 +50,7 @@ from .measure import (
     integrate_1d,
     lp_norm,
     mc_integrate,
+    radial_integral,
     substream,
 )
 
@@ -363,50 +363,59 @@ def _hardy_norm_compact(
     return Estimate((J_full / F_full) ** (1.0 / p), q_sem, per_rep * replicates)
 
 
-def _image_profile(F, a: float, b: float, kernel, adjoint: bool, tol: float):
-    """The vectorized image profile R -> int kernel(t) F(tR) dt, with F(R/t)
-    when adjoint, of a profile F supported on [a, b].  t runs over the window
-    of [0, 1] where the dilated radius meets [a, b] (an empty one gives 0),
-    with one `integrate_1d` call per node.  The ball average over B(0, R) has
-    the kernel Q t^(Q-1), since omega_Q = Q |B(0, 1)|."""
+def _image_profile(F, a: float, b: float, c: float, adjoint: bool, tol: float):
+    """The image of a profile F on [a, b] under the dilation average with
+    kernel t^c, R -> int_0^1 t^c F(tR) dt (F(R/t) if adjoint), as (e, G) with
+    the image R^e G(R).  With C(x) = int_a^min(b,x) r^c F(r) dr, r = tR gives
+    R^(-c-1) C(R), and s = t/R the adjoint image R^(c+1) C(1/R) with F(1/s)
+    on [1/b, 1/a] in C.  G = x^-d C(x), d = max(c + 1, 0), at x = R (1/R if
+    adjoint) stays in range where C grows.  It sums `integrate_1d` pieces
+    between its sorted nodes, so only the first meets a singularity at a,
+    and a node at or below a gives 0 exactly.  The ball average over B(0, R)
+    is Q times the image with c = Q - 1, since omega_Q = Q |B(0, 1)|."""
+    if adjoint:
+        F, a, b = (lambda s, F=F: F(1.0 / s)), 1.0 / b, math.inf if a == 0.0 else 1.0 / a
+    d = max(c + 1.0, 0.0)
 
-    def image(R: float) -> float:
-        if adjoint:
-            lo, hi = R / b, 1.0 if a == 0.0 else min(1.0, R / a)
-        else:
-            lo, hi = a / R, min(1.0, b / R)
-        if not lo < hi:
-            return 0.0
-        return integrate_1d(lambda t: kernel(t) * F(R / t if adjoint else t * R), lo, hi, tol=tol)
+    def G(x: np.ndarray) -> np.ndarray:
+        out = np.empty(len(x))
+        total, lo, prev = 0.0, a, 0.0
+        for i in np.argsort(x):
+            xi, hi = x[i], min(max(x[i], a), b)
+            total *= (prev / xi) ** d
+            if hi > lo:
+                total += integrate_1d(lambda r: (r / xi) ** d * r ** (c - d) * F(r), lo, hi, tol=tol)
+                lo = hi
+            out[i], prev = total, xi
+        return out
 
-    return lambda Rv: np.fromiter((image(R) for R in Rv), dtype=float, count=len(Rv))
+    return (c + 1.0 - d, lambda R: G(1.0 / R)) if adjoint else (d - c - 1.0, G)
 
 
 def _image_norm(f, p: float, spec: ProductSpec, kernels, adjoint: bool, tol: float) -> float:
-    """||T f||_p for a radial product f whose image under T is the product of
-    the factors' `_image_profile`s with the given kernels: this route never
-    touches the closed forms it is used to validate."""
-    image = RadialProduct(spec, tuple(
-        _image_profile(F, a, b, kernel, adjoint, tol)
-        for (F, a, b), kernel in zip(f.radial_profiles(), kernels)
-    ))
-    return lp_norm(image, spec, p, method="radial", tol=tol).value
+    """||T f||_p for a radial product f whose image under T is, factor by
+    factor, k times the `_image_profile` for the kernel t^c, one (k, c) pair
+    per factor: this route never touches the closed forms it validates."""
+    normp = 1.0
+    for dims, (F, a, b), (k, c) in zip(spec.factors, f.radial_profiles(), kernels):
+        e, G = _image_profile(F, a, b, c, adjoint, tol)
+        normp *= radial_integral(lambda R: np.abs(k * R**e * G(R)) ** p, dims, math.inf, tol=tol)
+    return normp ** (1.0 / p)
 
 
 def _radial_hardy_norm(f, p: float, spec: ProductSpec, tol: float) -> float:
     """||T f||_p under the ball-average operator, by per-factor quadrature."""
-    kernels = [lambda t, Q=dims.Q: Q * t ** (Q - 1) for dims in spec.factors]
-    return _image_norm(f, p, spec, kernels, False, tol)
+    return _image_norm(f, p, spec, [(d.Q, d.Q - 1.0) for d in spec.factors], False, tol)
 
 
 def _weighted_radial_norm(
-    f, phi: Weight, p: float, spec: ProductSpec, tol: float, adjoint: bool
+    f, phi: MonomialWeight, p: float, spec: ProductSpec, tol: float, adjoint: bool
 ) -> float:
     """||T f||_p for the outside power family under the (adjoint) weighted
-    operator, by per-factor quadrature."""
+    operator, by per-factor quadrature: kernels t^a, or t^(a - Q) if adjoint."""
     if f.family != "power-outside":
         raise UnsupportedFamilyError("radial weighted norms target the outside power family")
-    kernels = [phi.kernel(i, dims, adjoint) for i, dims in enumerate(spec.factors)]
+    kernels = [(1.0, a - d.Q if adjoint else a) for d, a in zip(spec.factors, phi.exponents)]
     return _image_norm(f, p, spec, kernels, adjoint, tol)
 
 

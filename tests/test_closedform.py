@@ -14,9 +14,9 @@ D1 = GroupDims(1)
 
 class TestSharpConstant:
     def test_values(self):
-        assert cf.sharp_constant(2.0, 2).value == 4.0
-        assert cf.sharp_constant(3.0, 1).value == 1.5
-        assert cf.sharp_constant(1000.0, 1).value == pytest.approx(1.001, abs=1e-5)
+        assert cf.sharp_constant(2.0, 2) == 4.0
+        assert cf.sharp_constant(3.0, 1) == 1.5
+        assert cf.sharp_constant(1000.0, 1) == pytest.approx(1.001, abs=1e-5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,7 +83,7 @@ class TestExtremalQuotients:
             assert cf.extremal_lower_bound(eps, 2.0, SPEC1) == pytest.approx(want, rel=1e-7)
 
     def test_chain_ordering_and_monotonicity(self):
-        sharp = cf.sharp_constant(2.0, 1).value
+        sharp = cf.sharp_constant(2.0, 1)
         prev = 0.0
         for eps in (0.2, 0.1, 0.05, 0.025, 0.0125, 1e-3):
             low = cf.extremal_lower_bound(eps, 2.0, SPEC1)

@@ -322,6 +322,15 @@ class TestDuality:
         for r in quad_rows:
             assert abs(r.deviation) <= 1e-8
 
+    def test_indicator_quadrature_at_large_q(self):
+        # at Q = 202 the adjoint image R^(a+1-Q) G(R) overflows below R of
+        # about 0.03 while R^(Q-1) times it stays of order R^2
+        spec = ProductSpec.of_orders(100)
+        want = spec.factors[0].ball_volume / 3.0
+        for adjoint in (False, True):
+            got = lab._indicator_pairing_quad(MonomialWeight((2.0,)), spec, adjoint)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_unbounded_dual_exponent_rejected(self):
         import hardylab.operators as ops
 

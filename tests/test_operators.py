@@ -25,9 +25,17 @@ SPEC2 = ProductSpec.of_orders(1, 1)
 D1 = GroupDims(1)
 
 
-def hardy_kernel(t):
-    """Q t^(Q-1): the ball average over B(0, R) as a dilation average."""
-    return D1.Q * t ** (D1.Q - 1)
+def image(f, c, adjoint, R):
+    """The image R^e G(R) of f's profile under the kernel t^c, from
+    `_image_profile`."""
+    (F, a, b), = f.radial_profiles()
+    e, G = ops._image_profile(F, a, b, c, adjoint, 1e-10)
+    return R**e * G(R)
+
+
+def ball_average(f, R):
+    """The ball average over B(0, R): Q times the image with c = Q - 1."""
+    return D1.Q * image(f, D1.Q - 1.0, False, R)
 
 
 class TestHardyEval:
@@ -39,17 +47,13 @@ class TestHardyEval:
     def test_power_hand_value(self):
         f = PowerInside(SPEC1, (-1.0,))
         want = 8 / 3
-        (F, a, b), = f.radial_profiles()
-        avg = ops._image_profile(F, a, b, hardy_kernel, False, 1e-10)
-        assert avg(np.array([0.5]))[0] == pytest.approx(want, rel=1e-9)
+        assert ball_average(f, np.array([0.5]))[0] == pytest.approx(want, rel=1e-9)
         mc = ops.hardy_eval(f, [0.5], samples=100_000, seed=2)
         assert mc.within(want, sigmas=3.0)
 
     def test_saturated_average(self):
         f = PowerInside(SPEC1, (-1.0,))
-        (F, a, b), = f.radial_profiles()
-        got = ops._image_profile(F, a, b, hardy_kernel, False, 1e-10)(np.array([2.0]))[0]
-        assert got == pytest.approx(1 / 12, rel=1e-9)
+        assert ball_average(f, np.array([2.0]))[0] == pytest.approx(1 / 12, rel=1e-9)
 
     def test_zero_radius_rejected(self):
         f = PowerInside(SPEC1, (0.0,))
@@ -229,16 +233,21 @@ class TestNormQuotient:
                                 method="radial", tol=1e-9)
         assert closed == pytest.approx(rad.value, rel=1e-7)
 
-    @pytest.mark.parametrize("p, eps", [(1.2, 0.2), (1.5, 0.0125), (2.0, 0.1), (3.0, 0.0125),
-                                        (4.0, 0.0125)])
-    def test_radial_route_matches_closed_form(self, p, eps):
-        f = PowerInside.extremal(SPEC1, p, eps)
-        rad = ops.norm_quotient(f, p, SPEC1, method="radial")
-        assert rad.value == pytest.approx(cf.power_family_quotient(eps, p, SPEC1), rel=1e-9)
+    @pytest.mark.parametrize("spec, p, eps", [
+        (SPEC1, 1.2, 0.2), (SPEC1, 1.5, 0.0125), (SPEC1, 2.0, 0.1), (SPEC1, 3.0, 0.0125),
+        (SPEC1, 4.0, 0.0125), (SPEC2, 1.2, 0.2), (SPEC2, 2.0, 0.1),
+    ], ids=["1.2-0.2", "1.5-0.0125", "2.0-0.1", "3.0-0.0125", "4.0-0.0125", "m2-1.2-0.2", "m2-2.0-0.1"])
+    def test_radial_route_matches_closed_form(self, spec, p, eps):
+        f = PowerInside.extremal(spec, p, eps)
+        rad = ops.norm_quotient(f, p, spec, method="radial")
+        assert rad.value == pytest.approx(cf.power_family_quotient(eps, p, spec), rel=1e-9)
 
-    @pytest.mark.parametrize("operator, a", [("weighted-cesaro", 3.0), ("weighted-hardy", 2.0)])
+    @pytest.mark.parametrize("operator, a", [("weighted-cesaro", 3.0), ("weighted-hardy", 2.0),
+                                             ("weighted-cesaro", 40.0), ("weighted-hardy", 40.0)])
     def test_weighted_radial_routes_match_closed_forms(self, operator, a):
-        # tol=1e-9 is the tolerance weighted_sharpness runs the radial route at
+        # tol=1e-9 is the tolerance weighted_sharpness runs the radial route at;
+        # at a = 40 the cumulative integral C(x) of `_image_profile` grows like
+        # x^38 and would overflow at the outer rule's largest radii unscaled
         f = PowerOutside.extremal(SPEC1, 3.0, 0.2)
         phi = ops.MonomialWeight((a,))
         closed = {"weighted-hardy": cf.weighted_power_quotient,
@@ -254,7 +263,8 @@ class TestNormQuotient:
 
 
 class TestImageProfile:
-    """`_image_profile` against closed-form images at R in {0.3, 1, 4}."""
+    """`_image_profile` against closed-form images at R in {0.3, 1, 4}; a
+    monomial weight t^a has the kernel t^a, and t^(a - Q) for the adjoint."""
 
     RADII = np.array([0.3, 1.0, 4.0])
 
@@ -267,31 +277,24 @@ class TestImageProfile:
 
     def test_weighted_image_of_the_outside_power(self):
         a, beta = 3.0, 2.5
-        (F, lo, hi), = PowerOutside(SPEC1, (beta,)).radial_profiles()
-        kernel = ops.MonomialWeight((a,)).kernel(0, D1, False)
-        got = ops._image_profile(F, lo, hi, kernel, False, 1e-10)(self.RADII)
+        got = image(PowerOutside(SPEC1, (beta,)), a, False, self.RADII)
         e = a - beta + 1.0
         want = [R**-beta * (1.0 - R**-e) / e if R > 1.0 else 0.0 for R in self.RADII]
         self._check(got, want)
 
     def test_adjoint_image_of_the_outside_power(self):
         a, beta = 3.0, 2.5
-        (F, lo, hi), = PowerOutside(SPEC1, (beta,)).radial_profiles()
-        kernel = ops.MonomialWeight((a,)).kernel(0, D1, True)
-        got = ops._image_profile(F, lo, hi, kernel, True, 1e-10)(self.RADII)
+        got = image(PowerOutside(SPEC1, (beta,)), a - D1.Q, True, self.RADII)
         e = a - D1.Q + beta + 1.0
         self._check(got, [R**-beta * min(R, 1.0) ** e / e for R in self.RADII])
 
     def test_adjoint_indicator_profile(self):
         # at a = Q - 1 the adjoint kernel is 1/t, and int_R^1 dt/t = -ln R
-        (F, lo, hi), = PowerInside(SPEC1, (0.0,)).radial_profiles()
-        kernel = ops.MonomialWeight((D1.Q - 1.0,)).kernel(0, D1, True)
-        got = ops._image_profile(F, lo, hi, kernel, True, 1e-10)(self.RADII)
+        got = image(PowerInside(SPEC1, (0.0,)), -1.0, True, self.RADII)
         self._check(got, [-math.log(R) if R < 1.0 else 0.0 for R in self.RADII])
 
     def test_ball_average_outside_the_support_is_zero(self):
-        (F, lo, hi), = PowerOutside(SPEC1, (2.5,)).radial_profiles()
-        got = ops._image_profile(F, lo, hi, hardy_kernel, False, 1e-10)(self.RADII)
+        got = ball_average(PowerOutside(SPEC1, (2.5,)), self.RADII)
         assert got[0] == 0.0 and got[1] == 0.0  # B(0, R) misses |x| > 1 for R <= 1
         assert got[2] == pytest.approx(D1.Q / (D1.Q - 2.5) * (4.0**-2.5 - 4.0**-D1.Q), rel=1e-9)
 
