@@ -123,6 +123,28 @@ class TestPowerFamiliesArePinned:
             "0x1.dde3a08f80fadp+4", "0x1.d90d76d8bd953p+3",
         ]
 
+    @staticmethod
+    def _norms(spec):
+        """The exact, radial and Monte Carlo L^2.5 norms of both extremal
+        families; no probe runs the outside family's Monte Carlo norm."""
+        out = []
+        for f in (PowerInside.extremal(spec, 2.5, 0.3), PowerOutside.extremal(spec, 2.5, 0.45)):
+            out += [f.lp_norm_exact(2.5), measure.lp_norm(f, spec, 2.5, "radial").value,
+                    measure.lp_norm(f, spec, 2.5, "mc", samples=4000, seed=6).value]
+        return [float(v).hex() for v in out]
+
+    def test_norms_m1(self):
+        assert self._norms(SPEC1) == [
+            "0x1.d97f449bab5a2p+1", "0x1.d97f449b591ecp+1", "0x1.d9bc57063c87fp+1",
+            "0x1.929b482230867p+1", "0x1.929b482250c68p+1", "0x1.92cf35cfdafefp+1",
+        ]
+
+    def test_norms_m2(self):
+        assert self._norms(ProductSpec.of_orders(1, 2)) == [
+            "0x1.20e64472af685p+4", "0x1.20e644724b0fcp+4", "0x1.208895a1612f5p+4",
+            "0x1.a1bcdef6c8747p+3", "0x1.a1bcdef70b612p+3", "0x1.a13568b661466p+3",
+        ]
+
 
 class TestWeightBoundIntegral:
     def test_monomial_values(self):
