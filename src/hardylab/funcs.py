@@ -82,33 +82,40 @@ def _radii_of(pts: list[np.ndarray]) -> list[np.ndarray]:
     return [koranyi_norm(a) for a in pts]
 
 
-def _power_product(radii: list[np.ndarray], exponents, keep) -> np.ndarray:
-    """prod_i r_i^(e_i) where keep(r_i) holds in every factor, else 0, in
-    place on the radius arrays, which share one shape: the result is
-    radii[0]."""
-    mask = keep(radii[0])
-    for r in radii[1:]:
-        mask &= keep(r)
-    out = radii[0]
-    # r = 0 under a negative power gives inf; off the region, where the
-    # mask then sets 0, a power may also overflow
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out **= exponents[0]
-        for r, e in zip(radii[1:], exponents[1:]):
-            r **= e
-            out *= r
-    np.copyto(out, 0.0, where=np.logical_not(mask, out=mask))
-    return out
-
-
 class _PowerFamily(TestFunction):
-    """A product of powers of the radii |x_i|_h on a region given by the
-    radii; its dilation grids need one norm per point, since |delta_s x|_h =
-    s |x|_h."""
+    """prod_i |x_i|_h^(e_i), e = `exponents`, where every radius lies in the
+    region (lo, hi): the unit polyball (side = +1) or its outside (side = -1),
+    on which |x_i|_h^(e_i p) is integrable when side (e_i p + Q_i) > 0.  Its
+    dilation grids need one norm per point, since |delta_s x|_h = s |x|_h."""
+
+    @property
+    def exponents(self) -> tuple[float, ...]:
+        raise NotImplementedError
+
+    def __post_init__(self) -> None:
+        if len(self.exponents) != self.spec.m:
+            raise ValueError("one exponent per factor required")
+        if not all(map(math.isfinite, self.exponents)):
+            raise ValueError(f"exponents must be finite: {self.exponents}")
 
     def _of_radii(self, radii: list[np.ndarray]) -> np.ndarray:
-        """f from the radius arrays, in place on them."""
-        raise NotImplementedError
+        """f in place on the radius arrays, which share one shape: the result
+        is radii[0].  The mask is r < 1 inside and r > 1 outside, so r = 0
+        and r = inf count as in the region."""
+        keep, exps = np.less if self.side > 0 else np.greater, self.exponents
+        mask = keep(radii[0], 1.0)
+        for r in radii[1:]:
+            mask &= keep(r, 1.0)
+        out = radii[0]
+        # r = 0 under a negative power gives inf; off the region, where the
+        # mask then sets 0, a power may also overflow
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out **= exps[0]
+            for r, e in zip(radii[1:], exps[1:]):
+                r **= e
+                out *= r
+        np.copyto(out, 0.0, where=np.logical_not(mask, out=mask))
+        return out
 
     def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
         return self._of_radii(_radii_of(pts))
@@ -119,6 +126,22 @@ class _PowerFamily(TestFunction):
         return self._of_radii([np.multiply(r[:, None], s, out=ws.grid(grid))
                                for r, s in zip(_radii_of(pts), scales)])
 
+    def support_radii(self) -> tuple[float, ...]:
+        return (self.hi,) * self.spec.m
+
+    def radial_profiles(self):
+        return [((lambda r, e=e: r**e), self.lo, self.hi) for e in self.exponents]
+
+    def lp_norm_exact(self, p: float) -> float:
+        normp = 1.0
+        for dims, e in zip(self.spec.factors, self.exponents):
+            denom = e * p + dims.Q
+            if self.side * denom <= 0:
+                raise ValueError("norm infinite: e*p + Q must be positive inside "
+                                 "the unit ball and negative outside")
+            normp *= dims.omega / abs(denom)
+        return normp ** (1.0 / p)
+
 
 @dataclass(frozen=True)
 class PowerInside(_PowerFamily):
@@ -127,38 +150,16 @@ class PowerInside(_PowerFamily):
     spec: ProductSpec
     alphas: tuple[float, ...]
     family: str = field(default="power-inside", init=False)
+    lo, hi, side = 0.0, 1.0, 1.0
 
-    def __post_init__(self) -> None:
-        if len(self.alphas) != self.spec.m:
-            raise ValueError("one exponent per factor required")
-        if not all(map(math.isfinite, self.alphas)):
-            raise ValueError(f"exponents must be finite: {self.alphas}")
+    @property
+    def exponents(self) -> tuple[float, ...]:
+        return self.alphas
 
     @classmethod
     def extremal(cls, spec: ProductSpec, p: float, eps: float) -> "PowerInside":
         """The near-extremal family with alpha_i = -Q_i/p + eps."""
         return cls(spec, tuple(-d.Q / p + eps for d in spec.factors))
-
-    def _of_radii(self, radii: list[np.ndarray]) -> np.ndarray:
-        return _power_product(radii, self.alphas, lambda r: r < 1.0)
-
-    def support_radii(self) -> tuple[float, ...]:
-        return (1.0,) * self.spec.m
-
-    def radial_profiles(self):
-        return [
-            ((lambda r, a=a: r**a), 0.0, 1.0)
-            for a in self.alphas
-        ]
-
-    def lp_norm_exact(self, p: float) -> float:
-        normp = 1.0
-        for dims, a in zip(self.spec.factors, self.alphas):
-            denom = a * p + dims.Q
-            if denom <= 0:
-                raise ValueError("norm infinite: alpha*p + Q must be positive")
-            normp *= dims.omega / denom
-        return normp ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -168,38 +169,16 @@ class PowerOutside(_PowerFamily):
     spec: ProductSpec
     betas: tuple[float, ...]
     family: str = field(default="power-outside", init=False)
+    lo, hi, side = 1.0, math.inf, -1.0
 
-    def __post_init__(self) -> None:
-        if len(self.betas) != self.spec.m:
-            raise ValueError("one exponent per factor required")
-        if not all(map(math.isfinite, self.betas)):
-            raise ValueError(f"exponents must be finite: {self.betas}")
+    @property
+    def exponents(self) -> tuple[float, ...]:
+        return tuple(-b for b in self.betas)
 
     @classmethod
     def extremal(cls, spec: ProductSpec, p: float, eps: float) -> "PowerOutside":
         """The outside-ball family with beta_i = Q_i/p + eps."""
         return cls(spec, tuple(d.Q / p + eps for d in spec.factors))
-
-    def _of_radii(self, radii: list[np.ndarray]) -> np.ndarray:
-        return _power_product(radii, tuple(-b for b in self.betas), lambda r: r > 1.0)
-
-    def support_radii(self) -> tuple[float, ...]:
-        return (math.inf,) * self.spec.m
-
-    def radial_profiles(self):
-        return [
-            ((lambda r, b=b: r**-b), 1.0, math.inf)
-            for b in self.betas
-        ]
-
-    def lp_norm_exact(self, p: float) -> float:
-        normp = 1.0
-        for dims, b in zip(self.spec.factors, self.betas):
-            denom = b * p - dims.Q
-            if denom <= 0:
-                raise ValueError("norm infinite: beta*p - Q must be positive")
-            normp *= dims.omega / denom
-        return normp ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -474,37 +474,26 @@ def _power_norm_mc(f, spec: ProductSpec, p: float, samples: int, seed: int, work
 
     Uniform product-ball sampling of |f|^p has infinite variance whenever the
     radial exponent drops below -Q/2, which the near-extremal families always
-    do.  Sampling each factor's radius with density g(r) ~ r^(e/2 - 1), where
-    e is that factor's radial exponent of |f|^p r^(Q-1) dr plus one, leaves a
-    bounded weight r^(e/2) and an honest standard error.
+    do.  In each factor |f|^p r^(Q-1) is r^(g-1), g = e p + Q, on the
+    family's region, where s g > 0 with s = `f.side`.  Drawing r = u^(s/gam),
+    gam = s g / 2, with density gam r^(s gam - 1) on the region, leaves a
+    bounded weight (omega/gam) r^(s gam) and an honest standard error.
     """
-    inside = f.family == "power-inside"
-    exps = f.alphas if inside else [-b for b in f.betas]
+    s = f.side
     gammas = []
     consts = []
-    for dims, a in zip(spec.factors, exps):
-        e = a * p + dims.Q  # integrand r^(e-1) on (0,1]; on [1,inf) e < 0
-        if inside:
-            if e <= 0:
-                raise ValueError("norm infinite: exponent condition violated")
-            gam = 0.5 * e
-        else:
-            if e >= 0:
-                raise ValueError("norm infinite: exponent condition violated")
-            gam = -0.5 * e
+    for dims, a in zip(spec.factors, f.exponents):
+        gam = 0.5 * s * (a * p + dims.Q)
+        if gam <= 0:
+            raise ValueError("norm infinite: exponent condition violated")
         gammas.append(gam)
         consts.append(dims.omega / gam)
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         w = np.ones(k)
         for gam, c in zip(gammas, consts):
-            u = rng.random(k)
-            if inside:
-                r = u ** (1.0 / gam)  # density gam * r^(gam-1) on (0,1]
-                w *= c * r**gam
-            else:
-                r = u ** (-1.0 / gam)  # density gam * r^(-gam-1) on [1,inf)
-                w *= c * r**-gam
+            r = rng.random(k) ** (s / gam)
+            w *= c * r ** (s * gam)
         return w
 
     return chunked_mean(draw, samples, seed, TAG_POWER_NORM, workers=workers)
