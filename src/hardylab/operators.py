@@ -14,7 +14,6 @@ Monte Carlo estimators.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -291,10 +290,12 @@ def _hardy_norm_compact(
     operator, with both norms taken from one shared sample set.
 
     T f depends on x only through the radii, and the inner integral saturates
-    once a radius clears the support, so the norm splits over subsets of
-    "inside" factors: quadrature over [0, S_i] on cumulative integrals of f
-    (estimated by binned prefix sums of the Monte Carlo sample) plus exact
-    power tails.  The standard error comes from the replicates' spread.
+    once a radius clears the support: per factor, quadrature over [0, S_i]
+    on cumulative integrals of f (estimated by binned prefix sums of the
+    Monte Carlo sample) plus an exact power tail tau_i beyond S_i.  Each
+    axis' node weights carry tau_i at the saturated index G_i, so the norm
+    is one contraction of |cum|^p.  The standard error comes from the
+    replicates' spread.
     """
     S = [float(s) for s in f.support_radii()]
     if any(math.isinf(s) or s <= 0 for s in S):
@@ -305,20 +306,22 @@ def _hardy_norm_compact(
     pref = 1.0
     for dims in spec.factors:
         pref *= dims.omega / dims.ball_volume**p
-    taus = [s ** (d.Q * (1.0 - p)) / (d.Q * (p - 1.0)) for d, s in zip(spec.factors, S)]
     sampler, _ = _support_sampler(f, spec)
 
-    # two 32-node Gauss-Legendre panels per dimension
+    # two 32-node Gauss-Legendre panels per dimension, weighted by
+    # r^(Q(1-p)-1) and followed by the tail int_S^inf r^(Q(1-p)-1) dr
     gx, gw = np.polynomial.legendre.leggauss(32)
     nodes, weights = [], []
-    for s in S:
+    for d, s in zip(spec.factors, S):
         xs, ws = [], []
         for lo, hi in ((0.0, 0.5 * s), (0.5 * s, s)):
             half = 0.5 * (hi - lo)
             xs.append(0.5 * (lo + hi) + half * gx)
             ws.append(half * gw)
-        nodes.append(np.concatenate(xs))
-        weights.append(np.concatenate(ws))
+        x = np.concatenate(xs)
+        nodes.append(x)
+        weights.append(np.append(np.concatenate(ws) * x ** (d.Q * (1.0 - p) - 1.0),
+                                 s ** (d.Q * (1.0 - p)) / (d.Q * (p - 1.0))))
     G = [len(x) for x in nodes]
 
     def replicate(c: int) -> tuple[np.ndarray, float]:
@@ -339,20 +342,10 @@ def _hardy_norm_compact(
         cum = hist
         for ax in range(m):
             cum = np.cumsum(cum, axis=ax)
-        cum = cum[tuple(slice(0, g + 1) for g in G)] / n_samp
-        J = 0.0
-        for inside in itertools.product((True, False), repeat=m):
-            sl = tuple(slice(0, G[i]) if inside[i] else G[i] for i in range(m))
-            I = np.abs(cum[sl]) ** p
-            term = pref
-            for i in range(m):
-                if inside[i]:
-                    wq = weights[i] * nodes[i] ** (spec.factors[i].Q * (1.0 - p) - 1.0)
-                    I = np.tensordot(I, wq, axes=([0], [0]))
-                else:
-                    term *= taus[i]
-            J += term * float(I)
-        return J
+        J = np.abs(cum[tuple(slice(0, g + 1) for g in G)] / n_samp) ** p
+        for w in weights:
+            J = np.tensordot(J, w, axes=([0], [0]))
+        return pref * float(J)
 
     J_full = tf_power(sum(h for h, _ in bins), per_rep * replicates)
     F_full = sum(v for _, v in bins) / replicates
