@@ -434,10 +434,6 @@ def norm_quotient(
             if f.family != "power-inside":
                 raise UnsupportedFamilyError("closed quotients exist for the inside power family")
             return Estimate.exact(closedform.general_power_quotient(f.alphas, p, spec))
-        if method == "radial":
-            num = _radial_hardy_norm(f, p, spec, tol)
-            den = lp_norm(f, spec, p, method="radial", tol=tol)
-            return Estimate.exact(num / den.value)
         if method == "mc":
             if f.family == "power-inside":
                 nump = _nested_power_norm(
@@ -446,8 +442,10 @@ def norm_quotient(
                 den = lp_norm(f, spec, p, method="mc", samples=samples, seed=seed + 101, workers=workers)
                 return nump.powered(1.0 / p).ratio(den)
             return _hardy_norm_compact(f, p, spec, samples, seed, workers=workers)
-        raise ValueError(f"unknown method {method!r}")
-    if operator in ("weighted-hardy", "weighted-cesaro"):
+        if method != "radial":
+            raise ValueError(f"unknown method {method!r}")
+        num = _radial_hardy_norm(f, p, spec, tol)
+    elif operator in ("weighted-hardy", "weighted-cesaro"):
         if phi is None:
             raise ValueError("weighted quotients need a weight")
         adjoint = operator == "weighted-cesaro"
@@ -457,9 +455,9 @@ def norm_quotient(
         if not isinstance(phi, MonomialWeight):
             raise UnsupportedFamilyError("radial weighted quotients need a monomial weight")
         num = _weighted_radial_norm(f, phi, p, spec, tol, adjoint)
-        den = lp_norm(f, spec, p, method="radial", tol=tol)
-        return Estimate.exact(num / den.value)
-    raise ValueError(f"unknown operator {operator!r}")
+    else:
+        raise ValueError(f"unknown operator {operator!r}")
+    return Estimate.exact(num / lp_norm(f, spec, p, method="radial", tol=tol).value)
 
 
 # ---------------------------------------------------------------------------
