@@ -180,7 +180,10 @@ def weighted_power_quotient(betas, exponents, p: float, spec: ProductSpec) -> fl
             raise ValueError("norm infinite: beta*p - Q must be positive")
         if g <= 0:
             raise ValueError("closed quotient needs a + 1 - beta > 0")
-        out_p *= e * _beta(e / g, p + 1.0) / g ** (p + 1.0)
+        den = g ** (p + 1.0)
+        if den == 0.0:
+            raise ValueError(f"p={p:g} is too large: (a + 1 - beta)^(p + 1) underflows to 0")
+        out_p *= e * _beta(e / g, p + 1.0) / den
     return out_p ** (1.0 / p)
 
 

@@ -202,6 +202,15 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_large_p_weighted_quotient_is_refused(self, tmp_path, capsys):
+        # (a + 1 - beta)^(p + 1) underflowed to 0 and the closed quotient
+        # divided by it
+        out = tmp_path / "r.json"
+        assert run(["weighted", "--weight", "one", "--p", "1e6", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: p=1e+06 is too large" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_large_p_pairing_runs(self, tmp_path, capsys):
         # the adjoint family quotients divide by D^p, which underflowed to 0
         out = tmp_path / "r.json"
