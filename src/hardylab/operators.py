@@ -210,7 +210,7 @@ def _require_bounded(phi: Weight, p: float, spec: ProductSpec, kind: str) -> Non
     diverges at exponent p: the operator is then unbounded on L^p."""
     if math.isinf(weight_bound_integral(phi, p, spec, kind)):
         raise UnboundedOperatorError(
-            f"unbounded operator: the {kind} characteristic integral diverges at p={p:g}"
+            f"unbounded operator: the {kind} characteristic integral diverges at p={p}"
         )
 
 

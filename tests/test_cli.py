@@ -211,6 +211,14 @@ class TestExitCodes:
         assert "usage error: p=1e+06 is too large" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_unbounded_pairing_names_the_given_p(self, tmp_path, capsys):
+        # the refusal named the conjugate exponent p/(p-1), as p=1e+07
+        out = tmp_path / "r.json"
+        argv = ["cesaro-duality", "--weight", "monomial:0", "--p", "1.0000001"]
+        assert run(argv + ["--output", str(out)]) == 1
+        assert "diverges at p=1.0000001" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_large_p_pairing_runs(self, tmp_path, capsys):
         # the adjoint family quotients divide by D^p, which underflowed to 0
         out = tmp_path / "r.json"
