@@ -47,6 +47,7 @@ TAG_NESTED = 14
 TAG_COMPACT = 15
 TAG_EXPERIMENT = 16
 TAG_SPHERE = 17
+TAG_PILOT = 18
 
 
 class IntegrationError(RuntimeError):

@@ -14,6 +14,7 @@ Monte Carlo estimators.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .measure import (
     IntegrationError,
     TAG_COMPACT,
     TAG_NESTED,
+    TAG_PILOT,
     _ordered_map,
     chunked_mean,
     grid_workspace,
@@ -73,9 +75,12 @@ class UnboundedOperatorError(ValueError):
 
 class Weight:
     """Nonnegative product weight prod_i phi_i(t_i) on [0,1]^m, one vectorized
-    1-D profile per factor."""
+    1-D profile per factor.  knots[i] lists the interior points of (0, 1) at
+    which phi_i may have a kink (a table weight's knots), empty where phi_i
+    is smooth as far as the weight knows."""
 
     profiles: tuple
+    knots: tuple
     label: str = "general"
 
     @property
@@ -115,6 +120,10 @@ class MonomialWeight(Weight):
     def label(self) -> str:
         return "monomial:" + ",".join(f"{a:g}" for a in self.exponents)
 
+    @property
+    def knots(self) -> tuple:
+        return ((),) * self.m
+
     def kernel(self, i: int, dims: GroupDims, adjoint: bool):
         """t^a, or t^(a - Q) for the adjoint, from one power."""
         e = self.exponents[i] - dims.Q if adjoint else self.exponents[i]
@@ -124,9 +133,10 @@ class MonomialWeight(Weight):
 class GeneralWeight(Weight):
     """A product of arbitrary nonnegative vectorized 1-D profiles."""
 
-    def __init__(self, profiles, label: str = "general"):
+    def __init__(self, profiles, label: str = "general", knots=None):
         self.profiles = tuple(profiles)
         self.label = label
+        self.knots = ((),) * self.m if knots is None else tuple(map(tuple, knots))
 
 
 def parse_weight(text: str, m: int) -> Weight:
@@ -145,7 +155,7 @@ def parse_weight(text: str, m: int) -> Weight:
         factors = data.get("factors") if isinstance(data, dict) else None
         if not isinstance(factors, list) or len(factors) != m:
             raise ValueError(f"weight {text}['factors'] must list one table per factor, {m} in all")
-        profiles = []
+        profiles, knots = [], []
         for i, fac in enumerate(factors):
             where = f"weight {text}['factors'][{i}]"
             grid = _json_floats(fac, "t", 1, where)
@@ -158,7 +168,8 @@ def parse_weight(text: str, m: int) -> Weight:
             if not np.interp(np.clip(grid, 0.0, 1.0), grid, vals).any():
                 raise ValueError(f"weight {text}: factor {i + 1} is zero on [0, 1]")
             profiles.append(lambda t, grid=grid, vals=vals: np.interp(t, grid, vals))
-        return GeneralWeight(profiles, f"table:{rest}")
+            knots.append(tuple(float(t) for t in np.unique(grid) if 0.0 < t < 1.0))
+        return GeneralWeight(profiles, f"table:{rest}", knots)
     raise ValueError(f"unknown weight spec {text!r}")
 
 
@@ -464,19 +475,117 @@ def norm_quotient(
 # Duality pairings
 # ---------------------------------------------------------------------------
 
-def _tensor_nodes(m: int):
-    """Gauss-Legendre nodes and weights on [0,1]^m, for m <= 2."""
+_PILOT_POINTS = 512
+_PILOT_CELLS = 2**14  # a pilot grid's values: at most this, and at least an eighth of it
+
+
+def _fixed_order(m: int) -> int:
+    """Nodes per axis of the fixed rule that a pairing falls back to, and
+    the most it may take: 32 at m = 1, and a 20 x 20 tensor at m = 2."""
     if m > 2:
         raise ValueError(f"pairings need m <= 2 (a tensor grid on [0,1]^m), got m={m}")
-    order = 32 if m == 1 else 20  # smooth integrands; keep the m=2 tensor small
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    s = 0.5 * (gx + 1.0)  # nodes on [0,1]
-    w = 0.5 * gw
+    return 32 if m == 1 else 20
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_rule(order: int, knots: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+    """order Gauss-Legendre nodes and weights on [0, 1], composite over the
+    pieces that the knots cut from it, each with its share of the order in
+    proportion to its length; None when a piece would get no node.  The
+    arrays are cached, so they are read-only."""
+    ends = (0.0, *knots, 1.0)
+    counts = np.diff(np.rint(order * np.asarray(ends))).astype(int)
+    if (counts < 1).any():
+        return None
+    nodes, weights = [], []
+    for a, b, n in zip(ends, ends[1:], counts):
+        gx, gw = np.polynomial.legendre.leggauss(n)
+        nodes.append(a + (b - a) * (0.5 * (gx + 1.0)))
+        weights.append((b - a) * (0.5 * gw))
+    rule = np.concatenate(nodes), np.concatenate(weights)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _dilation_rule(m: int, order: int, knots=None):
+    """Nodes (K, m) and weights (K,) of the tensor of `_axis_rule`s on
+    [0,1]^m, order nodes per axis, each axis split at its knots; None when
+    an axis has no rule of that order."""
+    axes = [_axis_rule(order, k) for k in knots or ((),) * m]
+    if None in axes:
+        return None
     if m == 1:
-        return s[:, None], w
-    S1, S2 = np.meshgrid(s, s, indexing="ij")
-    W = np.outer(w, w).ravel()
-    return np.column_stack([S1.ravel(), S2.ravel()]), W
+        return axes[0][0][:, None], axes[0][1]
+    (s1, w1), (s2, w2) = axes
+    S1, S2 = np.meshgrid(s1, s2, indexing="ij")
+    return np.column_stack([S1.ravel(), S2.ravel()]), np.outer(w1, w2).ravel()
+
+
+def _choose_rule(sampler, rule_values, m: int, knots, samples: int, seed: int, ws):
+    """The dilation rule of a pairing, sized from a pilot error estimate.
+
+    `rule_values(S, W)` returns the pairing's per-point values
+    `values(pts, dens, fvals, ws)` under the rule (S, W).  The pilot draws
+    `_PILOT_POINTS` points once, from the substream (seed, TAG_PILOT), and
+    evaluates them under rules of K = 4, 8, 16 and the fixed order nodes per
+    axis, going upward, each against the rule of 2K.  With d the per-point
+    difference of the two, the first K whose bias bound |mean d| +
+    3 sd(d)/sqrt(n) lies below 1/20 of the projected standard error
+    sd(values)/sqrt(samples) is taken.  When none passes, or the values have
+    no spread (there is no error to size against), the fixed rule is kept:
+    32 nodes at m = 1, a 20 x 20 tensor at m = 2.  So the rule never has
+    more columns than that one.  The pilot's grids are taken from ws in row
+    blocks of at most `_PILOT_CELLS` values, which lets ws keep its buffers
+    from rung to rung."""
+    top = _fixed_order(m)
+    pts, dens, fvals = sampler(substream(seed, TAG_PILOT), _PILOT_POINTS)
+    pilot, blocks_run = {}, 0
+
+    def at(order: int):
+        nonlocal blocks_run
+        if order not in pilot:
+            rule, blocks = _dilation_rule(m, order, knots), []
+            if rule is not None:
+                values, rows = rule_values(*rule), max(_PILOT_CELLS // len(rule[1]), 1)
+                for a in range(0, _PILOT_POINTS, rows):
+                    if blocks_run:
+                        ws.trim()  # hands back the last block's grids, and keeps them
+                    blocks_run += 1
+                    blocks.append(values([x[a:a + rows] for x in pts], dens[a:a + rows],
+                                         fvals[a:a + rows], ws))
+            pilot[order] = np.concatenate(blocks) if blocks else None
+        return pilot[order]
+
+    for order in (4, 8, 16, top):
+        coarse, fine = at(order), at(2 * order)
+        if coarse is None or fine is None:
+            continue
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite values pass no rung
+            spread = float(np.std(fine, ddof=1))
+            d = coarse - fine
+            bias = abs(float(d.mean())) + 3.0 * float(np.std(d, ddof=1)) / math.sqrt(_PILOT_POINTS)
+        if spread == 0.0:
+            break
+        if bias < spread / math.sqrt(samples) / 20.0:
+            return _dilation_rule(m, order, knots)
+    return _dilation_rule(m, top)
+
+
+def _pairing(sampler, rule_values, m: int, knots, samples: int, seed: int, workers: int) -> Estimate:
+    """chunked_mean of a pairing's per-point values under the rule that
+    `_choose_rule` sized for it.  The pilot's workspace is held until the
+    chunks are done, so that it goes back to the idle stack last and the
+    next pilot gets it again: pilot and chunk grids never share buffers."""
+    with grid_workspace() as ws:
+        values = rule_values(*_choose_rule(sampler, rule_values, m, knots, samples, seed, ws))
+
+        def draw(rng: np.random.Generator, k: int) -> np.ndarray:
+            pts, dens, fvals = sampler(rng, k)
+            with grid_workspace() as chunk_ws:
+                return values(pts, dens, fvals, chunk_ws)
+
+        return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)
 
 
 def _in_polyball(pts: list[np.ndarray], radii) -> np.ndarray:
@@ -561,20 +670,24 @@ def pairing_weighted_hardy(
     workers: int = 1,
 ) -> Estimate:
     """<f, P_phi g>: Monte Carlo over the support of f, with the dilation
-    integral at each sample point done by tensor Gauss-Legendre on [0,1]^m.
-    Intended for smooth g (bumps) or cases where the t-integrand is smooth."""
-    S, W = _tensor_nodes(spec.m)
-    sampler, _ = _support_sampler(f, spec)
-    w_phi = W * math.prod(phi.kernel(i, dims, False)(S[:, i])
-                          for i, dims in enumerate(spec.factors))
+    integral at each sample point done by tensor Gauss-Legendre on [0,1]^m,
+    composite over the pieces that the weight's knots cut from each axis and
+    sized by `_choose_rule`.  Intended for smooth g (bumps) or cases where
+    the t-integrand is smooth between the knots."""
+    _fixed_order(spec.m)  # refuses m > 2
 
-    def draw(rng: np.random.Generator, k: int) -> np.ndarray:
-        pts, dens, fvals = sampler(rng, k)
-        with grid_workspace() as ws:
+    def rule_values(S, W):
+        w_phi = W * math.prod(phi.kernel(i, dims, False)(S[:, i])
+                              for i, dims in enumerate(spec.factors))
+
+        def values(pts, dens, fvals, ws):
             pg = g.on_dilations(pts, list(S.T), list(S.T), None, ws) @ w_phi
-        return fvals * pg / dens
+            return fvals * pg / dens
 
-    return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)
+        return values
+
+    return _pairing(_support_sampler(f, spec)[0], rule_values, spec.m, phi.knots,
+                    samples, seed, workers)
 
 
 def pairing_weighted_cesaro(
@@ -589,19 +702,19 @@ def pairing_weighted_cesaro(
 ) -> Estimate:
     """<g, P*_phi f>: Monte Carlo over the support of g; at each sample the
     t-integral is taken on the per-point support window [ |x_i|/S_i, 1 ] with
-    affine-mapped Gauss-Legendre nodes, which keeps indicator-type f exact.
-    The (k, K) grids of t, of the inverse scales 1/t (formed in place of t)
-    and of the kernel phi(t) prod t_i^(-Q_i) are the chunk's workspace
-    grids.  f gets the window starts and the nodes next to the scales, the
-    map that made them."""
-    S, W = _tensor_nodes(spec.m)
+    affine-mapped Gauss-Legendre nodes, sized by `_choose_rule`, which keeps
+    indicator-type f exact.  The windows already follow the integrand, so
+    the weight's knots do not split this rule.  The (k, K) grids of t, of
+    the inverse scales 1/t (formed in place of t) and of the kernel
+    phi(t) prod t_i^(-Q_i) are the chunk's workspace grids.  f gets the
+    window starts and the nodes next to the scales, the map that made them."""
+    _fixed_order(spec.m)  # refuses m > 2 before the weight
     _require_bounded(phi, p, spec, "cesaro")
     sup = f.support_radii()
-    sampler, _ = _support_sampler(g, spec)
 
-    def draw(rng: np.random.Generator, k: int) -> np.ndarray:
-        pts, dens, gvals = sampler(rng, k)
-        with grid_workspace() as ws:
+    def rule_values(S, W):
+        def values(pts, dens, gvals, ws):
+            k = pts[0].shape[0]
             grid = (k, S.shape[0])
             t_nodes, starts, kernels = [], [], []
             jac = np.ones(k)  # the affine map's Jacobian is constant along each point's nodes
@@ -622,4 +735,7 @@ def pairing_weighted_cesaro(
             integrand *= kernels[0]
             return gvals * ((integrand @ W) * jac) / dens
 
-    return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)
+        return values
+
+    return _pairing(_support_sampler(g, spec)[0], rule_values, spec.m, None,
+                    samples, seed, workers)
