@@ -703,9 +703,9 @@ def pairing_weighted_cesaro(
     """<g, P*_phi f>: Monte Carlo over the support of g; at each sample the
     t-integral is taken on the per-point support window [ |x_i|/S_i, 1 ] with
     affine-mapped Gauss-Legendre nodes, sized by `_choose_rule`, which keeps
-    indicator-type f exact.  The windows already follow the integrand, so
-    the weight's knots do not split this rule.  The (k, K) grids of t, of
-    the inverse scales 1/t (formed in place of t) and of the kernel
+    indicator-type f exact.  The weight's knots do not split this rule: the
+    pilot measures its error across them like any other.  The (k, K) grids
+    of t, of the inverse scales 1/t (formed in place of t) and of the kernel
     phi(t) prod t_i^(-Q_i) are the chunk's workspace grids.  f gets the
     window starts and the nodes next to the scales, the map that made them."""
     _fixed_order(spec.m)  # refuses m > 2 before the weight
