@@ -180,7 +180,11 @@ def weighted_power_quotient(betas, exponents, p: float, spec: ProductSpec) -> fl
             raise ValueError("norm infinite: beta*p - Q must be positive")
         if g <= 0:
             raise ValueError("closed quotient needs a + 1 - beta > 0")
-        den = g ** (p + 1.0)
+        try:
+            den = g ** (p + 1.0)
+        except OverflowError as err:
+            raise ValueError(f"weight exponent a={a:g} is too large: (a + 1 - beta)^(p + 1) "
+                             f"overflows at p={p:g}") from err
         if den == 0.0:
             raise ValueError(f"p={p:g} is too large: (a + 1 - beta)^(p + 1) underflows to 0")
         out_p *= e * _beta(e / g, p + 1.0) / den

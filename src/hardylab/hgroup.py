@@ -130,12 +130,25 @@ def dilate_arrays(r, x: np.ndarray, n: int) -> np.ndarray:
     """delta_r on coordinate arrays, unchecked, as a fresh array:
     x[..., :2n] * r and x[..., 2n] * (r*r), with r broadcasting against
     x[..., 0] (so r of shape (K,) against x of shape (k, 1, 2n+1) gives
-    (k, K, 2n+1)).  r = 0 collapses x onto the origin."""
+    (k, K, 2n+1)).  r = 0 collapses x onto the origin.  Like the other
+    kernels here it works one coordinate column at a time, so that each
+    numpy pass runs over the points rather than over the 2n+1 coordinates."""
     r = np.asarray(r, dtype=float)
     out = np.empty(np.broadcast_shapes(x.shape[:-1], r.shape) + x.shape[-1:])
-    np.multiply(x[..., : 2 * n], r[..., None], out=out[..., : 2 * n])
+    for i in range(2 * n):
+        np.multiply(x[..., i], r, out=out[..., i])
     np.multiply(x[..., 2 * n], r * r, out=out[..., 2 * n])
     return out
+
+
+def _sum_of_squares(cols) -> np.ndarray:
+    """sum_i c_i^2 over the columns c_i, added in order: for up to six
+    columns the order of np.sum over a last axis, bit for bit."""
+    acc = np.square(cols[0])
+    tmp = np.empty_like(acc)
+    for c in cols[1:]:
+        acc += np.square(c, out=tmp)
+    return acc
 
 
 def group_law(x, y):
@@ -146,9 +159,10 @@ def group_law(x, y):
     if n != yn:
         raise ValueError(f"dimension mismatch: n={n} vs n={yn}")
     out = x + y
-    cross = 2.0 * np.sum(
-        y[..., :n] * x[..., n : 2 * n] - x[..., :n] * y[..., n : 2 * n], axis=-1
-    )
+    cross = y[..., 0] * x[..., n] - x[..., 0] * y[..., n]
+    for j in range(1, n):
+        cross += y[..., j] * x[..., n + j] - x[..., j] * y[..., n + j]
+    cross *= 2.0
     out[..., 2 * n] = x[..., 2 * n] + y[..., 2 * n] + cross
     return out
 
@@ -170,8 +184,10 @@ def dilate(r, x):
 def koranyi_norm(x):
     """Koranyi gauge ((sum_i x_i^2)^2 + x_vert^2)^(1/4)."""
     xa, xn = _coerce(x)
-    horiz = np.sum(xa[..., : 2 * xn] ** 2, axis=-1)
-    val = (horiz**2 + xa[..., 2 * xn] ** 2) ** 0.25
+    val = _sum_of_squares([xa[..., i] for i in range(2 * xn)])
+    val *= val
+    val += np.square(xa[..., 2 * xn])
+    val **= 0.25
     return float(val) if val.ndim == 0 else val
 
 
@@ -188,12 +204,22 @@ def distance(p, q):
     qa, qn = _coerce(q)
     if n != qn:
         raise ValueError(f"dimension mismatch: n={n} vs n={qn}")
-    h = pa[..., : 2 * n] - qa[..., : 2 * n]
-    horiz = np.einsum("...i,...i->...", h, h)
-    jq = 2.0 * np.concatenate([-qa[..., n : 2 * n], qa[..., :n]], axis=-1)
-    cross = h @ jq if qa.ndim == 1 else np.einsum("...i,...i->...", h, jq)
-    vert = pa[..., 2 * n] - qa[..., 2 * n] + cross
-    val = np.sqrt(np.sqrt(horiz * horiz + vert * vert))
+    h = np.empty(np.broadcast_shapes(pa.shape, qa.shape)[:-1] + (2 * n,))
+    for i in range(2 * n):
+        np.subtract(pa[..., i], qa[..., i], out=h[..., i])
+    horiz = _sum_of_squares([h[..., i] for i in range(2 * n)])
+    if qa.ndim == 1:
+        cross = h @ (2.0 * np.concatenate([-qa[n : 2 * n], qa[:n]]))
+    else:  # (2 J q)_i is -2 q_{n+i} for i < n, else 2 q_{i-n}
+        cross = h[..., 0] * (-2.0 * qa[..., n])
+        for i in range(1, 2 * n):
+            cross += h[..., i] * (-2.0 * qa[..., n + i] if i < n else 2.0 * qa[..., i - n])
+    vert = pa[..., 2 * n] - qa[..., 2 * n]
+    vert += cross
+    horiz *= horiz
+    vert *= vert
+    horiz += vert
+    val = np.sqrt(np.sqrt(horiz))
     return float(val) if val.ndim == 0 else val
 
 

@@ -45,7 +45,6 @@ from .measure import (
     TAG_COMPACT,
     TAG_NESTED,
     TAG_PILOT,
-    _ordered_map,
     chunked_mean,
     grid_workspace,
     integrate_1d,
@@ -295,7 +294,7 @@ def _nested_power_norm(
 
 
 def _hardy_norm_compact(
-    f, p: float, spec: ProductSpec, samples: int, seed: int, workers: int = 1,
+    f, p: float, spec: ProductSpec, samples: int, seed: int,
 ) -> Estimate:
     """||T f||_p / ||f||_p for a compactly supported f under the ball-average
     operator, with both norms taken from one shared sample set.
@@ -306,7 +305,9 @@ def _hardy_norm_compact(
     Monte Carlo sample) plus an exact power tail tau_i beyond S_i.  Each
     axis' node weights carry tau_i at the saturated index G_i, so the norm
     is one contraction of |cum|^p.  The standard error comes from the
-    replicates' spread.
+    replicates' spread.  The replicates run in index order on the calling
+    thread: each is about 3k rows, too little numpy work per call for pool
+    threads to do more than pass the GIL back and forth.
     """
     S = [float(s) for s in f.support_radii()]
     if any(math.isinf(s) or s <= 0 for s in S):
@@ -314,9 +315,13 @@ def _hardy_norm_compact(
     m = spec.m
     replicates = 16
     per_rep = max(samples // replicates, 1)
-    pref = 1.0
-    for dims in spec.factors:
-        pref *= dims.omega / dims.ball_volume**p
+    try:
+        pref = math.prod(dims.omega / dims.ball_volume**p for dims in spec.factors)
+    except ArithmeticError:  # an overflow, or a division by an underflow
+        pref = math.inf
+    if not 0.0 < pref < math.inf:
+        raise ValueError(f"p={p:g} is too large: the prefactor prod omega / |B(0, 1)|^p "
+                         "leaves the float range")
     sampler, _ = _support_sampler(f, spec)
 
     # two 32-node Gauss-Legendre panels per dimension, weighted by
@@ -342,11 +347,12 @@ def _hardy_norm_compact(
             np.searchsorted(nodes[i], koranyi_norm(pts[i]), side="left")
             for i in range(m)
         ]
-        hist = np.zeros(tuple(g + 2 for g in G))
-        np.add.at(hist, tuple(idx), fv / dens)
-        return hist, float(np.mean(np.abs(fv) ** p / dens))
+        shape = tuple(g + 2 for g in G)
+        hist = np.bincount(np.ravel_multi_index(idx, shape), weights=fv / dens,
+                           minlength=math.prod(shape))
+        return hist.reshape(shape), float(np.mean(np.abs(fv) ** p / dens))
 
-    bins = _ordered_map(replicate, replicates, workers)
+    bins = [replicate(c) for c in range(replicates)]
 
     def tf_power(hist: np.ndarray, n_samp: int) -> float:
         """||T f||_p^p from one importance-weighted histogram."""
@@ -452,7 +458,7 @@ def norm_quotient(
                 )
                 den = lp_norm(f, spec, p, method="mc", samples=samples, seed=seed + 101, workers=workers)
                 return nump.powered(1.0 / p).ratio(den)
-            return _hardy_norm_compact(f, p, spec, samples, seed, workers=workers)
+            return _hardy_norm_compact(f, p, spec, samples, seed)
         if method != "radial":
             raise ValueError(f"unknown method {method!r}")
         num = _radial_hardy_norm(f, p, spec, tol)
@@ -637,7 +643,7 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
             for dims, c, r in zip(spec.factors, centers, radii):
                 scale = sample_bump_radii(dims.Q, rng, k)
                 scale *= r[choice]
-                pts.append(group_law(c[choice], dilate_arrays(
+                pts.append(group_law(np.take(c, choice, axis=0), dilate_arrays(
                     scale, sample_unit_sphere(dims, rng, k), dims.n)))
             dens, values = density(pts)
             # an envelope that underflows to 0 has f = 0 there as well

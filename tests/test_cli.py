@@ -211,6 +211,22 @@ class TestExitCodes:
         assert "usage error: p=1e+06 is too large" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        # the compact estimator's prefactor omega / |B(0, 1)|^p overflowed
+        (["fuzz", "--p", "1e6", "--trials", "1", "--samples", "1000"],
+         "p=1e+06 is too large: the prefactor"),
+        # the closed weighted quotient's (a + 1 - beta)^(p + 1) overflowed
+        (["weighted", "--weight", "monomial:1e308", "--p", "2"],
+         "weight exponent a=1e+308 is too large: (a + 1 - beta)^(p + 1) overflows at p=2"),
+    ])
+    def test_overflows_name_the_given_value(self, tmp_path, capsys, argv, message):
+        # both said only "(34, 'Numerical result out of range')"
+        out = tmp_path / "r.json"
+        assert run(argv + ["--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unbounded_pairing_names_the_given_p(self, tmp_path, capsys):
         # the refusal named the conjugate exponent p/(p-1), as p=1e+07
         out = tmp_path / "r.json"
@@ -323,13 +339,15 @@ class TestArtifacts:
         assert a.read_bytes() == b.read_bytes()
 
     def test_fuzz_is_byte_identical_across_workers(self, tmp_path):
-        # the compact estimator's replicates run on the pool (C10 for C5)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        # C10 for C5: --workers must not change the bytes
         base = ["fuzz", "--factors", "1,1", "--trials", "2", "--samples", "8000",
                 "--seed", "6", "--format", "json"]
-        assert run(base + ["--workers", "1", "--output", str(a)]) == 0
-        assert run(base + ["--workers", "2", "--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        reports = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}.json"
+            assert run(base + ["--workers", workers, "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("factors,weight,pairs,samples", [
         ("1", "monomial:4", "2", "5000"), ("1,1", "monomial:4,4", "1", "2500"),

@@ -452,3 +452,118 @@ class TestSamplers:
             assert np.allclose(q_direct, np.pi * (probs - 0.5), atol=4.0 * np.pi / math.sqrt(k))
         for j in (0, 2 * n - 1):
             assert ks_2samp(direct[:, j], ball[:, j]).pvalue > 1e-3
+
+
+# The kernels' earlier formulas, which made the 2n+1 coordinates numpy's
+# inner loop: the column-wise kernels must reproduce them.
+def _ref_koranyi_norm(x, n):
+    horiz = np.sum(x[..., : 2 * n] ** 2, axis=-1)
+    return (horiz**2 + x[..., 2 * n] ** 2) ** 0.25
+
+
+def _ref_distance(p, q, n):
+    h = p[..., : 2 * n] - q[..., : 2 * n]
+    horiz = np.einsum("...i,...i->...", h, h)
+    jq = 2.0 * np.concatenate([-q[..., n : 2 * n], q[..., :n]], axis=-1)
+    cross = h @ jq if q.ndim == 1 else np.einsum("...i,...i->...", h, jq)
+    vert = p[..., 2 * n] - q[..., 2 * n] + cross
+    return np.sqrt(np.sqrt(horiz * horiz + vert * vert))
+
+
+def _ref_dilate_arrays(r, x, n):
+    r = np.asarray(r, dtype=float)
+    out = np.empty(np.broadcast_shapes(x.shape[:-1], r.shape) + x.shape[-1:])
+    np.multiply(x[..., : 2 * n], r[..., None], out=out[..., : 2 * n])
+    np.multiply(x[..., 2 * n], r * r, out=out[..., 2 * n])
+    return out
+
+
+def _ref_group_law(x, y, n):
+    out = x + y
+    cross = 2.0 * np.sum(y[..., :n] * x[..., n : 2 * n] - x[..., :n] * y[..., n : 2 * n], axis=-1)
+    out[..., 2 * n] = x[..., 2 * n] + y[..., 2 * n] + cross
+    return out
+
+
+class TestColumnKernelsArePinned:
+    """The column-wise kernels against the reference formulas above, on
+    random batches: bit for bit at n = 1, where every report lives.  At
+    n = 2 and 3 the norm, the dilation and the group law still match bit for
+    bit, but `distance` adds its horizontal squares in order where einsum
+    may pair them.  Two orders of a sum of 2n nonnegative terms differ by at
+    most (2n - 1) eps relative, which moves d = (horiz^2 + v^2)^(1/4) by at
+    most half of that: (2n - 1) ulp of d, and 2 more for the roundings after
+    the sum, is the bound held."""
+
+    @staticmethod
+    def _batches(n, scale=3.0):
+        rng = np.random.default_rng(40 + n)
+        x, y = (rng.normal(scale=scale, size=(2000, 2 * n + 1)) for _ in range(2))
+        return rng, x, y
+
+    @staticmethod
+    def _ulps(got, want):
+        return np.max(np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_norm_dilation_and_group_law(self, n):
+        rng, x, y = self._batches(n)
+        assert koranyi_norm(x).tobytes() == _ref_koranyi_norm(x, n).tobytes()
+        assert group_law(x, y).tobytes() == _ref_group_law(x, y, n).tobytes()
+        assert group_law(x[0], y).tobytes() == _ref_group_law(x[0], y, n).tobytes()
+        k, K = 40, 32
+        for r, pts in ((rng.uniform(0.1, 3.0, len(x)), x),
+                       (rng.uniform(0.0, 1.0, K), x[:k, None, :])):  # (k, 1, 2n+1) x (K,)
+            got = dilate_arrays(r, pts, n)
+            assert got.shape == _ref_dilate_arrays(r, pts, n).shape
+            assert got.tobytes() == _ref_dilate_arrays(r, pts, n).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_distance(self, n):
+        _, x, y = self._batches(n)
+        # one centre (the @ product), a batch of centres and two single points
+        for p, q in ((x, y[0]), (x, y), (x[0], y[1])):
+            got, want = np.asarray(distance(p, q)), _ref_distance(p, q, n)
+            if n == 1:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert self._ulps(got, want) <= 2 * n + 1
+
+    @pytest.mark.parametrize("factors", [(1,), (1, 1)])
+    def test_bump_sampler_gathers_the_centres_as_fancy_indexing(self, factors):
+        # the support sampler's points against c[choice] o delta_{r s}(sigma),
+        # drawn from the same stream through the reference kernels
+        from hardylab import funcs, operators
+        from hardylab.funcs import random_bump_mixture
+
+        spec = ProductSpec.of_orders(*factors)
+        f = random_bump_mixture(spec, np.random.default_rng(5))
+        k = 3000
+        pts = operators._support_sampler(f, spec)[0](np.random.default_rng(6), k)[0]
+        rng = np.random.default_rng(6)
+        cdf = np.cumsum(f.bump_masses())
+        choice = np.searchsorted(cdf, rng.random(k) * cdf[-1], side="right")
+        for i, dims in enumerate(spec.factors):
+            c = np.stack([b.centers[i] for b in f.bumps])
+            r = np.array([b.radii[i] for b in f.bumps])
+            scale = funcs.sample_bump_radii(dims.Q, rng, k) * r[choice]
+            sphere = sample_unit_sphere(dims, rng, k)
+            want = _ref_group_law(c[choice], _ref_dilate_arrays(scale, sphere, dims.n), dims.n)
+            assert pts[i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("factors, value, std_error", [
+        ((1,), "0x1.500cf3b2e6ef2p-4", "0x1.2a662d2601e10p-12"),
+        ((1, 1), "0x1.1ffa86c05b8c1p-5", "0x1.51b04b89e15d7p-13"),
+    ])
+    def test_compact_estimate_keeps_the_add_at_bits(self, factors, value, std_error):
+        # the compact estimator's histograms were np.add.at sums and its
+        # replicates ran on two pool threads when these values were taken;
+        # np.bincount adds each bin's weights in the same order
+        from hardylab import operators
+        from hardylab.funcs import random_bump_mixture
+
+        spec = ProductSpec.of_orders(*factors)
+        seed = 20 + len(factors)
+        f = random_bump_mixture(spec, np.random.default_rng(seed))
+        est = operators._hardy_norm_compact(f, 2.0, spec, 6_000, seed=seed)
+        assert (est.value.hex(), est.std_error.hex()) == (value, std_error)

@@ -230,10 +230,12 @@ class TestNormQuotient:
         q = ops.norm_quotient(f, 2.0, SPEC1, method="mc", samples=40_000, seed=13)
         assert q.value < 2.0
 
-    def test_compact_estimate_is_worker_invariant(self):
+    def test_compact_estimate_is_deterministic(self):
+        # the replicates run in index order on the calling thread; the CLI's
+        # byte identity across --workers is test_cli's
         f = random_bump_mixture(SPEC2, np.random.default_rng(15))
-        runs = [ops._hardy_norm_compact(f, 2.0, SPEC2, 8_000, seed=15, workers=w) for w in (1, 2, 3)]
-        assert runs[0] == runs[1] == runs[2]
+        runs = [ops._hardy_norm_compact(f, 2.0, SPEC2, 8_000, seed=15) for _ in range(2)]
+        assert runs[0] == runs[1]
         assert runs[0].std_error > 0.0
 
     def test_nested_mc_refuses_fractional_p(self):
