@@ -7,6 +7,9 @@ the homogeneous dimension Q = 2n+2, the Lebesgue volume of the unit Koranyi
 ball, and the polar sphere constant omega = Q * volume.
 
 Points are coordinate arrays of shape (..., 2n+1), n read from the last axis.
+`koranyi_norm`, `distance`, `dilate_arrays` and `group_law` work on them one
+coordinate column at a time, so that each numpy pass runs over the points,
+not over the 2n+1 coordinates of one point.
 All operations are exact formulas; the only randomness is in the samplers,
 which take an explicit numpy Generator.
 """
@@ -130,9 +133,7 @@ def dilate_arrays(r, x: np.ndarray, n: int) -> np.ndarray:
     """delta_r on coordinate arrays, unchecked, as a fresh array:
     x[..., :2n] * r and x[..., 2n] * (r*r), with r broadcasting against
     x[..., 0] (so r of shape (K,) against x of shape (k, 1, 2n+1) gives
-    (k, K, 2n+1)).  r = 0 collapses x onto the origin.  Like the other
-    kernels here it works one coordinate column at a time, so that each
-    numpy pass runs over the points rather than over the 2n+1 coordinates."""
+    (k, K, 2n+1)).  r = 0 collapses x onto the origin."""
     r = np.asarray(r, dtype=float)
     out = np.empty(np.broadcast_shapes(x.shape[:-1], r.shape) + x.shape[-1:])
     for i in range(2 * n):

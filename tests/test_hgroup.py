@@ -556,9 +556,9 @@ class TestColumnKernelsArePinned:
         ((1, 1), "0x1.1ffa86c05b8c1p-5", "0x1.51b04b89e15d7p-13"),
     ])
     def test_compact_estimate_keeps_the_add_at_bits(self, factors, value, std_error):
-        # the compact estimator's histograms were np.add.at sums and its
-        # replicates ran on two pool threads when these values were taken;
-        # np.bincount adds each bin's weights in the same order
+        # the values of np.add.at histograms over c[choice] gathers: np.take
+        # gathers the same rows, and np.bincount adds each bin's weights in
+        # the same order
         from hardylab import operators
         from hardylab.funcs import random_bump_mixture
 
