@@ -13,7 +13,6 @@ so a report is a pure function of (config, seed).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,14 +155,13 @@ class ExperimentReport:
     rows: list[ReportRow]
     summary: dict[str, str]
     seed: int
-    wall_time_ms: float | None = None
 
     @property
     def passed(self) -> bool:
         return "FAIL" not in self.summary.values()
 
 
-def _report(name: str, params: dict, rows, seed: int, t0: float, keys=()) -> ExperimentReport:
+def _report(name: str, params: dict, rows, seed: int, keys=()) -> ExperimentReport:
     """The report, its summary read from the rows' gates: the given keys
     first, in order, then any other key in row order.  A key FAILs when a
     member row FAILs or its budget rows overrun the budget; it reads INFO
@@ -180,10 +178,7 @@ def _report(name: str, params: dict, rows, seed: int, t0: float, keys=()) -> Exp
             summary[key] = "FAIL"
         else:
             summary[key] = "INFO" if all(r.gate.info for r in batch) else "PASS"
-    return ExperimentReport(
-        name, params, list(rows), summary, seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return ExperimentReport(name, params, list(rows), summary, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +199,6 @@ def sharpness_sweep(
     """Quotients of the near-extremal family along an eps grid, the certified
     lower bounds, and a linear eps -> 0 extrapolation against the sharp
     constant (p/(p-1))^m."""
-    t0 = time.perf_counter()
     sharp = closedform.sharp_constant(p, spec.m)
     eps_grid = tuple(sorted(eps_grid, reverse=True))
     rows: list[ReportRow] = []
@@ -264,7 +258,7 @@ def sharpness_sweep(
         "sharp_constant": sharp,
         "plot_series": "quotient", "plot_rule": sharp,
     }
-    return _report("sharpness", params, rows, seed, t0,
+    return _report("sharpness", params, rows, seed,
                    keys=("C4:bound-chain", extrapolation, "fit-residual-guard"))
 
 
@@ -286,7 +280,6 @@ def bound_fuzz(
     quotient of each mixture and PASSes when max <= sharp * (1 + 3 sigma_rel).
     Includes a centered radial control bump and a zero-mixture error row;
     `extra_function` (e.g. a CLI-supplied family) gets its own scored row."""
-    t0 = time.perf_counter()
     sharp = closedform.sharp_constant(p, spec.m)
     rows: list[ReportRow] = []
     worst = -math.inf  # reported only when trials ran
@@ -335,7 +328,7 @@ def bound_fuzz(
         "trials": trials, "p": p, "factors": [d.n for d in spec.factors],
         "samples": samples, "sharp_constant": sharp,
     }
-    return _report("bound-fuzz", params, rows, seed, t0)
+    return _report("bound-fuzz", params, rows, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +410,6 @@ def radialization_check(
     """For random bump mixtures f: the ball average of the spherical
     average g_f equals that of f pointwise (within Monte Carlo error) at two
     points per trial, and ||g_f||_p <= ||f||_p."""
-    t0 = time.perf_counter()
     if spec is None:
         spec = ProductSpec.of_orders(1)
     rows: list[ReportRow] = []
@@ -441,7 +433,7 @@ def radialization_check(
         "trials": trials, "p": p, "factors": [d.n for d in spec.factors],
         "samples": samples, "inner_samples": inner_samples,
     }
-    return _report("radialize-check", params, rows, seed, t0)
+    return _report("radialize-check", params, rows, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +454,6 @@ def duality_check(
     quadrature) for the polyball indicator under a monomial weight, and
     within Monte Carlo error for random bump pairs.  Also reports, as INFO,
     how the adjoint family quotients approach the adjoint characteristic."""
-    t0 = time.perf_counter()
     # P*_phi is bounded on L^q, q = p/(p-1), exactly when P_phi is on L^p: the
     # cesaro integral at q is the hardy one at p, which the refusal names
     operators._require_bounded(phi, p, spec, "hardy")
@@ -519,7 +510,7 @@ def duality_check(
                                      float(mono)))
     params = {"phi": phi.label, "p": p, "factors": [d.n for d in spec.factors],
               "samples": samples, "pairs": pairs}
-    return _report("cesaro-duality", params, rows, seed, t0, keys=(key, "cesaro-norm-conjecture"))
+    return _report("cesaro-duality", params, rows, seed, keys=(key, "cesaro-norm-conjecture"))
 
 
 def _indicator_pairing_quad(phi: MonomialWeight, spec: ProductSpec, adjoint: bool) -> float:
@@ -551,7 +542,6 @@ def weighted_sharpness(
     quotient from above and the certified extremal bounds converge to it from
     below; an infinite C_phi is demonstrated by bounds growing without limit
     (INFO)."""
-    t0 = time.perf_counter()
     if not isinstance(phi, MonomialWeight):
         raise ValueError("weighted sharpness sweeps use monomial weights")
     c_phi = closedform.monomial_weight_characteristic(phi.exponents, p, spec, "hardy")
@@ -569,7 +559,7 @@ def weighted_sharpness(
         params = {"phi": phi.label, "p": p, "factors": [d.n for d in spec.factors],
                   "eps_grid": list(grid), "characteristic": "inf",
                   "plot_series": "rigorous-bound", "plot_rule": None}
-        return _report("weighted", params, rows, seed, t0)
+        return _report("weighted", params, rows, seed)
 
     key = "C7:weighted-bounds"
     for e in eps_grid:
@@ -597,7 +587,7 @@ def weighted_sharpness(
     params = {"phi": phi.label, "p": p, "factors": [d.n for d in spec.factors],
               "eps_grid": list(eps_grid), "characteristic": c_phi,
               "plot_series": "quotient", "plot_rule": c_phi}
-    return _report("weighted", params, rows, seed, t0)
+    return _report("weighted", params, rows, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +641,6 @@ def geometry_selftest(
     """Group axioms, gauge homogeneity, triangle inequality, measure scaling,
     Monte Carlo ball volumes against the derived constants, and the polar
     identity; also flags the factor-two alternative volume normalization."""
-    t0 = time.perf_counter()
     rng = substream(seed, TAG_EXPERIMENT, 0)
     n = 1
     dims = GroupDims(n)
@@ -716,15 +705,14 @@ def geometry_selftest(
                              Gate(key, quad, quad)))
 
     params = {"samples": samples, "ns": list(ns), "triples": triples}
-    return _report("geometry-check", params, rows, seed, t0)
+    return _report("geometry-check", params, rows, seed)
 
 
 def volume_check(n: int, samples: int = 1_000_000, seed: int = 0) -> ExperimentReport:
     """Box-rejection volume of the unit Koranyi ball against the closed form,
     with the alternative-normalization ratio flagged."""
-    t0 = time.perf_counter()
     rows = _volume_rows(n, samples, substream(seed, TAG_EXPERIMENT, 0), "C9:volume")
     params = {"n": n, "samples": samples,
               "derived_volume": hgroup.unit_ball_volume(n),
               "alt_volume_constant": hgroup.alt_unit_ball_volume(n)}
-    return _report("volume", params, rows, seed, t0)
+    return _report("volume", params, rows, seed)

@@ -32,7 +32,7 @@ def gated(est, oracle, gate=None, **rule):
 
 
 def summary_of(rows):
-    return lab._report("x", {}, rows, 0, 0.0).summary
+    return lab._report("x", {}, rows, 0).summary
 
 
 class TestRow:
@@ -187,7 +187,7 @@ class TestSummary:
     def test_declared_keys_come_first_and_empty_ones_read_info(self):
         rows = [lab.ReportRow.of("b", 1.0, gate=lab.Gate("b", lo=1.0)),
                 lab.ReportRow.of("a", 1.0, gate=lab.Gate("a", lo=1.0))]
-        rep = lab._report("x", {}, rows, 0, 0.0, keys=("a", "conjecture"))
+        rep = lab._report("x", {}, rows, 0, keys=("a", "conjecture"))
         assert list(rep.summary.items()) == [("a", "PASS"), ("conjecture", "INFO"), ("b", "PASS")]
 
 
@@ -443,7 +443,7 @@ def test_every_summary_key_comes_from_its_rows(argv, tmp_path, monkeypatch):
     (rep,) = reports
     assert code == (2 if "FAIL" in rep.summary.values() else 0)
     assert rep.summary and ("FAIL" in rep.summary.values()) == ("--eps 0.9" in argv)
-    derived = lab._report(rep.experiment, rep.params, rep.rows, rep.seed, 0.0, keys=tuple(rep.summary))
+    derived = lab._report(rep.experiment, rep.params, rep.rows, rep.seed, keys=tuple(rep.summary))
     assert list(derived.summary.items()) == list(rep.summary.items())
     for r in rep.rows:
         assert r.gate.key in rep.summary if r.gate else r.verdict == "INFO", r.input
