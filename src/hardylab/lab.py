@@ -344,12 +344,11 @@ def _sphere_profile_norms(f, p: float, spec: ProductSpec, seed: int) -> tuple[Es
     estimates."""
     nodes, sphere_samples = 24, 384
     S = [s if math.isfinite(s) else 2.5 for s in f.support_radii()]
-    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    t, tw = operators._axis_rule(nodes, ())
     axes = []
     for dims, s in zip(spec.factors, S):
-        r = 0.5 * s * (gx + 1.0)
-        w = 0.5 * s * gw * dims.omega * r ** (dims.Q - 1)
-        axes.append((r, w))
+        r = s * t
+        axes.append((r, s * tw * dims.omega * r ** (dims.Q - 1)))
     idx_iter = np.ndindex(*(nodes,) * spec.m)
     acc_g = 0.0
     acc_f = 0.0

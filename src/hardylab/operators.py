@@ -324,21 +324,16 @@ def _hardy_norm_compact(
                          "leaves the float range")
     sampler, _ = _support_sampler(f, spec)
 
-    # two 32-node Gauss-Legendre panels per dimension, weighted by
-    # r^(Q(1-p)-1) and followed by the tail int_S^inf r^(Q(1-p)-1) dr
-    gx, gw = np.polynomial.legendre.leggauss(32)
+    # two 32-node Gauss-Legendre panels per dimension, split at S/2, weighted
+    # by r^(Q(1-p)-1) and followed by the tail int_S^inf r^(Q(1-p)-1) dr
+    t, tw = _axis_rule(64, (0.5,))
+    G = len(t)
     nodes, weights = [], []
     for d, s in zip(spec.factors, S):
-        xs, ws = [], []
-        for lo, hi in ((0.0, 0.5 * s), (0.5 * s, s)):
-            half = 0.5 * (hi - lo)
-            xs.append(0.5 * (lo + hi) + half * gx)
-            ws.append(half * gw)
-        x = np.concatenate(xs)
+        x = s * t
         nodes.append(x)
-        weights.append(np.append(np.concatenate(ws) * x ** (d.Q * (1.0 - p) - 1.0),
+        weights.append(np.append(s * tw * x ** (d.Q * (1.0 - p) - 1.0),
                                  s ** (d.Q * (1.0 - p)) / (d.Q * (p - 1.0))))
-    G = [len(x) for x in nodes]
 
     def replicate(c: int) -> tuple[np.ndarray, float]:
         """(m-dim importance-weighted histogram, ||f||_p^p estimate) of replicate c."""
@@ -347,7 +342,7 @@ def _hardy_norm_compact(
             np.searchsorted(nodes[i], koranyi_norm(pts[i]), side="left")
             for i in range(m)
         ]
-        shape = tuple(g + 2 for g in G)
+        shape = (G + 1,) * m  # searchsorted gives 0..G, G past the last node
         hist = np.bincount(np.ravel_multi_index(idx, shape), weights=fv / dens,
                            minlength=math.prod(shape))
         return hist.reshape(shape), float(np.mean(np.abs(fv) ** p / dens))
@@ -359,7 +354,7 @@ def _hardy_norm_compact(
         cum = hist
         for ax in range(m):
             cum = np.cumsum(cum, axis=ax)
-        J = np.abs(cum[tuple(slice(0, g + 1) for g in G)] / n_samp) ** p
+        J = np.abs(cum / n_samp) ** p
         for w in weights:
             J = np.tensordot(J, w, axes=([0], [0]))
         return pref * float(J)

@@ -552,8 +552,8 @@ class TestColumnKernelsArePinned:
             assert pts[i].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("factors, value, std_error", [
-        ((1,), "0x1.500cf3b2e6ef2p-4", "0x1.2a662d2601e10p-12"),
-        ((1, 1), "0x1.1ffa86c05b8c1p-5", "0x1.51b04b89e15d7p-13"),
+        ((1,), "0x1.500cf3b2e6ef2p-4", "0x1.2a662d2601e11p-12"),
+        ((1, 1), "0x1.1ffa86c05b8c0p-5", "0x1.51b04b89e15ddp-13"),
     ])
     def test_compact_estimate_keeps_the_add_at_bits(self, factors, value, std_error):
         # the values of np.add.at histograms over c[choice] gathers: np.take

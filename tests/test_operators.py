@@ -238,6 +238,18 @@ class TestNormQuotient:
         assert runs[0] == runs[1]
         assert runs[0].std_error > 0.0
 
+    def test_compact_rule_is_the_two_panel_rule(self):
+        # the compact estimator's rule on [0, S], S * _axis_rule(64, (0.5,)),
+        # against the two hand-mapped 32-node panels split at S/2
+        gx, gw = np.polynomial.legendre.leggauss(32)
+        t, tw = ops._axis_rule(64, (0.5,))
+        for s in np.random.default_rng(25).uniform(0.2, 4.0, 200):
+            panels = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in ((0.0, 0.5 * s), (0.5 * s, s))]
+            x = np.concatenate([mid + half * gx for mid, half in panels])
+            w = np.concatenate([half * gw for _, half in panels])
+            assert (s * tw).tobytes() == w.tobytes()
+            assert np.max(np.abs(s * t - x)) <= 2.0 * np.spacing(s)
+
     def test_nested_mc_refuses_fractional_p(self):
         # a single inner mean raised to a fractional power is biased upward
         f = PowerInside.extremal(SPEC1, 1.5, 0.1)
