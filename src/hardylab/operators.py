@@ -331,9 +331,13 @@ def _hardy_norm_compact(
     nodes, weights = [], []
     for d, s in zip(spec.factors, S):
         x = s * t
+        with np.errstate(over="ignore"):  # np.float64: inf where a float power raises
+            w = np.append(s * tw * x ** (d.Q * (1.0 - p) - 1.0),
+                          np.float64(s) ** (d.Q * (1.0 - p)) / (d.Q * (p - 1.0)))
+        if not np.isfinite(w).all():
+            raise ValueError(f"p={p:g} is too large: the node weights r^(Q(1-p)-1) leave the float range")
         nodes.append(x)
-        weights.append(np.append(s * tw * x ** (d.Q * (1.0 - p) - 1.0),
-                                 s ** (d.Q * (1.0 - p)) / (d.Q * (p - 1.0))))
+        weights.append(w)
 
     def replicate(c: int) -> tuple[np.ndarray, float]:
         """(m-dim importance-weighted histogram, ||f||_p^p estimate) of replicate c."""

@@ -218,9 +218,15 @@ class TestExitCodes:
         # the closed weighted quotient's (a + 1 - beta)^(p + 1) overflowed
         (["weighted", "--weight", "monomial:1e308", "--p", "2"],
          "weight exponent a=1e+308 is too large: (a + 1 - beta)^(p + 1) overflows at p=2"),
+        # the compact estimator's node weights r^(Q(1-p)-1) overflowed, and
+        # 0 * inf wrote NaN estimates (JSON refused them, CSV did not)
+        (["fuzz", "--p", "30", "--trials", "2", "--samples", "2000", "--seed", "1"],
+         "p=30 is too large: the node weights r^(Q(1-p)-1) leave the float range"),
+        (["fuzz", "--p", "30", "--trials", "2", "--samples", "2000", "--seed", "1", "--format", "csv"],
+         "p=30 is too large: the node weights r^(Q(1-p)-1) leave the float range"),
     ])
     def test_overflows_name_the_given_value(self, tmp_path, capsys, argv, message):
-        # both said only "(34, 'Numerical result out of range')"
+        # the first two said only "(34, 'Numerical result out of range')"
         out = tmp_path / "r.json"
         assert run(argv + ["--output", str(out)]) == 1
         err = capsys.readouterr().err
