@@ -57,6 +57,7 @@ SUBCOMMANDS = {
     "geometry-check": (("samples",), {}),
     "sharpness": (("p", "factors", "eps", "method", "samples", "inner-samples", "workers", "plot"),
                   {}),
+    # fuzz's estimators run on one thread; it still accepts and checks --workers
     "fuzz": (("p", "factors", "function", "samples", "trials", "workers"), {}),
     # a ball average and a nested spherical average per point: smaller samples
     "radialize-check": (("p", "factors", "samples", "inner-samples", "trials"),
@@ -171,7 +172,7 @@ def _dispatch(cmd: str, cfg: dict) -> ExperimentReport:
                 raise UsageError(f"bad --function: {err}") from err
         return bound_fuzz(
             cfg["trials"], cfg["p"], spec, samples=cfg["samples"],
-            seed=seed, workers=cfg["workers"], extra_function=extra,
+            seed=seed, extra_function=extra,
         )
     if cmd == "radialize-check":
         return radialization_check(

@@ -273,7 +273,6 @@ def bound_fuzz(
     spec: ProductSpec,
     samples: int = 60_000,
     seed: int = 0,
-    workers: int = 1,
     extra_function=None,
 ) -> ExperimentReport:
     """Random bump mixtures must never beat the sharp constant: records the
@@ -292,24 +291,22 @@ def bound_fuzz(
         method = "closed" if extra_function.family == "power-inside" else "mc"
         q = operators.norm_quotient(
             extra_function, p, spec, method=method, samples=samples,
-            seed=subseed(seed, TAG_EXPERIMENT, 999_000), workers=workers,
+            seed=subseed(seed, TAG_EXPERIMENT, 999_000),
         )
         rows.append(ReportRow.of(f"given function ({extra_function.family})", q, sharp, bound(q)))
     for k in range(trials):
         rng = substream(seed, TAG_EXPERIMENT, k)
         f = random_bump_mixture(spec, rng)
-        q = operators.norm_quotient(
-            f, p, spec, method="mc", samples=samples, seed=subseed(seed, TAG_EXPERIMENT, k), workers=workers
-        )
+        q = operators.norm_quotient(f, p, spec, method="mc", samples=samples,
+                                    seed=subseed(seed, TAG_EXPERIMENT, k))
         worst = max(worst, q.value)
         rows.append(ReportRow.of(f"trial={k} bumps={len(f.bumps)}", q, sharp, bound(q)))
 
     # control: one centered radial bump behaves like a mollified indicator
     centers = tuple(np.zeros(d.dim) for d in spec.factors)
     control = BumpMixture(spec, (Bump(centers, (1.0,) * spec.m, 1.0),))
-    qc = operators.norm_quotient(
-        control, p, spec, method="mc", samples=samples, seed=subseed(seed, TAG_EXPERIMENT, trials), workers=workers
-    )
+    qc = operators.norm_quotient(control, p, spec, method="mc", samples=samples,
+                                 seed=subseed(seed, TAG_EXPERIMENT, trials))
     below = Gate(key, hi=sharp, k=0.0)
     rows.append(ReportRow.of("control: centered radial bump", qc,
                              closedform.indicator_quotient(p, spec.m), below))
