@@ -57,7 +57,8 @@ SUBCOMMANDS = {
     "geometry-check": (("samples",), {}),
     "sharpness": (("p", "factors", "eps", "method", "samples", "inner-samples", "workers", "plot"),
                   {}),
-    # fuzz's estimators run on one thread; it still accepts and checks --workers
+    # fuzz and cesaro-duality run their estimators on one thread; both still
+    # accept and check --workers, which the benchmark's workloads pass
     "fuzz": (("p", "factors", "function", "samples", "trials", "workers"), {}),
     # a ball average and a nested spherical average per point: smaller samples
     "radialize-check": (("p", "factors", "samples", "inner-samples", "trials"),
@@ -188,8 +189,7 @@ def _dispatch(cmd: str, cfg: dict) -> ExperimentReport:
             raise UsageError("cesaro-duality pairings support at most 2 factors")
         phi = parse_weight(cfg["weight"], spec.m)
         return duality_check(
-            phi, cfg["p"], spec, pairs=cfg["pairs"], samples=cfg["samples"],
-            seed=seed, workers=cfg["workers"],
+            phi, cfg["p"], spec, pairs=cfg["pairs"], samples=cfg["samples"], seed=seed,
         )
     if cmd == "volume":
         return volume_check(cfg["n"], samples=cfg["samples"], seed=seed)

@@ -444,7 +444,6 @@ def duality_check(
     pairs: int = 20,
     samples: int = 20_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Both pairings <f, P_phi g> and <g, P*_phi f> must agree: exactly (by
     quadrature) for the polyball indicator under a monomial weight, and
@@ -468,9 +467,9 @@ def duality_check(
         rows.append(ReportRow.of("indicator pairing <g,P*f> (quadrature)",
                                  _indicator_pairing_quad(phi, spec, adjoint=True), oracle, quad))
         lhs_mc = operators.pairing_weighted_hardy(ind, ind, phi, spec, samples,
-                                                  subseed(seed, TAG_EXPERIMENT, 1), workers)
+                                                  subseed(seed, TAG_EXPERIMENT, 1))
         rhs_mc = operators.pairing_weighted_cesaro(ind, ind, phi, spec, q_exp, samples,
-                                                   subseed(seed, TAG_EXPERIMENT, 2), workers)
+                                                   subseed(seed, TAG_EXPERIMENT, 2))
         mc = Gate(key, oracle, oracle, atol=1e-9)
         rows.append(ReportRow.of("indicator pairing <f,Pg> (mc)", lhs_mc, oracle, mc))
         rows.append(ReportRow.of("indicator pairing <g,P*f> (mc)", rhs_mc, oracle, mc))
@@ -480,9 +479,9 @@ def duality_check(
         f = random_bump_mixture(spec, rng, max_bumps=3, radius_range=(0.5, 1.0), center_radius=0.3)
         g = random_bump_mixture(spec, rng, max_bumps=3, radius_range=(0.5, 1.0), center_radius=0.3)
         lhs = operators.pairing_weighted_hardy(f, g, phi, spec, samples,
-                                               subseed(seed, TAG_EXPERIMENT, 10 + 2 * k), workers)
+                                               subseed(seed, TAG_EXPERIMENT, 10 + 2 * k))
         rhs = operators.pairing_weighted_cesaro(g, f, phi, spec, q_exp, samples,
-                                                subseed(seed, TAG_EXPERIMENT, 11 + 2 * k), workers)
+                                                subseed(seed, TAG_EXPERIMENT, 11 + 2 * k))
         match = Estimate(lhs.value, math.hypot(lhs.std_error, rhs.std_error), lhs.samples)
         rows.append(ReportRow.of(f"bump pair={k} pairing match", match, rhs.value,
                                  Gate(key, rhs.value, rhs.value, budget=True)))

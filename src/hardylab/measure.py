@@ -162,16 +162,6 @@ def _chunk_sizes(samples: int, chunk_size: int) -> list[int]:
     return sizes
 
 
-def _ordered_map(fn, count: int, workers: int = 1) -> list:
-    """[fn(0), ..., fn(count - 1)], on up to `workers` threads.  The results
-    come back in index order, so a reduction over them is bit-identical for
-    any worker count as long as fn(k) depends on k alone."""
-    if workers > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(k) for k in range(count)]
-
-
 class GridWorkspace:
     """Float grids for the draws of one Monte Carlo chunk, kept from chunk to
     chunk by `grid_workspace`.
@@ -216,9 +206,11 @@ def grid_workspace():
     are in use, trimmed and handed back with its grids when the chunk ends.
     Grid memory freed at the end of a chunk would go back to the system and
     be faulted in again by the next; here it stays, in at most one
-    workspace per chunk run at once, that is per worker thread.  The list
-    is process-wide because `_ordered_map` starts new threads for every
-    call."""
+    workspace per chunk run at once.  The pairings, its only users, run
+    their chunks on the calling thread, but `chunked_mean` can run any draw
+    on pool threads, new ones for every call: so the list is process-wide,
+    not per thread, and the lock keeps two concurrent chunks from taking
+    the same workspace."""
     with _idle_lock:
         ws = _idle_workspaces.pop() if _idle_workspaces else GridWorkspace()
     try:
@@ -243,7 +235,8 @@ def chunked_mean(
     0 up to rounding for a constant integrand.  The deviations are squared
     at a power-of-two scale, so the error neither underflows nor overflows
     where the values lie far from 1; the scaling is exact, which leaves the
-    error's bits unchanged wherever the unscaled squares stay normal."""
+    error's bits unchanged wherever the unscaled squares stay normal.  The
+    chunks run on up to `workers` threads and come back in index order."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     sizes = _chunk_sizes(samples, chunk_size)
@@ -265,7 +258,11 @@ def chunked_mean(
         dev *= dev
         return s, float(dev.sum()), e
 
-    parts = _ordered_map(run, len(sizes), workers)
+    if workers > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, range(len(sizes))))
+    else:
+        parts = [run(k) for k in range(len(sizes))]
 
     # Merge the chunks' sums and centred sums of squares in fixed order (bit-
     # identical for any worker count) with the pairwise update of Chan, Golub
@@ -294,7 +291,6 @@ def mc_integrate(
     radii,
     samples: int,
     seed: int,
-    workers: int = 1,
 ) -> Estimate:
     """Monte Carlo integral of f over B(0, r_1) x ... x B(0, r_m).
 
@@ -322,7 +318,7 @@ def mc_integrate(
             raise IntegrandError(f"non-finite integrand value {vals[i]} at sample {where}")
         return vals
 
-    return chunked_mean(draw, samples, seed, TAG_MC, workers=workers).scaled(volume)
+    return chunked_mean(draw, samples, seed, TAG_MC).scaled(volume)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +466,7 @@ def radial_integral(
 # ---------------------------------------------------------------------------
 
 
-def _power_norm_mc(f, spec: ProductSpec, p: float, samples: int, seed: int, workers: int = 1) -> Estimate:
+def _power_norm_mc(f, spec: ProductSpec, p: float, samples: int, seed: int) -> Estimate:
     """Importance-sampled Monte Carlo for ||f||_p^p of a pure power family.
 
     Uniform product-ball sampling of |f|^p has infinite variance whenever the
@@ -497,7 +493,7 @@ def _power_norm_mc(f, spec: ProductSpec, p: float, samples: int, seed: int, work
             w *= c * r ** (s * gam)
         return w
 
-    return chunked_mean(draw, samples, seed, TAG_POWER_NORM, workers=workers)
+    return chunked_mean(draw, samples, seed, TAG_POWER_NORM)
 
 
 def lp_norm(
@@ -508,7 +504,6 @@ def lp_norm(
     samples: int = 100_000,
     seed: int = 0,
     tol: float = 1e-10,
-    workers: int = 1,
 ) -> Estimate:
     """||f||_{L^p} of a test function by the requested method.
 
@@ -529,5 +524,5 @@ def lp_norm(
         if f.family not in ("power-inside", "power-outside"):
             raise UnsupportedFamilyError(f"Monte Carlo norms exist only for the power families, "
                                          f"not {f.family}")
-        return _power_norm_mc(f, spec, p, samples, seed, workers=workers).powered(1.0 / p)
+        return _power_norm_mc(f, spec, p, samples, seed).powered(1.0 / p)
     raise ValueError(f"unknown method {method!r}")

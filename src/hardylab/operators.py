@@ -182,7 +182,6 @@ def hardy_eval(
     radii,
     samples: int = 20_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> Estimate:
     """The product ball-average operator, by Monte Carlo, at any x with
     |x_i|_h = radii[i]: the average of f over B(0,r_1) x ... x B(0,r_m).
@@ -190,7 +189,7 @@ def hardy_eval(
     The evaluation is seeded explicitly: pass fresh seeds per point for
     independent field evaluations, or reuse one seed across points for a
     smooth (common-random-numbers) quotient surface."""
-    est = mc_integrate(f, f.spec, radii, samples, seed, workers=workers)
+    est = mc_integrate(f, f.spec, radii, samples, seed)
     return est.scaled(1.0 / polyball_volume(f.spec, radii))
 
 
@@ -455,7 +454,7 @@ def norm_quotient(
                 nump = _nested_power_norm(
                     f, p, spec, samples, seed, inner_samples=inner_samples, workers=workers
                 )
-                den = lp_norm(f, spec, p, method="mc", samples=samples, seed=seed + 101, workers=workers)
+                den = lp_norm(f, spec, p, method="mc", samples=samples, seed=seed + 101)
                 return nump.powered(1.0 / p).ratio(den)
             return _hardy_norm_compact(f, p, spec, samples, seed)
         if method != "radial":
@@ -577,11 +576,13 @@ def _choose_rule(sampler, rule_values, m: int, knots, samples: int, seed: int, w
     return _dilation_rule(m, top)
 
 
-def _pairing(sampler, rule_values, m: int, knots, samples: int, seed: int, workers: int) -> Estimate:
+def _pairing(sampler, rule_values, m: int, knots, samples: int, seed: int) -> Estimate:
     """chunked_mean of a pairing's per-point values under the rule that
     `_choose_rule` sized for it.  The pilot's workspace is held until the
     chunks are done, so that it goes back to the idle stack last and the
-    next pilot gets it again: pilot and chunk grids never share buffers."""
+    next pilot gets it again: pilot and chunk grids never share buffers.
+    The chunks run in order on the calling thread: at 2,048 rows, two
+    threads cost C8 more CPU than one, for no less wall time."""
     with grid_workspace() as ws:
         values = rule_values(*_choose_rule(sampler, rule_values, m, knots, samples, seed, ws))
 
@@ -590,7 +591,7 @@ def _pairing(sampler, rule_values, m: int, knots, samples: int, seed: int, worke
             with grid_workspace() as chunk_ws:
                 return values(pts, dens, fvals, chunk_ws)
 
-        return chunked_mean(draw, samples, seed, TAG_NESTED, workers=workers, chunk_size=2048)
+        return chunked_mean(draw, samples, seed, TAG_NESTED, chunk_size=2048)
 
 
 def _in_polyball(pts: list[np.ndarray], radii) -> np.ndarray:
@@ -672,7 +673,6 @@ def pairing_weighted_hardy(
     spec: ProductSpec,
     samples: int = 20_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> Estimate:
     """<f, P_phi g>: Monte Carlo over the support of f, with the dilation
     integral at each sample point done by tensor Gauss-Legendre on [0,1]^m,
@@ -692,7 +692,7 @@ def pairing_weighted_hardy(
         return values
 
     return _pairing(_support_sampler(f, spec)[0], rule_values, spec.m, phi.knots,
-                    samples, seed, workers)
+                    samples, seed)
 
 
 def pairing_weighted_cesaro(
@@ -703,7 +703,6 @@ def pairing_weighted_cesaro(
     p: float,
     samples: int = 20_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> Estimate:
     """<g, P*_phi f>: Monte Carlo over the support of g; at each sample the
     t-integral is taken on the per-point support window [ |x_i|/S_i, 1 ] with
@@ -743,4 +742,4 @@ def pairing_weighted_cesaro(
         return values
 
     return _pairing(_support_sampler(g, spec)[0], rule_values, spec.m, None,
-                    samples, seed, workers)
+                    samples, seed)

@@ -266,6 +266,7 @@ class TestExitCodes:
         (["fuzz", "--trials", "1", "--samples", "1000", "--workers", "0"], "--workers"),
         (["radialize-check", "--trials", "1", "--samples", "1000", "--inner-samples", "0"],
          "--inner-samples"),
+        (["cesaro-duality", "--pairs", "1", "--samples", "1000", "--workers", "0"], "--workers"),
     ])
     def test_counts_must_be_positive(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "r.json"
@@ -360,7 +361,7 @@ class TestArtifacts:
     ])
     def test_cesaro_duality_is_byte_identical_across_workers(self, tmp_path, factors, weight,
                                                              pairs, samples):
-        # the pairings' chunks of 2048 samples run on the pool (C10 for C8)
+        # C10 for C8: --workers must not change the bytes
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         base = ["cesaro-duality", "--factors", factors, "--weight", weight, "--pairs", pairs,
                 "--samples", samples, "--seed", "7", "--format", "json"]
@@ -370,7 +371,7 @@ class TestArtifacts:
 
     def test_cesaro_duality_keeps_its_bytes_after_larger_grids(self, tmp_path):
         # the pairings keep their grid buffers from call to call: the last
-        # m = 1 run takes the front of buffers grown for m = 2, on three threads
+        # m = 1 run takes the front of buffers grown for m = 2
         reports = []
         for factors, weight, pairs, samples in (("1", "monomial:4", "2", "5000"),
                                                 ("1,1", "monomial:4,4", "1", "2500"),

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from hardylab.funcs import PowerInside, PowerOutside, RadialProduct
 from hardylab.hgroup import GroupDims, ProductSpec, koranyi_norm
 from hardylab import measure
+from hardylab.operators import _nested_power_norm
 from hardylab.measure import (
     ROUNDING_ULPS,
     Estimate,
@@ -68,10 +69,12 @@ class TestMcIntegrate:
             mc_integrate(ones, SPEC1, [-1.0], 100, seed=0)
 
     def test_worker_count_invariance(self):
-        f = lambda p: koranyi_norm(p[0]) ** 2
-        # 120,000 samples span two chunks at the default chunk size
-        a = mc_integrate(f, SPEC1, [1.0], 120_000, seed=5, workers=1)
-        b = mc_integrate(f, SPEC1, [1.0], 120_000, seed=5, workers=4)
+        # mc_integrate runs on the calling thread; the nested norm is the one
+        # library route whose chunks still run on a pool.  10,000 samples
+        # span three of its 4096-sample chunks.
+        f = PowerInside.extremal(SPEC1, 2.0, 0.1)
+        a = _nested_power_norm(f, 2.0, SPEC1, 10_000, 5, inner_samples=64, workers=1)
+        b = _nested_power_norm(f, 2.0, SPEC1, 10_000, 5, inner_samples=64, workers=2)
         assert a.value == b.value and a.std_error == b.std_error
 
     def test_linearity_common_seed(self):

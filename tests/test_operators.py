@@ -470,12 +470,11 @@ class TestPairings:
             return draw
 
         # full chunks; a partial last chunk (5000 = 2 * 2048 + 904), which
-        # takes the front of the workspace grids; the same on two threads
-        for samples, workers in ((4096, 1), (5000, 1), (5000, 2)):
+        # takes the front of the workspace grids
+        for samples in (4096, 5000):
             for pairing, draw, seed in (
-                (lambda: ops.pairing_weighted_hardy(f, g, phi, spec, samples, 5, workers), hardy, 5),
-                (lambda: ops.pairing_weighted_cesaro(g, f, phi, spec, 2.0, samples, 6, workers),
-                 cesaro, 6),
+                (lambda: ops.pairing_weighted_hardy(f, g, phi, spec, samples, 5), hardy, 5),
+                (lambda: ops.pairing_weighted_cesaro(g, f, phi, spec, 2.0, samples, 6), cesaro, 6),
             ):
                 got = pairing()
                 ref = chunked_mean(draw(*chosen[-1]), samples, seed, TAG_NESTED, chunk_size=2048)
