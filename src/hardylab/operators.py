@@ -338,14 +338,13 @@ def _hardy_norm_compact(
         nodes.append(x)
         weights.append(w)
 
+    bin_of = [_node_index(x) for x in nodes]
+
     def replicate(c: int) -> tuple[np.ndarray, float]:
         """(m-dim importance-weighted histogram, ||f||_p^p estimate) of replicate c."""
         pts, dens, fv = sampler(substream(seed, TAG_COMPACT, c), per_rep)
-        idx = [
-            np.searchsorted(nodes[i], koranyi_norm(pts[i]), side="left")
-            for i in range(m)
-        ]
-        shape = (G + 1,) * m  # searchsorted gives 0..G, G past the last node
+        idx = [bin_of[i](koranyi_norm(pts[i])) for i in range(m)]
+        shape = (G + 1,) * m  # indices 0..G, G past the last node
         hist = np.bincount(np.ravel_multi_index(idx, shape), weights=fv / dens,
                            minlength=math.prod(shape))
         return hist.reshape(shape), float(np.mean(np.abs(fv) ** p / dens))
@@ -369,6 +368,37 @@ def _hardy_norm_compact(
     q_reps = np.asarray([(tf_power(h, per_rep) / v) ** (1.0 / p) for h, v in bins if v > 0])
     q_sem = float(np.std(q_reps, ddof=1) / math.sqrt(len(q_reps))) if len(q_reps) > 1 else 0.0
     return Estimate((J_full / F_full) ** (1.0 / p), q_sem, per_rep * replicates)
+
+
+def _node_index(nodes: np.ndarray):
+    """A function r -> np.searchsorted(nodes, r, side="left") for sorted,
+    distinct, nonnegative nodes, by table lookup.
+
+    The cells [c h, (c + 1) h) cover [0, nodes[-1]], with h a power-of-two
+    fraction of nodes[-1] below half the smallest gap, so no cell holds two
+    nodes.  Cells are computed as floor(x * (1 / h)) for nodes and radii
+    alike; that map is monotone, so the nodes in cells below r's are below r and
+    those in cells above are above it.  table[c] counts the nodes in cells
+    below c, and one comparison with the node that may share r's cell,
+    against nodes padded with +inf, finishes the count.  Radii beyond the
+    last cell, inf and NaN take the top cell and come out at len(nodes),
+    as from searchsorted.  The radii must be nonnegative (norms)."""
+    last = float(nodes[-1])
+    cells = 2 ** math.ceil(math.log2(2.0 * last / float(np.diff(nodes).min())))
+    inv_h = cells / last
+    top = cells + 1  # past the cell of the last node
+    node_cells = np.floor(nodes * inv_h).astype(np.intp)
+    table = np.searchsorted(node_cells, np.arange(top + 1), side="left")
+    padded = np.append(nodes, np.inf)
+
+    def index(r: np.ndarray) -> np.ndarray:
+        cell = np.multiply(r, inv_h)
+        np.fmin(cell, top, out=cell)  # fmin takes top for NaN, so the cast is defined
+        i = table[cell.astype(np.intp)]
+        i += padded[i] < r
+        return i
+
+    return index
 
 
 def _image_profile(F, a: float, b: float, c: float, adjoint: bool, tol: float):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from hardylab import closedform as cf
@@ -249,6 +250,21 @@ class TestNormQuotient:
             w = np.concatenate([half * gw for _, half in panels])
             assert (s * tw).tobytes() == w.tobytes()
             assert np.max(np.abs(s * t - x)) <= 2.0 * np.spacing(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 2**32 - 1))
+    def test_node_index_is_searchsorted(self, s, seed):
+        # the compact binning's table lookup against searchsorted: random
+        # radii, every node and both of its float neighbours, 0, S and 10 S,
+        # and the non-finite radii that searchsorted puts past the last node
+        nodes = s * ops._axis_rule(64, (0.5,))[0]
+        r = np.concatenate([
+            np.random.default_rng(seed).uniform(0.0, 1.2 * s, 500),
+            nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf),
+            [0.0, s, 10.0 * s, np.inf, np.nan],
+        ])
+        got = ops._node_index(nodes)(r)
+        assert got.tobytes() == np.searchsorted(nodes, r, side="left").tobytes()
 
     def test_nested_mc_refuses_fractional_p(self):
         # a single inner mean raised to a fractional power is biased upward
