@@ -350,7 +350,8 @@ def sample_unit_ball(dims: GroupDims, rng: np.random.Generator, size: int) -> np
     return pts
 
 
-def sample_unit_sphere(dims: GroupDims, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_unit_sphere(dims: GroupDims, rng: np.random.Generator, size: int,
+                       stratified: bool = False) -> np.ndarray:
     """Samples on the unit Koranyi sphere under the normalized polar surface
     measure, the law of delta_{1/|x|_h}(x) for x uniform on the unit ball.
 
@@ -360,11 +361,21 @@ def sample_unit_sphere(dims: GroupDims, rng: np.random.Generator, size: int) -> 
     sin(theta)) with e uniform on S^(2n-1) and w = sin(theta) of density
     proportional to (1 - w^2)^(n/2 - 1), that is w = 2B - 1 with
     B ~ Beta(n/2, n/2).  At n = 1 that is the arcsine law of cos(pi U), and
-    the angle of e is uniform; both are drawn as such."""
+    the angle of e is uniform; both are drawn as such.
+
+    `stratified=True` makes the angles at n = 1 a Latin hypercube sample:
+    point j's angle lies in stratum perm(j) of `size` equal strata, for one
+    random permutation, so each stratum holds one point and each point, on
+    its own, keeps the law above.  w stays i.i.d.  At n >= 2 the flag does
+    nothing: the direction comes from normals and w from a Beta variate,
+    which have no cheap inverse to stratify through."""
     n = dims.n
     out = np.empty((size, dims.dim))
-    if n == 1:  # w = cos(pi U); the angle of e, pi (2V - 1), keeps cos and sin on (-pi, pi)
+    if n == 1:  # w = cos(pi U); the angle of e, pi (2V - 1), keeps cos and sin on [-pi, pi]
         w, phi = rng.random((2, size))
+        if stratified:  # V in a stratum [j/size, (j + 1)/size) of its own, in random order
+            phi += rng.permutation(size)
+            phi /= size
         w *= math.pi
         np.cos(w, out=w)
         out[:, 2] = w

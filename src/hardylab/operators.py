@@ -307,6 +307,15 @@ def _hardy_norm_compact(
     replicates' spread.  The replicates run in index order on the calling
     thread: each is about 3k rows, too little numpy work per call for pool
     threads to do more than pass the GIL back and forth.
+
+    Each replicate draws a Latin hypercube sample (the sampler's
+    `stratified=True`; McKay, Beckman & Conover, Technometrics 1979): its
+    points are dependent, but the replicates stay independent, each on its
+    own substream (seed, TAG_COMPACT, c), so the spread of the 16 replicate
+    quotients still estimates the error, with 15 degrees of freedom.  The
+    stratification lowers the variance of each replicate and so of the
+    quotient (Stein, Technometrics 1987).  The radii are binned to the
+    nodes by `_node_index`.
     """
     S = [float(s) for s in f.support_radii()]
     if any(math.isinf(s) or s <= 0 for s in S):
@@ -342,7 +351,7 @@ def _hardy_norm_compact(
 
     def replicate(c: int) -> tuple[np.ndarray, float]:
         """(m-dim importance-weighted histogram, ||f||_p^p estimate) of replicate c."""
-        pts, dens, fv = sampler(substream(seed, TAG_COMPACT, c), per_rep)
+        pts, dens, fv = sampler(substream(seed, TAG_COMPACT, c), per_rep, stratified=True)
         idx = [bin_of[i](koranyi_norm(pts[i])) for i in range(m)]
         shape = (G + 1,) * m  # indices 0..G, G past the last node
         hist = np.bincount(np.ravel_multi_index(idx, shape), weights=fv / dens,
@@ -633,11 +642,15 @@ def _in_polyball(pts: list[np.ndarray], radii) -> np.ndarray:
     return inside
 
 
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest float below 1
+
+
 def _support_sampler(f: TestFunction, spec: ProductSpec):
     """(draw, density) pair for sampling the support of f with a known law.
 
-    `draw(rng, k)` returns `(pts, dens, values)`: k points, the proposal
-    density at each, and f at each, so no caller evaluates f on them again.
+    `draw(rng, k, stratified=False)` returns `(pts, dens, values)`: k
+    points, the proposal density at each, and f at each, so no caller
+    evaluates f on them again.
     `density(pts)` returns `(dens, values)` at arbitrary points, the density
     being zero off the proposal's support.
 
@@ -653,7 +666,22 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
     the mass, and equals it (up to rounding) when no coefficient is
     negative.  Anything else, a mixture of zero mass included, falls back to
     uniform sampling of the support polyball; a function of unbounded
-    support is refused."""
+    support is refused.
+
+    With `stratified=True` a bump mixture's k points are a Latin hypercube
+    sample in two of their uniforms: point i picks its bump with a uniform
+    in the stratum [i/k, (i + 1)/k), held below 1 so that rounding never
+    picks past the last bump, and at n = 1 each factor's horizontal sphere
+    angle takes one stratum per point in random order (`sample_unit_sphere`).
+    At n >= 2 only the choice is stratified: that sphere comes from normals
+    and a Beta variate, which have no cheap inverse.  The bump radii stay
+    i.i.d.: they come from a rejection sampler, and stratified proposals cut
+    short by rejection would bias them.  The vertical w stays i.i.d. too: a
+    second permutation costs about the time it saves in variance.  The
+    points are then not independent, so an estimator that takes its error
+    from the spread of single points (`chunked_mean`) must not stratify; the
+    compact estimator, which takes it from independent replicates, does.
+    The uniform fallback ignores the flag."""
     masses = f.bump_masses() if isinstance(f, BumpMixture) else np.zeros(0)
     total = float(masses.sum())
     if total > 0.0:
@@ -665,8 +693,12 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
             values, envelope = f.values_and_envelope(pts)
             return np.divide(envelope, total, out=envelope), values
 
-        def draw(rng: np.random.Generator, k: int):
+        def draw(rng: np.random.Generator, k: int, stratified: bool = False):
             u = rng.random(k)
+            if stratified:  # point i's choice uniform in [i/k, (i + 1)/k)
+                u += np.arange(k)
+                u /= k
+                np.minimum(u, _BELOW_ONE, out=u)  # (k - 1 + U)/k may round to 1
             u *= cdf[-1]  # below cdf[-1], so no bump of zero mass is picked
             choice = np.searchsorted(cdf, u, side="right")
             pts = []
@@ -674,7 +706,7 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
                 scale = sample_bump_radii(dims.Q, rng, k)
                 scale *= r[choice]
                 pts.append(group_law(np.take(c, choice, axis=0), dilate_arrays(
-                    scale, sample_unit_sphere(dims, rng, k), dims.n)))
+                    scale, sample_unit_sphere(dims, rng, k, stratified), dims.n)))
             dens, values = density(pts)
             # an envelope that underflows to 0 has f = 0 there as well
             return pts, np.maximum(dens, np.finfo(float).tiny, out=dens), values
@@ -689,7 +721,7 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
     def density(pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         return _in_polyball(pts, radii) / vol, np.asarray(f(pts), dtype=float)
 
-    def draw(rng: np.random.Generator, k: int):
+    def draw(rng: np.random.Generator, k: int, stratified: bool = False):
         pts = [sample_ball(dims, rng, r, k) for dims, r in zip(spec.factors, radii)]
         return pts, np.full(k, 1.0 / vol), np.asarray(f(pts), dtype=float)
 

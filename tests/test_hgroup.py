@@ -453,6 +453,21 @@ class TestSamplers:
         for j in (0, 2 * n - 1):
             assert ks_2samp(direct[:, j], ball[:, j]).pvalue > 1e-3
 
+    def test_stratified_sphere_matches_the_iid_one(self):
+        # at n = 1 the stratified draw takes one horizontal angle per stratum
+        # of (-pi, pi], and its coordinates follow the i.i.d. law
+        from scipy.stats import ks_2samp
+
+        d = GroupDims(1)
+        k = 40_000
+        strat = sample_unit_sphere(d, np.random.default_rng(61), size=k, stratified=True)
+        iid = sample_unit_sphere(d, np.random.default_rng(71), size=k)
+        assert np.max(np.abs(koranyi_norm(strat) - 1.0)) < 1e-14
+        angle = np.arctan2(strat[:, 1], strat[:, 0]) / (2.0 * np.pi) + 0.5
+        assert np.array_equal(np.sort(np.floor(angle * k)), np.arange(k))
+        for j in range(3):
+            assert ks_2samp(strat[:, j], iid[:, j]).pvalue > 1e-3
+
 
 # The kernels' earlier formulas, which made the 2n+1 coordinates numpy's
 # inner loop: the column-wise kernels must reproduce them.
@@ -552,13 +567,13 @@ class TestColumnKernelsArePinned:
             assert pts[i].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("factors, value, std_error", [
-        ((1,), "0x1.500cf3b2e6ef2p-4", "0x1.2a662d2601e11p-12"),
-        ((1, 1), "0x1.1ffa86c05b8c0p-5", "0x1.51b04b89e15ddp-13"),
+        ((1,), "0x1.50b5c97b4de72p-4", "0x1.15e1ce7b17731p-12"),
+        ((1, 1), "0x1.223366107a4e2p-5", "0x1.93e466f87aa3bp-13"),
     ])
     def test_compact_estimate_keeps_the_add_at_bits(self, factors, value, std_error):
-        # the values of np.add.at histograms over c[choice] gathers: np.take
-        # gathers the same rows, and np.bincount adds each bin's weights in
-        # the same order
+        # the values of np.add.at histograms over c[choice] gathers, on the
+        # stratified draws: np.take gathers the same rows, and np.bincount
+        # adds each bin's weights in the same order
         from hardylab import operators
         from hardylab.funcs import random_bump_mixture
 

@@ -410,6 +410,41 @@ class TestSupportSampler:
         est = chunked_mean(weights, 40_000, 5, TAG_NESTED)
         assert abs(est.value - want) < 4.0 * est.std_error
 
+    def test_stratified_draw_fills_every_stratum_once(self):
+        # 8 bumps of equal mass, centred on the vertical axis at t = 0..7, so
+        # that a point's bump is its rounded t and its horizontal part is the
+        # sphere point's, scaled: the choice strata put 16 points in each
+        # bump, in index order, and each factor's angles take one stratum each
+        k, per = 128, 16
+        f = BumpMixture(SPEC2, tuple(
+            Bump((np.array([0.0, 0.0, t]), np.array([0.0, 0.0, -t])), (0.2, 0.2), (-1.0) ** t)
+            for t in range(8)))
+        pts, _, _ = ops._support_sampler(f, SPEC2)[0](substream(7, 1), k, stratified=True)
+        assert np.array_equal(np.rint(pts[0][:, 2]), np.repeat(np.arange(8.0), per))
+        for x in pts:
+            angle = np.arctan2(x[:, 1], x[:, 0]) / (2.0 * np.pi) + 0.5
+            assert np.array_equal(np.sort(np.floor(angle * k)), np.arange(k))
+
+    def test_top_stratum_picks_no_bump_past_the_last(self):
+        # U = 1 - 2**-53 puts (k - 1 + U)/k at 1.0 in floats; the last bump
+        # of SIGNED has zero mass, and past it there is no bump at all
+        class TopStratum:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def random(self, size):  # the choice draws one row; the rest pass through
+                return np.full(size, 1.0 - 2.0**-53) if isinstance(size, int) else self._rng.random(size)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        f = self.SIGNED
+        pts, dens, fv = ops._support_sampler(f, SPEC2)[0](TopStratum(substream(8, 1)), 64,
+                                                          stratified=True)
+        assert np.all(dens > np.finfo(float).tiny) and np.all(np.isfinite(fv))
+        top = f.bumps[1]  # the last bump of nonzero mass
+        assert np.all([distance(X[-1], c) < r for X, c, r in zip(pts, top.centers, top.radii)])
+
     def test_zero_mass_falls_back_to_the_support_polyball(self):
         zero = BumpMixture(SPEC1, (Bump((np.zeros(3),), (0.5,), 0.0),))
         pts, dens, fv = ops._support_sampler(zero, SPEC1)[0](substream(6, 1), 100)
