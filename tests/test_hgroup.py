@@ -454,8 +454,8 @@ class TestSamplers:
             assert ks_2samp(direct[:, j], ball[:, j]).pvalue > 1e-3
 
     def test_stratified_sphere_matches_the_iid_one(self):
-        # at n = 1 the stratified draw takes one horizontal angle per stratum
-        # of (-pi, pi], and its coordinates follow the i.i.d. law
+        # at n = 1 the stratified draw puts one horizontal angle in each of k
+        # equal arcs of the circle, and its coordinates follow the i.i.d. law
         from scipy.stats import ks_2samp
 
         d = GroupDims(1)

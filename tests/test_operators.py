@@ -414,16 +414,23 @@ class TestSupportSampler:
         # 8 bumps of equal mass, centred on the vertical axis at t = 0..7, so
         # that a point's bump is its rounded t and its horizontal part is the
         # sphere point's, scaled: the choice strata put 16 points in each
-        # bump, in index order, and each factor's angles take one stratum each
+        # bump, in index order, and each factor's angles take one stratum
+        # each, in an order of their own (strata in index order, or one
+        # order for both factors, would tie the angles to the bump)
         k, per = 128, 16
         f = BumpMixture(SPEC2, tuple(
             Bump((np.array([0.0, 0.0, t]), np.array([0.0, 0.0, -t])), (0.2, 0.2), (-1.0) ** t)
             for t in range(8)))
         pts, _, _ = ops._support_sampler(f, SPEC2)[0](substream(7, 1), k, stratified=True)
         assert np.array_equal(np.rint(pts[0][:, 2]), np.repeat(np.arange(8.0), per))
+        strata = [np.arange(k)]
         for x in pts:
             angle = np.arctan2(x[:, 1], x[:, 0]) / (2.0 * np.pi) + 0.5
-            assert np.array_equal(np.sort(np.floor(angle * k)), np.arange(k))
+            strata.append(np.floor(angle * k))
+            assert np.array_equal(np.sort(strata[-1]), np.arange(k))
+        # rank correlations of independent orders have sd 1/sqrt(k - 1), about 0.09
+        corr = np.corrcoef(strata)
+        assert np.all(np.abs(corr[np.triu_indices(3, 1)]) < 0.5)
 
     def test_top_stratum_picks_no_bump_past_the_last(self):
         # U = 1 - 2**-53 puts (k - 1 + U)/k at 1.0 in floats; the last bump
