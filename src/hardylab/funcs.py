@@ -235,6 +235,15 @@ def _bump_profile(u: np.ndarray) -> np.ndarray:
     return np.exp(u, out=u)
 
 
+def _profile_at(center: np.ndarray, radius: float, X: np.ndarray) -> np.ndarray:
+    """A bump's profile in one factor at the points X, exp(-1/(1-u)) with
+    u = (d(X, center) / radius)^2, in place on the fresh distance array."""
+    s = hgroup.distance(X, center)
+    s /= radius
+    s *= s
+    return _bump_profile(s)
+
+
 def _radial_target(s: np.ndarray, Q: int) -> np.ndarray:
     """exp(-1/(1-s^2)) s^(Q-1): the polar integrand of a bump profile at
     scaled distances s, a 1-D array, unimodal on (0, 1) with its mode at
@@ -315,10 +324,11 @@ class BumpMixture(TestFunction):
         total = np.zeros(pts[0].shape[0])
         envelope = np.zeros(pts[0].shape[0])
         for bump in self.bumps:
-            acc = np.full(pts[0].shape[0], bump.coefficient)
-            for center, radius, X in zip(bump.centers, bump.radii, pts):
-                s = hgroup.distance(X, center) / radius
-                acc *= _bump_profile(s * s)
+            factors = zip(bump.centers, bump.radii, pts)
+            acc = _profile_at(*next(factors))
+            acc *= bump.coefficient
+            for center, radius, X in factors:
+                acc *= _profile_at(center, radius, X)
             total += acc
             envelope += np.abs(acc, out=acc)
         return total, envelope

@@ -129,13 +129,15 @@ def _coerce(x) -> tuple[np.ndarray, int]:
     return arr, (dim - 1) // 2
 
 
-def dilate_arrays(r, x: np.ndarray, n: int) -> np.ndarray:
-    """delta_r on coordinate arrays, unchecked, as a fresh array:
-    x[..., :2n] * r and x[..., 2n] * (r*r), with r broadcasting against
-    x[..., 0] (so r of shape (K,) against x of shape (k, 1, 2n+1) gives
-    (k, K, 2n+1)).  r = 0 collapses x onto the origin."""
+def dilate_arrays(r, x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """delta_r on coordinate arrays, unchecked, as a fresh array or into
+    `out` (x itself dilates in place): x[..., :2n] * r and x[..., 2n] * (r*r),
+    with r broadcasting against x[..., 0] (so r of shape (K,) against x of
+    shape (k, 1, 2n+1) gives (k, K, 2n+1)).  r = 0 collapses x onto the
+    origin."""
     r = np.asarray(r, dtype=float)
-    out = np.empty(np.broadcast_shapes(x.shape[:-1], r.shape) + x.shape[-1:])
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape[:-1], r.shape) + x.shape[-1:])
     for i in range(2 * n):
         np.multiply(x[..., i], r, out=out[..., i])
     np.multiply(x[..., 2 * n], r * r, out=out[..., 2 * n])

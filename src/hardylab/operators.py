@@ -705,8 +705,9 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
             for dims, c, r in zip(spec.factors, centers, radii):
                 scale = sample_bump_radii(dims.Q, rng, k)
                 scale *= r[choice]
-                pts.append(group_law(np.take(c, choice, axis=0), dilate_arrays(
-                    scale, sample_unit_sphere(dims, rng, k, stratified), dims.n)))
+                sphere = sample_unit_sphere(dims, rng, k, stratified)
+                pts.append(group_law(np.take(c, choice, axis=0),
+                                     dilate_arrays(scale, sphere, dims.n, out=sphere)))
             dens, values = density(pts)
             # an envelope that underflows to 0 has f = 0 there as well
             return pts, np.maximum(dens, np.finfo(float).tiny, out=dens), values
