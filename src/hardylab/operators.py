@@ -316,6 +316,20 @@ def _hardy_norm_compact(
     stratification lowers the variance of each replicate and so of the
     quotient (Stein, Technometrics 1987).  The radii are binned to the
     nodes by `_node_index`.
+
+    For a bump mixture the cumulative integrals are sums over the bumps of
+    products over the factors, int_{B(R)} f = sum_j c_j prod_i int_{B(R_i)}
+    Psi_ij, and given the choices, each factor's coordinates are drawn
+    independently of the others'.  So each replicate counts the points of
+    bump j below each node, per factor, and takes the outer product of those
+    counts over the factors (a V-statistic over the points' factors) with
+    weight c_j prod_i M_ij / E[N_j^m] (`_stratified_count_moment`), which
+    keeps it unbiased whatever the count N_j of bump j's points.  At m >= 2
+    a point near the origin in every factor then no longer stands alone in
+    its corner of the node grid; with one sample point per corner, that
+    single term raised to the p-th power was the heavy tail of the centred
+    control at p = 3, m = 2.  Other functions weight a histogram of their
+    points by f / density.
     """
     S = [float(s) for s in f.support_radii()]
     if any(math.isinf(s) or s <= 0 for s in S):
@@ -348,15 +362,29 @@ def _hardy_norm_compact(
         weights.append(w)
 
     bin_of = [_node_index(x) for x in nodes]
+    masses = f.bump_masses() if isinstance(f, BumpMixture) else np.zeros(0)
+    if masses.sum() > 0.0:  # bump j's weight c_j prod_i M_ij / E[N_j^m], times per_rep
+        signed = np.copysign(masses, [bump.coefficient for bump in f.bumps])
+        coef = np.divide(per_rep * signed, _stratified_count_moment(masses, per_rep, m),
+                         out=np.zeros_like(masses), where=masses > 0.0)
 
     def replicate(c: int) -> tuple[np.ndarray, float]:
-        """(m-dim importance-weighted histogram, ||f||_p^p estimate) of replicate c."""
-        pts, dens, fv = sampler(substream(seed, TAG_COMPACT, c), per_rep, stratified=True)
+        """(m-dim histogram over the node indices 0..G, G past the last node,
+        ||f||_p^p estimate) of replicate c."""
+        pts, dens, fv, choice = sampler(substream(seed, TAG_COMPACT, c), per_rep, stratified=True)
         idx = [bin_of[i](koranyi_norm(pts[i])) for i in range(m)]
-        shape = (G + 1,) * m  # indices 0..G, G past the last node
-        hist = np.bincount(np.ravel_multi_index(idx, shape), weights=fv / dens,
-                           minlength=math.prod(shape))
-        return hist.reshape(shape), float(np.mean(np.abs(fv) ** p / dens))
+        if choice is None:  # importance-weighted
+            shape = (G + 1,) * m
+            hist = np.bincount(np.ravel_multi_index(idx, shape), weights=fv / dens,
+                               minlength=math.prod(shape)).reshape(shape)
+        else:  # per bump, the outer product of its points' node counts in each factor
+            J = coef.size
+            hist = coef.reshape((J,) + (1,) * m)
+            for i, ix in enumerate(idx):
+                counts = np.bincount(choice * (G + 1) + ix, minlength=J * (G + 1))
+                hist = hist * counts.reshape((J,) + (1,) * i + (G + 1,) + (1,) * (m - 1 - i))
+            hist = hist.sum(axis=0)
+        return hist, float(np.mean(np.abs(fv) ** p / dens))
 
     bins = [replicate(c) for c in range(replicates)]
 
@@ -645,12 +673,33 @@ def _in_polyball(pts: list[np.ndarray], radii) -> np.ndarray:
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest float below 1
 
 
+def _stratified_count_moment(masses: np.ndarray, k: int, m: int) -> np.ndarray:
+    """E[N_j^m] for N_j, the number of k stratified bump choices (point i's
+    uniform in [i/k, (i + 1)/k)) that pick bump j, for bumps of the given
+    masses.  Bump j takes the span [lo, hi) of the strata, its cumulative
+    mass before and after it over the total, times k.  Each stratum picks it
+    independently with the length of their overlap, which is 1 for the
+    strata inside the span, so N_j is their number plus at most two
+    Bernoulli variates at its ends."""
+    edges = k * np.append(0.0, np.cumsum(masses)) / masses.sum()
+    out = np.zeros(masses.size)
+    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        i = np.arange(math.floor(lo), min(math.ceil(hi), k))
+        share = np.clip(hi - i, 0.0, 1.0) - np.clip(lo - i, 0.0, 1.0)
+        law = np.ones(1)  # of the uncertain part of N_j
+        for q in share[(share > 0.0) & (share < 1.0)]:
+            law = np.convolve(law, [1.0 - q, q])
+        out[j] = law @ (np.count_nonzero(share == 1.0) + np.arange(law.size)) ** float(m)
+    return out
+
+
 def _support_sampler(f: TestFunction, spec: ProductSpec):
     """(draw, density) pair for sampling the support of f with a known law.
 
     `draw(rng, k, stratified=False)` returns `(pts, dens, values)`: k
     points, the proposal density at each, and f at each, so no caller
-    evaluates f on them again.
+    evaluates f on them again.  With `stratified=True` it also returns each
+    point's bump index, or None off the bump route.
     `density(pts)` returns `(dens, values)` at arbitrary points, the density
     being zero off the proposal's support.
 
@@ -710,7 +759,8 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
                                      dilate_arrays(scale, sphere, dims.n, out=sphere)))
             dens, values = density(pts)
             # an envelope that underflows to 0 has f = 0 there as well
-            return pts, np.maximum(dens, np.finfo(float).tiny, out=dens), values
+            np.maximum(dens, np.finfo(float).tiny, out=dens)
+            return (pts, dens, values, choice) if stratified else (pts, dens, values)
 
         return draw, density
 
@@ -724,7 +774,8 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
 
     def draw(rng: np.random.Generator, k: int, stratified: bool = False):
         pts = [sample_ball(dims, rng, r, k) for dims, r in zip(spec.factors, radii)]
-        return pts, np.full(k, 1.0 / vol), np.asarray(f(pts), dtype=float)
+        drawn = pts, np.full(k, 1.0 / vol), np.asarray(f(pts), dtype=float)
+        return (*drawn, None) if stratified else drawn
 
     return draw, density
 

@@ -239,6 +239,17 @@ class TestNormQuotient:
         assert runs[0] == runs[1]
         assert runs[0].std_error > 0.0
 
+    def test_centred_control_has_no_corner_tail(self):
+        # C5's control, one centred bump, at p = 3, m = 2, whose quotient the
+        # radial route gives as 1.746874: a point near the origin in both
+        # factors must not stand alone in its corner of the node grid, where
+        # that one term raised to the p-th power reaches past the sharp
+        # constant 2.25.  With per-factor counts every estimate stays within
+        # 10% (about 5 sd)
+        control = BumpMixture(SPEC2, (Bump((np.zeros(3), np.zeros(3)), (1.0, 1.0), 1.0),))
+        q = [ops._hardy_norm_compact(control, 3.0, SPEC2, 20_000, seed=s).value for s in range(40)]
+        assert np.all(np.abs(np.asarray(q) / 1.746874 - 1.0) < 0.1)
+
     def test_compact_rule_is_the_two_panel_rule(self):
         # the compact estimator's rule on [0, S], S * _axis_rule(64, (0.5,)),
         # against the two hand-mapped 32-node panels split at S/2
@@ -421,7 +432,8 @@ class TestSupportSampler:
         f = BumpMixture(SPEC2, tuple(
             Bump((np.array([0.0, 0.0, t]), np.array([0.0, 0.0, -t])), (0.2, 0.2), (-1.0) ** t)
             for t in range(8)))
-        pts, _, _ = ops._support_sampler(f, SPEC2)[0](substream(7, 1), k, stratified=True)
+        pts, _, _, choice = ops._support_sampler(f, SPEC2)[0](substream(7, 1), k, stratified=True)
+        assert np.array_equal(choice, np.repeat(np.arange(8), per))
         assert np.array_equal(np.rint(pts[0][:, 2]), np.repeat(np.arange(8.0), per))
         strata = [np.arange(k)]
         for x in pts:
@@ -446,11 +458,27 @@ class TestSupportSampler:
                 return getattr(self._rng, name)
 
         f = self.SIGNED
-        pts, dens, fv = ops._support_sampler(f, SPEC2)[0](TopStratum(substream(8, 1)), 64,
-                                                          stratified=True)
+        pts, dens, fv, _ = ops._support_sampler(f, SPEC2)[0](TopStratum(substream(8, 1)), 64,
+                                                             stratified=True)
         assert np.all(dens > np.finfo(float).tiny) and np.all(np.isfinite(fv))
         top = f.bumps[1]  # the last bump of nonzero mass
         assert np.all([distance(X[-1], c) < r for X, c, r in zip(pts, top.centers, top.radii)])
+
+    def test_count_moments_match_the_stratified_choices(self):
+        # E[N_j^m] for the counts of stratified choices per bump, against
+        # 2,000 draws of 50 points; the third bump has zero mass
+        f, k = self.SIGNED, 50
+        draw = ops._support_sampler(f, SPEC2)[0]
+        counts = np.array([np.bincount(draw(substream(9, c), k, stratified=True)[3], minlength=3)
+                           for c in range(2000)], dtype=float)
+        masses = f.bump_masses()
+        for m in (1, 2, 3):
+            want = ops._stratified_count_moment(masses, k, m)
+            got = counts**m
+            assert want[2] == 0.0 and np.all(got[:, 2] == 0.0)
+            se = got.std(axis=0, ddof=1) / math.sqrt(len(got))
+            assert np.all(np.abs(got.mean(axis=0) - want)[:2] <= 4.0 * se[:2])
+        assert ops._stratified_count_moment(masses, k, 1)[:2] == pytest.approx(k * masses[:2] / masses.sum())
 
     def test_zero_mass_falls_back_to_the_support_polyball(self):
         zero = BumpMixture(SPEC1, (Bump((np.zeros(3),), (0.5,), 0.0),))
