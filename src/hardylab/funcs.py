@@ -282,22 +282,43 @@ def _bump_radial_law(Q: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]
     return M, edges[:-1], width, mass * (1.0 + 2.0**-40) / width
 
 
-def sample_bump_radii(Q: int, rng: np.random.Generator, size: int) -> np.ndarray:
+def _envelope_proposals(s: np.ndarray, lower: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Proposals under `_bump_radial_law`'s envelope from uniforms s in
+    [0, 1), in place on s: the integer part of s times the cell count picks
+    the cell, the fraction the point in it.  Returns the cells."""
+    s *= lower.size
+    cell = s.astype(np.intp)
+    s -= cell
+    s *= width[cell]
+    s += lower[cell]
+    return cell
+
+
+def sample_bump_radii(Q: int, rng: np.random.Generator, size: int,
+                      u: np.ndarray | None = None) -> np.ndarray:
     """`size` scaled radii s in (0, 1) with density exp(-1/(1-s^2)) s^(Q-1) / M,
     by rejection under the piecewise-constant envelope of `_bump_radial_law`:
     a uniform cell, a uniform point in it, accepted with probability
-    target / height (about 0.95 of proposals)."""
+    target / height (about 0.95 of proposals).
+
+    `u`, if given, holds the `size` envelope uniforms of the first
+    proposals, each in [0, 1) and uniform on its own (a caller's strata),
+    and is overwritten by the radii.  A rejected proposal is replaced in
+    place by an i.i.d. draw, so each radius keeps the law above whatever the
+    joint law of u.  Compacting the accepted ones instead would shift every
+    later radius into another point's stratum."""
     _, lower, width, height = _bump_radial_law(Q)
+    if u is not None:
+        cell = _envelope_proposals(u, lower, width)
+        rejected = np.flatnonzero(rng.random(size) * height[cell] >= _radial_target(u, Q))
+        u[rejected] = sample_bump_radii(Q, rng, rejected.size)
+        return u
     out = np.empty(size)
     filled = 0
     while filled < size:
         k = max(64, int(1.1 * (size - filled)))
         s, v = rng.random((2, k))
-        s *= lower.size  # the integer part picks the cell, the fraction the point
-        cell = s.astype(np.intp)
-        s -= cell
-        s *= width[cell]
-        s += lower[cell]
+        cell = _envelope_proposals(s, lower, width)
         take = s[v * height[cell] < _radial_target(s, Q)][: size - filled]
         out[filled : filled + take.size] = take
         filled += take.size

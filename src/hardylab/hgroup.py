@@ -353,7 +353,7 @@ def sample_unit_ball(dims: GroupDims, rng: np.random.Generator, size: int) -> np
 
 
 def sample_unit_sphere(dims: GroupDims, rng: np.random.Generator, size: int,
-                       stratified: bool = False) -> np.ndarray:
+                       angle: np.ndarray | None = None) -> np.ndarray:
     """Samples on the unit Koranyi sphere under the normalized polar surface
     measure, the law of delta_{1/|x|_h}(x) for x uniform on the unit ball.
 
@@ -365,19 +365,18 @@ def sample_unit_sphere(dims: GroupDims, rng: np.random.Generator, size: int,
     B ~ Beta(n/2, n/2).  At n = 1 that is the arcsine law of cos(pi U), and
     the angle of e is uniform; both are drawn as such.
 
-    `stratified=True` makes the angles at n = 1 a Latin hypercube sample:
-    point j's angle lies in stratum perm(j) of `size` equal strata, for one
-    random permutation, so each stratum holds one point and each point, on
-    its own, keeps the law above.  w stays i.i.d.  At n >= 2 the flag does
-    nothing: the direction comes from normals and w from a Beta variate,
-    which have no cheap inverse to stratify through."""
+    At n = 1, `angle`, if given, holds the `size` uniforms V of the angles
+    2 pi (V - 1/2), each in [0, 1) and uniform on its own (a caller's
+    strata), and is overwritten; w stays i.i.d.  At n >= 2 it must be None:
+    the direction comes from normals and w from a Beta variate, which have
+    no cheap inverse to take strata through."""
     n = dims.n
     out = np.empty((size, dims.dim))
     if n == 1:  # w = cos(pi U); the angle of e, pi (2V - 1), keeps cos and sin on [-pi, pi]
-        w, phi = rng.random((2, size))
-        if stratified:  # V in a stratum [j/size, (j + 1)/size) of its own, in random order
-            phi += rng.permutation(size)
-            phi /= size
+        if angle is None:
+            w, phi = rng.random((2, size))
+        else:
+            w, phi = rng.random(size), angle
         w *= math.pi
         np.cos(w, out=w)
         out[:, 2] = w

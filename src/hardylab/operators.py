@@ -308,9 +308,9 @@ def _hardy_norm_compact(
     thread: each is about 3k rows, too little numpy work per call for pool
     threads to do more than pass the GIL back and forth.
 
-    Each replicate draws a Latin hypercube sample (the sampler's
-    `stratified=True`; McKay, Beckman & Conover, Technometrics 1979): its
-    points are dependent, but the replicates stay independent, each on its
+    Each replicate draws a stratified sample (the sampler's
+    `stratified=True`: its bump choice, and per factor its bump radius and,
+    at n = 1, its sphere angle on one grid): its points are dependent, but the replicates stay independent, each on its
     own substream (seed, TAG_COMPACT, c), so the spread of the 16 replicate
     quotients still estimates the error, with 15 degrees of freedom.  The
     stratification lowers the variance of each replicate and so of the
@@ -693,6 +693,30 @@ def _stratified_count_moment(masses: np.ndarray, k: int, m: int) -> np.ndarray:
     return out
 
 
+def _in_strata(index, u: np.ndarray, count: int) -> np.ndarray:
+    """(index + u) / count in place on the uniforms u: a uniform in stratum
+    `index` of `count` equal strata of [0, 1), held below 1, since
+    (count - 1 + U) / count rounds to 1.0 for U near 1 and a caller that
+    scales it by a cell count would index past its last cell."""
+    u += index
+    u /= count
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def _grid_strata(rng: np.random.Generator, k: int, n: int):
+    """(radius, angle) uniforms of k points on a random Latin grid: cell
+    c = perm(i) of the a x b grid, a = ceil(sqrt(k)) angle strata at n = 1
+    and a = 1 at n >= 2 (angle None), b = ceil(k / a) radius strata, the
+    permutation of a * b cells cut to k.  Point i's angle takes stratum
+    c mod a and its radius stratum c div a, so no two points share a cell
+    and, on its own, each uniform is uniform."""
+    a = math.isqrt(k - 1) + 1 if n == 1 else 1
+    b = -(-k // a)
+    row, col = np.divmod(rng.permutation(a * b)[:k], a)
+    radius = _in_strata(row, rng.random(k), b)
+    return radius, (_in_strata(col, rng.random(k), a) if n == 1 else None)
+
+
 def _support_sampler(f: TestFunction, spec: ProductSpec):
     """(draw, density) pair for sampling the support of f with a known law.
 
@@ -717,19 +741,23 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
     uniform sampling of the support polyball; a function of unbounded
     support is refused.
 
-    With `stratified=True` a bump mixture's k points are a Latin hypercube
-    sample in two of their uniforms: point i picks its bump with a uniform
-    in the stratum [i/k, (i + 1)/k), held below 1 so that rounding never
-    picks past the last bump, and at n = 1 each factor's horizontal sphere
-    angle takes one stratum per point in random order (`sample_unit_sphere`).
-    At n >= 2 only the choice is stratified: that sphere comes from normals
-    and a Beta variate, which have no cheap inverse.  The bump radii stay
-    i.i.d.: they come from a rejection sampler, and stratified proposals cut
-    short by rejection would bias them.  The vertical w stays i.i.d. too: a
-    second permutation costs about the time it saves in variance.  The
-    points are then not independent, so an estimator that takes its error
-    from the spread of single points (`chunked_mean`) must not stratify; the
-    compact estimator, which takes it from independent replicates, does.
+    With `stratified=True` a bump mixture's k points are stratified in
+    three of their uniforms (McKay, Beckman & Conover, Technometrics 1979;
+    Owen, ch. 10).  Point i picks its bump with a uniform in the stratum
+    [i/k, (i + 1)/k), in index order.  In each factor it takes cell perm(i)
+    of an a x b grid (`_grid_strata`), one permutation per factor: the
+    cell's column is its sphere angle's stratum (n = 1, a = ceil(sqrt(k));
+    `sample_unit_sphere`) and its row the stratum of the envelope uniform of
+    its first radius proposal (`sample_bump_radii`).  At n >= 2, a = 1 and
+    only the radius is stratified: that sphere comes from normals and a Beta
+    variate, which have no cheap inverse.  Every stratum is held below 1
+    (`_in_strata`).  A rejected radius proposal is replaced in place by an
+    exact draw, so each radius keeps the radial law on its own, independent
+    of the point's bump stratum.  The vertical w stays i.i.d.: a third grid
+    axis for it lowered the variance no further.  The points are then not
+    independent, so an estimator that takes its error from the spread of
+    single points (`chunked_mean`) must not stratify; the compact estimator,
+    which takes it from independent replicates, does.
     The uniform fallback ignores the flag."""
     masses = f.bump_masses() if isinstance(f, BumpMixture) else np.zeros(0)
     total = float(masses.sum())
@@ -744,17 +772,16 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
 
         def draw(rng: np.random.Generator, k: int, stratified: bool = False):
             u = rng.random(k)
-            if stratified:  # point i's choice uniform in [i/k, (i + 1)/k)
-                u += np.arange(k)
-                u /= k
-                np.minimum(u, _BELOW_ONE, out=u)  # (k - 1 + U)/k may round to 1
+            if stratified:  # point i's choice in stratum i, in index order
+                _in_strata(np.arange(k), u, k)
             u *= cdf[-1]  # below cdf[-1], so no bump of zero mass is picked
             choice = np.searchsorted(cdf, u, side="right")
             pts = []
             for dims, c, r in zip(spec.factors, centers, radii):
-                scale = sample_bump_radii(dims.Q, rng, k)
+                radius, angle = _grid_strata(rng, k, dims.n) if stratified else (None, None)
+                scale = sample_bump_radii(dims.Q, rng, k, radius)
                 scale *= r[choice]
-                sphere = sample_unit_sphere(dims, rng, k, stratified)
+                sphere = sample_unit_sphere(dims, rng, k, angle)
                 pts.append(group_law(np.take(c, choice, axis=0),
                                      dilate_arrays(scale, sphere, dims.n, out=sphere)))
             dens, values = density(pts)

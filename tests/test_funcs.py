@@ -263,6 +263,38 @@ class TestBumpProposal:
             se = np.std(s**power) / math.sqrt(s.size)
             assert abs(np.mean(s**power) - want) < 4.0 * se
 
+    @pytest.mark.parametrize("Q, b", [(4, 100), (6, 20_000)])
+    def test_grid_fed_radii_keep_the_law_and_their_strata(self, Q, b):
+        # radius uniforms in b strata, in random order, as the compact
+        # estimator's grid passes them (b = 100 at n = 1, one stratum per
+        # point at n >= 2): the radii follow the radial law, and the ~95%
+        # that are accepted keep their stratum, since rejected ones are
+        # drawn again in place
+        from scipy.stats import kstest
+
+        from hardylab.operators import _in_strata
+
+        k = 20_000
+        rng = np.random.default_rng(50 + Q)
+        row = rng.permutation(k) % b
+        s = funcs.sample_bump_radii(Q, rng, k, _in_strata(row, rng.random(k), b))
+        assert s.shape == (k,) and 0.0 < s.min() and s.max() < 1.0
+        # the CDF at 4001 edges by 16-node Gauss-Legendre on each panel of
+        # _radial_target, interpolated linearly (error about 1e-8)
+        edges = np.linspace(0.0, 1.0, 4001)
+        x, w = np.polynomial.legendre.leggauss(16)
+        half = np.diff(edges)[:, None] / 2.0
+        nodes = (edges[:-1, None] + half) + half * x
+        panels = (funcs._radial_target(nodes.ravel(), Q).reshape(nodes.shape) * half) @ w
+        M, lower, width, _ = funcs._bump_radial_law(Q)
+        cum = np.append(0.0, np.cumsum(panels)) / M
+        assert cum[-1] == pytest.approx(1.0, abs=1e-12)
+        assert kstest(s, lambda v: np.interp(v, edges, cum)).pvalue > 1e-3
+        # the envelope uniform that proposes each radius, by inverting the cells
+        cell = np.searchsorted(lower, s, side="right") - 1
+        u = (cell + (s - lower[cell]) / width[cell]) / lower.size
+        assert np.mean(np.floor(u * b) == row) >= 0.9
+
     @pytest.mark.parametrize("Q", [4, 6, 8])
     def test_envelope_bounds_the_target_on_every_cell(self, Q):
         M, lower, width, height = funcs._bump_radial_law(Q)

@@ -421,37 +421,54 @@ class TestSupportSampler:
         est = chunked_mean(weights, 40_000, 5, TAG_NESTED)
         assert abs(est.value - want) < 4.0 * est.std_error
 
-    def test_stratified_draw_fills_every_stratum_once(self):
+    def test_stratified_draw_fills_every_stratum_once(self, monkeypatch):
         # 8 bumps of equal mass, centred on the vertical axis at t = 0..7, so
         # that a point's bump is its rounded t and its horizontal part is the
         # sphere point's, scaled: the choice strata put 16 points in each
-        # bump, in index order, and each factor's angles take one stratum
-        # each, in an order of their own (strata in index order, or one
-        # order for both factors, would tie the angles to the bump)
-        k, per = 128, 16
+        # bump, in index order.  Each factor's a x b = 12 x 11 grid gives
+        # every point a cell of its own for its angle and radius uniforms,
+        # in an order of its own (strata in index order, or one order for
+        # both factors, would tie the angle or the radius to the bump)
+        k, per, a, b = 128, 16, 12, 11
         f = BumpMixture(SPEC2, tuple(
             Bump((np.array([0.0, 0.0, t]), np.array([0.0, 0.0, -t])), (0.2, 0.2), (-1.0) ** t)
             for t in range(8)))
+        radii, sphere, seen = ops.sample_bump_radii, ops.sample_unit_sphere, []
+
+        def spy_radii(Q, rng, size, u=None):  # the uniforms as passed, before they are overwritten
+            seen.append([u.copy()])
+            return radii(Q, rng, size, u)
+
+        def spy_sphere(dims, rng, size, angle=None):
+            seen[-1].append(angle.copy())
+            return sphere(dims, rng, size, angle)
+
+        monkeypatch.setattr(ops, "sample_bump_radii", spy_radii)
+        monkeypatch.setattr(ops, "sample_unit_sphere", spy_sphere)
         pts, _, _, choice = ops._support_sampler(f, SPEC2)[0](substream(7, 1), k, stratified=True)
         assert np.array_equal(choice, np.repeat(np.arange(8), per))
         assert np.array_equal(np.rint(pts[0][:, 2]), np.repeat(np.arange(8.0), per))
         strata = [np.arange(k)]
-        for x in pts:
-            angle = np.arctan2(x[:, 1], x[:, 0]) / (2.0 * np.pi) + 0.5
-            strata.append(np.floor(angle * k))
-            assert np.array_equal(np.sort(strata[-1]), np.arange(k))
+        for x, (radius, angle) in zip(pts, seen):
+            row, col = np.floor(radius * b), np.floor(angle * a)
+            assert np.unique(row * a + col).size == k  # no cell holds two points
+            turn = np.arctan2(x[:, 1], x[:, 0]) / (2.0 * np.pi) + 0.5
+            assert np.array_equal(np.floor(turn * a), col)  # the point's angle is its uniform's
+            strata += [row, col]
         # rank correlations of independent orders have sd 1/sqrt(k - 1), about 0.09
         corr = np.corrcoef(strata)
-        assert np.all(np.abs(corr[np.triu_indices(3, 1)]) < 0.5)
+        assert np.all(np.abs(corr[np.triu_indices(len(strata), 1)]) < 0.5)
 
     def test_top_stratum_picks_no_bump_past_the_last(self):
         # U = 1 - 2**-53 puts (k - 1 + U)/k at 1.0 in floats; the last bump
-        # of SIGNED has zero mass, and past it there is no bump at all
+        # of SIGNED has zero mass, and past it there is no bump at all, and
+        # the top radius stratum at 1.0 would pick an envelope cell past the
+        # last (every proposal is then rejected and drawn again i.i.d.)
         class TopStratum:
             def __init__(self, rng):
                 self._rng = rng
 
-            def random(self, size):  # the choice draws one row; the rest pass through
+            def random(self, size):  # every one-row draw at the top; the rest pass through
                 return np.full(size, 1.0 - 2.0**-53) if isinstance(size, int) else self._rng.random(size)
 
             def __getattr__(self, name):
