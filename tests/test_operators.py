@@ -250,6 +250,19 @@ class TestNormQuotient:
         q = [ops._hardy_norm_compact(control, 3.0, SPEC2, 20_000, seed=s).value for s in range(40)]
         assert np.all(np.abs(np.asarray(q) / 1.746874 - 1.0) < 0.1)
 
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2], ids=["m1", "m2"])
+    def test_compact_errors_are_calibrated(self, spec):
+        # 60 seeds at 6,000 samples, p = 2: the spread of the estimates over
+        # the rms of their reported errors.  The bounds [0.7, 1.4] were fixed
+        # before any run: for normal replicate quotients its square follows
+        # F(59, 900), so each mixture reads outside them with probability
+        # 4.7e-4 (3.7e-5 above, 4.3e-4 below), 9.3e-4 for the two
+        f = random_bump_mixture(spec, np.random.default_rng(9000))
+        est = [ops._hardy_norm_compact(f, 2.0, spec, 6_000, seed=s) for s in range(60)]
+        sd = np.std([e.value for e in est], ddof=1)
+        rms = math.sqrt(np.mean([e.std_error**2 for e in est]))
+        assert 0.7 <= sd / rms <= 1.4
+
     def test_compact_rule_is_the_two_panel_rule(self):
         # the compact estimator's rule on [0, S], S * _axis_rule(64, (0.5,)),
         # against the two hand-mapped 32-node panels split at S/2
