@@ -310,9 +310,10 @@ def _hardy_norm_compact(
 
     Each replicate draws a stratified sample (the sampler's
     `stratified=True`: its bump choice, and per factor its bump radius and,
-    at n = 1, its sphere angle on one grid): its points are dependent, but the replicates stay independent, each on its
-    own substream (seed, TAG_COMPACT, c), so the spread of the 16 replicate
-    quotients still estimates the error, with 15 degrees of freedom.  The
+    at n = 1, its sphere angle on one grid): its points are dependent, but
+    the replicates stay independent, each on its own substream
+    (seed, TAG_COMPACT, c), so the spread of the 16 replicate quotients
+    still estimates the error, with 15 degrees of freedom.  The
     stratification lowers the variance of each replicate and so of the
     quotient (Stein, Technometrics 1987).  The radii are binned to the
     nodes by `_node_index`.
@@ -712,9 +713,12 @@ def _grid_strata(rng: np.random.Generator, k: int, n: int):
     and, on its own, each uniform is uniform."""
     a = math.isqrt(k - 1) + 1 if n == 1 else 1
     b = -(-k // a)
-    row, col = np.divmod(rng.permutation(a * b)[:k], a)
-    radius = _in_strata(row, rng.random(k), b)
-    return radius, (_in_strata(col, rng.random(k), a) if n == 1 else None)
+    cell = rng.permutation(a * b)[:k]
+    if n > 1:
+        return _in_strata(cell, rng.random(k), b), None
+    row = cell // a  # floor division and a product take half the time of np.divmod
+    cell -= row * a
+    return _in_strata(row, rng.random(k), b), _in_strata(cell, rng.random(k), a)
 
 
 def _support_sampler(f: TestFunction, spec: ProductSpec):
