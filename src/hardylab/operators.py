@@ -379,12 +379,15 @@ def _hardy_norm_compact(
             hist = np.bincount(np.ravel_multi_index(idx, shape), weights=fv / dens,
                                minlength=math.prod(shape)).reshape(shape)
         else:  # per bump, the outer product of its points' node counts in each factor
-            J = coef.size
-            hist = coef.reshape((J,) + (1,) * m)
-            for i, ix in enumerate(idx):
-                counts = np.bincount(choice * (G + 1) + ix, minlength=J * (G + 1))
-                hist = hist * counts.reshape((J,) + (1,) * i + (G + 1,) + (1,) * (m - 1 - i))
-            hist = hist.sum(axis=0)
+            cells = choice * (G + 1)
+            counts = [np.bincount(cells + ix, minlength=coef.size * (G + 1)).reshape(-1, G + 1)
+                      for ix in idx]
+            hist = np.zeros((G + 1,) * m)
+            for j, weight in enumerate(coef):  # bump by bump: no (J, (G + 1)^m) array
+                term = weight * counts[0][j]
+                for count in counts[1:]:
+                    term = np.multiply.outer(term, count[j])
+                hist += term
         return hist, float(np.mean(np.abs(fv) ** p / dens))
 
     bins = [replicate(c) for c in range(replicates)]
