@@ -571,7 +571,7 @@ class TestColumnKernelsArePinned:
 
     @pytest.mark.parametrize("factors, value, std_error", [
         ((1,), "0x1.5033fd3ca4afap-4", "0x1.0b18f64c7de15p-13"),
-        ((1, 1), "0x1.2148a532c6a69p-5", "0x1.3ffee33c48245p-14"),
+        ((1, 1), "0x1.2148a532c6a69p-5", "0x1.3ffee33c48249p-14"),
     ])
     def test_compact_estimate_keeps_the_add_at_bits(self, factors, value, std_error):
         # the values of np.add.at count histograms over c[choice] gathers, on
