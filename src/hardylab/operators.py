@@ -688,12 +688,17 @@ def _stratified_count_moment(masses: np.ndarray, k: int, m: int) -> np.ndarray:
     edges = k * np.append(0.0, np.cumsum(masses)) / masses.sum()
     out = np.zeros(masses.size)
     for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        i = np.arange(math.floor(lo), min(math.ceil(hi), k))
-        share = np.clip(hi - i, 0.0, 1.0) - np.clip(lo - i, 0.0, 1.0)
+        first, stop = math.floor(lo), min(math.ceil(hi), k)
+        if stop <= first:
+            continue
+        # only the first and the last stratum can hold part of the span
+        ends = {i: min(max(hi - i, 0.0), 1.0) - min(max(lo - i, 0.0), 1.0) for i in (first, stop - 1)}
+        full = stop - first - len(ends) + sum(q == 1.0 for q in ends.values())
         law = np.ones(1)  # of the uncertain part of N_j
-        for q in share[(share > 0.0) & (share < 1.0)]:
-            law = np.convolve(law, [1.0 - q, q])
-        out[j] = law @ (np.count_nonzero(share == 1.0) + np.arange(law.size)) ** float(m)
+        for q in ends.values():
+            if 0.0 < q < 1.0:
+                law = np.convolve(law, [1.0 - q, q])
+        out[j] = law @ (full + np.arange(law.size)) ** float(m)
     return out
 
 
