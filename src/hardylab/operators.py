@@ -393,7 +393,8 @@ def _hardy_norm_compact(
     bins = [replicate(c) for c in range(replicates)]
 
     def tf_power(hist: np.ndarray, n_samp: int) -> float:
-        """||T f||_p^p from one importance-weighted histogram."""
+        """||T f||_p^p from a histogram of `replicate` (or a sum of them) over
+        n_samp points."""
         cum = hist
         for ax in range(m):
             cum = np.cumsum(cum, axis=ax)
