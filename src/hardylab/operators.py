@@ -329,9 +329,11 @@ def _hardy_norm_compact(
     a point near the origin in every factor then no longer stands alone in
     its corner of the node grid; with one sample point per corner, that
     single term raised to the p-th power was the heavy tail of the centred
-    control at p = 3, m = 2.  Other functions weight a histogram of their
-    points by f / density.
+    control at p = 3, m = 2.  Other families are refused, and so is a
+    mixture of zero mass, with its zero norm, before any draw.
     """
+    if not isinstance(f, BumpMixture):
+        raise UnsupportedFamilyError("the compact estimator takes bump mixtures")
     S = [float(s) for s in f.support_radii()]
     if any(math.isinf(s) or s <= 0 for s in S):
         raise ValueError("compact-support estimator needs finite positive support radii")
@@ -345,7 +347,6 @@ def _hardy_norm_compact(
     if not 0.0 < pref < math.inf:
         raise ValueError(f"p={p:g} is too large: the prefactor prod omega / |B(0, 1)|^p "
                          "leaves the float range")
-    sampler, _ = _support_sampler(f, spec)
 
     # two 32-node Gauss-Legendre panels per dimension, split at S/2, weighted
     # by r^(Q(1-p)-1) and followed by the tail int_S^inf r^(Q(1-p)-1) dr
@@ -362,32 +363,31 @@ def _hardy_norm_compact(
         nodes.append(x)
         weights.append(w)
 
+    masses = f.bump_masses()
+    if not masses.sum() > 0.0:
+        raise ValueError("zero norm: the function vanishes on its sample")
+    sampler, _ = _support_sampler(f, spec)
     bin_of = [_node_index(x) for x in nodes]
-    masses = f.bump_masses() if isinstance(f, BumpMixture) else np.zeros(0)
-    if masses.sum() > 0.0:  # bump j's weight c_j prod_i M_ij / E[N_j^m], times per_rep
-        signed = np.copysign(masses, [bump.coefficient for bump in f.bumps])
-        coef = np.divide(per_rep * signed, _stratified_count_moment(masses, per_rep, m),
-                         out=np.zeros_like(masses), where=masses > 0.0)
+    # bump j's weight c_j prod_i M_ij / E[N_j^m], times per_rep
+    signed = np.copysign(masses, [bump.coefficient for bump in f.bumps])
+    coef = np.divide(per_rep * signed, _stratified_count_moment(masses, per_rep, m),
+                     out=np.zeros_like(masses), where=masses > 0.0)
 
     def replicate(c: int) -> tuple[np.ndarray, float]:
         """(m-dim histogram over the node indices 0..G, G past the last node,
-        ||f||_p^p estimate) of replicate c."""
+        ||f||_p^p estimate) of replicate c: per bump, the outer product of its
+        points' node counts in each factor."""
         pts, dens, fv, choice = sampler(substream(seed, TAG_COMPACT, c), per_rep, stratified=True)
-        idx = [bin_of[i](koranyi_norm(pts[i])) for i in range(m)]
-        if choice is None:  # importance-weighted
-            shape = (G + 1,) * m
-            hist = np.bincount(np.ravel_multi_index(idx, shape), weights=fv / dens,
-                               minlength=math.prod(shape)).reshape(shape)
-        else:  # per bump, the outer product of its points' node counts in each factor
-            cells = choice * (G + 1)
-            counts = [np.bincount(cells + ix, minlength=coef.size * (G + 1)).reshape(-1, G + 1)
-                      for ix in idx]
-            hist = np.zeros((G + 1,) * m)
-            for j, weight in enumerate(coef):  # bump by bump: no (J, (G + 1)^m) array
-                term = weight * counts[0][j]
-                for count in counts[1:]:
-                    term = np.multiply.outer(term, count[j])
-                hist += term
+        cells = choice * (G + 1)
+        counts = [np.bincount(cells + bin_of[i](koranyi_norm(pts[i])),
+                              minlength=coef.size * (G + 1)).reshape(-1, G + 1)
+                  for i in range(m)]
+        hist = np.zeros((G + 1,) * m)
+        for j, weight in enumerate(coef):  # bump by bump: no (J, (G + 1)^m) array
+            term = weight * counts[0][j]
+            for count in counts[1:]:
+                term = np.multiply.outer(term, count[j])
+            hist += term
         return hist, float(np.mean(np.abs(fv) ** p / dens))
 
     bins = [replicate(c) for c in range(replicates)]
@@ -735,8 +735,8 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
 
     `draw(rng, k, stratified=False)` returns `(pts, dens, values)`: k
     points, the proposal density at each, and f at each, so no caller
-    evaluates f on them again.  With `stratified=True` it also returns each
-    point's bump index, or None off the bump route.
+    evaluates f on them again.  For a bump mixture of positive mass,
+    `draw(rng, k, stratified=True)` also returns each point's bump index.
     `density(pts)` returns `(dens, values)` at arbitrary points, the density
     being zero off the proposal's support.
 
@@ -770,8 +770,7 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
     axis for it lowered the variance no further.  The points are then not
     independent, so an estimator that takes its error from the spread of
     single points (`chunked_mean`) must not stratify; the compact estimator,
-    which takes it from independent replicates, does.
-    The uniform fallback ignores the flag."""
+    which takes it from independent replicates, does."""
     masses = f.bump_masses() if isinstance(f, BumpMixture) else np.zeros(0)
     total = float(masses.sum())
     if total > 0.0:
@@ -812,10 +811,9 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
     def density(pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         return _in_polyball(pts, radii) / vol, np.asarray(f(pts), dtype=float)
 
-    def draw(rng: np.random.Generator, k: int, stratified: bool = False):
+    def draw(rng: np.random.Generator, k: int):
         pts = [sample_ball(dims, rng, r, k) for dims, r in zip(spec.factors, radii)]
-        drawn = pts, np.full(k, 1.0 / vol), np.asarray(f(pts), dtype=float)
-        return (*drawn, None) if stratified else drawn
+        return pts, np.full(k, 1.0 / vol), np.asarray(f(pts), dtype=float)
 
     return draw, density
 

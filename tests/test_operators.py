@@ -301,6 +301,24 @@ class TestNormQuotient:
         with pytest.raises(ValueError, match="zero norm|vanishes"):
             ops.norm_quotient(zero, 2.0, SPEC1, method="mc", samples=2_000, seed=0)
 
+    def test_compact_estimator_takes_bump_mixtures_only(self):
+        f = funcs.RadialProduct(SPEC1, (lambda r: np.exp(-r),), ((0.0, 3.0),))
+        with pytest.raises(funcs.UnsupportedFamilyError):
+            ops._hardy_norm_compact(f, 2.0, SPEC1, 2_000, seed=0)
+
+    @pytest.mark.parametrize("bumps", [
+        (),
+        (Bump((np.zeros(3),), (0.5,), 0.0), Bump((np.ones(3),), (0.3,), 0.0)),
+    ], ids=["empty", "zero-coefficients"])
+    def test_zero_mass_is_refused_before_any_draw(self, bumps, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("a zero-mass mixture was sampled")
+
+        monkeypatch.setattr(ops, "sample_ball", draw)
+        monkeypatch.setattr(ops, "sample_bump_radii", draw)
+        with pytest.raises(ValueError, match="^zero norm: the function vanishes on its sample$"):
+            ops._hardy_norm_compact(BumpMixture(SPEC1, bumps), 2.0, SPEC1, 2_000, seed=0)
+
     def test_weighted_quotient_routes(self):
         f = PowerOutside.extremal(SPEC1, 2.0, 0.1)
         phi = ops.MonomialWeight((3.0,))
