@@ -31,10 +31,16 @@ def test_compare_matches_rows_by_label_and_reports_the_largest_move(tmp_path):
            ("pair=1", 1.0, 1.5, "FAIL")]
     line = probes.compare(_csv(tmp_path / "a" / "r.csv", old), _csv(tmp_path / "b" / "r.csv", new))
     assert line == ("r.csv: estimate 4.4e-16, std_error 0.5, oracle 0 relative; "
-                    "verdicts CHANGED; summary same")
+                    "estimate 1.8e-15 sigma; verdicts CHANGED; summary same")
     line = probes.compare(_json(tmp_path / "a" / "r.json", old, {"k": "PASS"}),
                           _json(tmp_path / "b" / "r.json", old, {"k": "FAIL"}))
-    assert line == "r.json: estimate 0, std_error 0, oracle 0 relative; verdicts same; summary CHANGED"
+    assert line == ("r.json: estimate 0, std_error 0, oracle 0 relative; estimate 0 sigma; "
+                    "verdicts same; summary CHANGED")
+    # with no positive old std_error, the move has no scale in sigmas
+    line = probes.compare(_csv(tmp_path / "a" / "e.csv", old[1:2]),
+                          _csv(tmp_path / "b" / "e.csv", [("pair=1", 5.0, 0.0, "PASS")]))
+    assert line == ("e.csv: estimate 0.25, std_error 0, oracle 0 relative; estimate n/a sigma; "
+                    "verdicts same; summary same")
     line = probes.compare(tmp_path / "a" / "r.json", _json(tmp_path / "b" / "s.json", old[:2], {}))
     assert line == "s.json: rows differ (3 -> 2, by input label)"
 

@@ -24,8 +24,11 @@ Comparing the output of two checkouts shows which reports a change moved.
 then says how far each report that differs from its namesake in OLD (the
 `--out` of another checkout) moved: the largest relative change of
 `estimate`, `std_error` and `oracle` (a pairing row's oracle is the other
-pairing's estimate) over its rows, matched by their `input` label, and
-whether any row verdict or summary value changed.  It exits 1, and prints
+pairing's estimate) over its rows, matched by their `input` label, the
+largest move of `estimate` in the old row's `std_error`, over the rows whose
+old `std_error` is positive (a move on a row whose oracle is 0 reads in
+sigmas, not as a huge relative change), and whether any row verdict or
+summary value changed.  It exits 1, and prints
 those reports' lines again on stderr, when a verdict or a summary value
 changed or the rows differ: a byte guard that moves numbers may pass, one
 that moves an answer may not.
@@ -134,6 +137,18 @@ def _relative_change(old, new) -> float:
     return abs(new - old) / abs(old) if old != 0.0 else math.inf
 
 
+def _sigma_change(old: dict, new: dict) -> float | None:
+    """|new - old| estimate in the old row's std_error; None when that is
+    not positive."""
+    se = float(old["std_error"]) if old["std_error"] not in (None, "") else math.nan
+    if not se > 0.0:
+        return None
+    a, b = old["estimate"], new["estimate"]
+    if a in (None, "") or b in (None, ""):
+        return 0.0 if a == b else math.inf
+    return 0.0 if float(a) == float(b) else abs(float(b) - float(a)) / se
+
+
 def compare(old: Path, new: Path) -> str:
     """One line on how far the report `new` moved from `old`."""
     (old_rows, old_summary), (new_rows, new_summary) = map(_rows_and_summary, (old, new))
@@ -141,9 +156,12 @@ def compare(old: Path, new: Path) -> str:
         return f"{new.name}: rows differ ({len(old_rows)} -> {len(new_rows)}, by input label)"
     moved = {field: max((_relative_change(old_rows[k][field], new_rows[k][field]) for k in old_rows),
                         default=0.0) for field in ("estimate", "std_error", "oracle")}
+    sigmas = [s for s in (_sigma_change(old_rows[k], new_rows[k]) for k in old_rows) if s is not None]
     verdicts = any(old_rows[k]["verdict"] != new_rows[k]["verdict"] for k in old_rows)
     return (f"{new.name}: estimate {moved['estimate']:.2g}, std_error {moved['std_error']:.2g}, "
-            f"oracle {moved['oracle']:.2g} relative; verdicts {'CHANGED' if verdicts else 'same'}; "
+            f"oracle {moved['oracle']:.2g} relative; "
+            f"estimate {f'{max(sigmas):.2g}' if sigmas else 'n/a'} sigma; "
+            f"verdicts {'CHANGED' if verdicts else 'same'}; "
             f"summary {'CHANGED' if old_summary != new_summary else 'same'}")
 
 
