@@ -363,7 +363,8 @@ def sample_unit_sphere(dims: GroupDims, rng: np.random.Generator, size: int,
     sin(theta)) with e uniform on S^(2n-1) and w = sin(theta) of density
     proportional to (1 - w^2)^(n/2 - 1), that is w = 2B - 1 with
     B ~ Beta(n/2, n/2).  At n = 1 that is the arcsine law of cos(pi U), and
-    the angle of e is uniform; both are drawn as such.
+    the angle of e is uniform; both are drawn as such, U and then V, each
+    `size` uniforms long.
 
     At n = 1, `angle`, if given, holds the `size` uniforms V of the angles
     2 pi (V - 1/2), each in [0, 1) and uniform on its own (a caller's
@@ -373,23 +374,15 @@ def sample_unit_sphere(dims: GroupDims, rng: np.random.Generator, size: int,
     n = dims.n
     out = np.empty((size, dims.dim))
     if n == 1:  # w = cos(pi U); the angle of e, pi (2V - 1), keeps cos and sin on [-pi, pi]
-        if angle is None:
-            w, phi = rng.random((2, size))
-        else:
-            w, phi = rng.random(size), angle
+        w = rng.random(size)
+        phi = rng.random(size) if angle is None else angle
         w *= math.pi
         np.cos(w, out=w)
         out[:, 2] = w
         rho = np.sqrt(np.sqrt((1.0 - w) * (1.0 + w)))  # sqrt(cos(theta))
-        phi -= 0.5
-        if angle is None:
-            phi *= 2.0 * math.pi
-            np.multiply(rho, np.cos(phi), out=out[:, 0])
-            np.multiply(rho, np.sin(phi, out=phi), out=out[:, 1])
-            return out
         # from t = tan(angle / 2): cos = (1 - t^2)/(1 + t^2), sin = 2t/(1 + t^2),
         # within an ulp or two of cos and sin, and about a fifth of their time
-        # (the branch above keeps np.cos and np.sin, whose bits C6 and C8 report)
+        phi -= 0.5
         phi *= math.pi
         t = np.tan(phi, out=phi)
         t2 = t * t

@@ -471,6 +471,15 @@ class TestSamplers:
         for j in range(3):
             assert ks_2samp(strat[:, j], iid[:, j]).pvalue > 1e-3
 
+    def test_iid_sphere_is_the_given_angle_one_on_its_own_uniforms(self):
+        # at n = 1 the i.i.d. sphere draws w's k uniforms and then the angle's
+        # k, and takes the same path as given angle uniforms, bit for bit
+        d, k = GroupDims(1), 2048
+        v = np.random.default_rng(62).random((2, k))[1]
+        iid = sample_unit_sphere(d, np.random.default_rng(62), k)
+        given = sample_unit_sphere(d, np.random.default_rng(62), k, angle=v)
+        assert iid.tobytes() == given.tobytes()
+
 
 # The kernels' earlier formulas, which made the 2n+1 coordinates numpy's
 # inner loop: the column-wise kernels must reproduce them.
