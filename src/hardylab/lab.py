@@ -77,8 +77,7 @@ class Gate:
     """The one verdict rule.  A row's estimate must lie in [lo, hi], each
     finite end widened by `Estimate.tolerance`: k standard errors plus atol
     plus the rounding term.  lo = hi is a two-sided target, an infinite end
-    a one-sided bound.  With `rel` the k errors are k * rel * |end|, a
-    relative error scaled by the bound.  The row counts toward summary `key`.
+    a one-sided bound.  The row counts toward summary `key`.
     A `budget` gate is two-sided; its row reads INFO rather than FAIL up to
     HARD_SIGMAS, and its key FAILs when more than max(1, round(
     EXCEEDANCE_BUDGET * n)) of its n budget rows miss.  An `info` gate
@@ -89,18 +88,13 @@ class Gate:
     hi: float = math.inf
     k: float = SIGMAS
     atol: float = 0.0
-    rel: float | None = None
     budget: bool = False
     info: bool = False
 
     def holds(self, est: Estimate) -> bool:
-        def allowance(end: float) -> float:
-            held = est if self.rel is None else Estimate(est.value, self.rel * abs(end))
-            return held.tolerance(end, self.k, self.atol)
-
         v = est.value
-        return ((self.lo == -math.inf or self.lo - v <= allowance(self.lo))
-                and (self.hi == math.inf or v - self.hi <= allowance(self.hi)))
+        return ((self.lo == -math.inf or self.lo - v <= est.tolerance(self.lo, self.k, self.atol))
+                and (self.hi == math.inf or v - self.hi <= est.tolerance(self.hi, self.k, self.atol)))
 
     def verdict(self, est: Estimate) -> str:
         if self.holds(est):
@@ -285,7 +279,9 @@ def bound_fuzz(
     key = "C5:no-quotient-exceeds-bound"
 
     def bound(q: Estimate) -> Gate:
-        return Gate(key, hi=sharp, rel=q.std_error / q.value if q.value > 0 else 0.0)
+        # sharp * (1 + SIGMAS se / value): the quotient's relative error,
+        # scaled by the bound; a quotient of 0 or below gets no allowance
+        return Gate(key, hi=sharp, k=SIGMAS * sharp / q.value if q.value > 0 else 0.0)
 
     if extra_function is not None:
         method = "closed" if extra_function.family == "power-inside" else "mc"

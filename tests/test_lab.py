@@ -106,7 +106,7 @@ class TestGateRules:
         # relative error by the bound, not 3 se
         def c5(value, se):
             return gated(Estimate(value, se, 1_000), 2.0,
-                         lab.Gate("key", hi=2.0, rel=se / value)).verdict
+                         lab.Gate("key", hi=2.0, k=lab.SIGMAS * 2.0 / value)).verdict
 
         assert c5(2.029, 0.01) == "PASS"  # allowance 2 * 3 * 0.01 / 2.029 = 0.02957
         assert c5(2.0298, 0.01) == "FAIL"  # within 3 se = 0.03, beyond 0.02956
