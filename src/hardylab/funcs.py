@@ -13,7 +13,6 @@ the chunk's `GridWorkspace`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import hgroup
 from .hgroup import ProductSpec, dilate_arrays, koranyi_norm
-from .measure import TAG_RADIALIZE, GridWorkspace, UnsupportedFamilyError, integrate_1d, substream
+from .measure import GridWorkspace, UnsupportedFamilyError, integrate_1d
 
 __all__ = [
     "TestFunction",
@@ -33,7 +32,7 @@ __all__ = [
     "Bump",
     "BumpMixture",
     "UnsupportedFamilyError",
-    "RadializedFunction",
+    "spherical_values",
     "random_bump_mixture",
     "parse_test_function",
 ]
@@ -399,44 +398,20 @@ class BumpMixture(TestFunction):
         return tuple(radii)
 
 
-def _content_seed(seed: int, arrays: list[np.ndarray]) -> int:
-    """Derive a deterministic inner-sampling seed from the input points, so
-    nested Monte Carlo stays independent of call order and worker count."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(seed.to_bytes(8, "little", signed=True))
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return int.from_bytes(h.digest(), "little")
-
-
-class RadializedFunction(TestFunction):
-    """g_f: the per-factor spherical average of f, evaluated by fresh inner
-    Monte Carlo at each batch of points.  The inner stream is derived from a
-    content hash of the evaluation radii, so nesting this inside a chunked
-    outer integral stays deterministic for any scheduling."""
-
-    family = "radialized"
-
-    def __init__(self, f: TestFunction, inner_samples: int = 64, seed: int = 0):
-        self.f = f
-        self.spec = f.spec
-        self.inner_samples = int(inner_samples)
-        self.seed = int(seed)
-
-    def __call__(self, pts: list[np.ndarray]) -> np.ndarray:
-        N = pts[0].shape[0]
-        K = self.inner_samples
-        radii = _radii_of(pts)
-        rng = substream(_content_seed(self.seed, radii), TAG_RADIALIZE)
-        flat = []
-        for dims, r in zip(self.spec.factors, radii):
-            sph = hgroup.sample_unit_sphere(dims, rng, size=N * K).reshape(N, K, dims.dim)
-            flat.append(dilate_arrays(r[:, None], sph, dims.n).reshape(N * K, dims.dim))
-        vals = np.asarray(self.f(flat), dtype=float).reshape(N, K)
-        return vals.mean(axis=1)
-
-    def support_radii(self) -> tuple[float, ...]:
-        return self.f.support_radii()
+def spherical_values(f: TestFunction, radii: list[np.ndarray], rng: np.random.Generator,
+                     samples: int) -> np.ndarray:
+    """The (N, samples) grid of f on the Koranyi spheres of the per-factor
+    radii, each radii[i] of shape (N,): row a holds f at `samples` points
+    (delta_{r_1a} sigma_1, ..., delta_{r_ma} sigma_m), with sigma_i on factor
+    i's unit sphere under its polar measure.  The spheres are drawn from rng
+    factor by factor, N * samples points each.  The mean of row a is the
+    spherical average g_f at the radii (r_1a, ..., r_ma)."""
+    N = len(radii[0])
+    flat = []
+    for dims, r in zip(f.spec.factors, radii):
+        sph = hgroup.sample_unit_sphere(dims, rng, size=N * samples).reshape(N, samples, dims.dim)
+        flat.append(dilate_arrays(np.asarray(r)[:, None], sph, dims.n, out=sph).reshape(-1, dims.dim))
+    return np.asarray(f(flat), dtype=float).reshape(N, samples)
 
 
 def random_bump_mixture(

@@ -23,8 +23,8 @@ from .funcs import (
     BumpMixture,
     PowerInside,
     PowerOutside,
-    RadializedFunction,
     random_bump_mixture,
+    spherical_values,
 )
 from .hgroup import GroupDims, ProductSpec, ball_volume, dilate_arrays, koranyi_norm, polyball_volume
 from .measure import (
@@ -342,18 +342,12 @@ def _sphere_profile_norms(f, p: float, spec: ProductSpec, seed: int) -> tuple[Es
     for dims, s in zip(spec.factors, S):
         r = s * t
         axes.append((r, s * tw * dims.omega * r ** (dims.Q - 1)))
-    idx_iter = np.ndindex(*(nodes,) * spec.m)
     acc_g = 0.0
     acc_f = 0.0
-    for idx in idx_iter:
+    for idx in np.ndindex(*(nodes,) * spec.m):
         rng = substream(seed, TAG_SPHERE, *[int(i) for i in idx])
-        pts = []
-        wprod = 1.0
-        for (r_ax, w_ax), i, dims in zip(axes, idx, spec.factors):
-            sph = hgroup.sample_unit_sphere(dims, rng, size=sphere_samples)
-            pts.append(dilate_arrays(r_ax[i], sph, dims.n))
-            wprod *= w_ax[i]
-        vals = np.asarray(f(pts), dtype=float)
+        vals = spherical_values(f, [r[i:i + 1] for (r, _), i in zip(axes, idx)], rng, sphere_samples)[0]
+        wprod = math.prod(w[i] for (_, w), i in zip(axes, idx))
         acc_g += wprod * abs(float(vals.mean())) ** p
         acc_f += wprod * float(np.mean(np.abs(vals) ** p))
     nf = acc_f ** (1.0 / p)
@@ -362,29 +356,32 @@ def _sphere_profile_norms(f, p: float, spec: ProductSpec, seed: int) -> tuple[Es
 
 
 def _ball_diff_average(
-    f, gf, spec: ProductSpec, radii, samples: int, seed: int
+    f: BumpMixture, gf, spec: ProductSpec, radii, samples: int, seed: int
 ) -> Estimate:
     """Ball average of (g_f - f) over the polyball of the given radii, by a
     defensive mixture: half the points uniform on the ball, half drawn in
-    proportion to the bump envelope (`operators._support_sampler`).  The
-    expectation is exactly zero and both the rare bump mass and the
-    spherical redistribution are sampled with bounded weights, so the
-    standard error is trustworthy."""
-    draw_b, bump_density = operators._support_sampler(f, spec)
+    proportion to the bump envelope (`operators._support_sampler`), whose
+    density is the envelope over the mixture's mass.  `gf(pts, rng)` gives
+    g_f at the points in the ball, from the chunk's generator after the
+    chunk's own draws.  The expectation is exactly zero and both the rare
+    bump mass and the spherical redistribution are sampled with bounded
+    weights, so the standard error is trustworthy."""
+    draw_b = operators._support_sampler(f, spec)
+    mass = float(f.bump_masses().sum())
     vol = polyball_volume(spec, radii)
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
         k_u = k // 2
         pts_u = [hgroup.sample_ball(dims, rng, float(r), k_u) for dims, r in zip(spec.factors, radii)]
         pts_b, dens_b, fv_b = draw_b(rng, k - k_u)
-        dens_u, fv_u = bump_density(pts_u)
+        fv_u, env_u = f.values_and_envelope(pts_u)
         pts = [np.concatenate([a, b], axis=0) for a, b in zip(pts_u, pts_b)]
         mask = operators._in_polyball(pts, radii)
-        q = 0.5 * mask / vol + 0.5 * np.concatenate([dens_u, dens_b])
+        q = 0.5 * mask / vol + 0.5 * np.concatenate([env_u / mass, dens_b])
         vals = np.zeros(k)
         if mask.any():
             sub = [a[mask] for a in pts]
-            h = np.asarray(gf(sub), dtype=float) - np.concatenate([fv_u, fv_b])[mask]
+            h = np.asarray(gf(sub, rng), dtype=float) - np.concatenate([fv_u, fv_b])[mask]
             vals[mask] = h / q[mask]
         return vals / vol
 
@@ -411,7 +408,10 @@ def radialization_check(
         # centers near the origin so the spherical averages and ball averages
         # exchange non-negligible mass; far-flung bumps only compare 0 with 0
         f = random_bump_mixture(spec, rng, max_bumps=3, radius_range=(0.4, 1.0), center_radius=0.5)
-        gf = RadializedFunction(f, inner_samples=inner_samples, seed=subseed(seed, TAG_EXPERIMENT, 3 * k))
+
+        def gf(pts, chunk_rng):
+            return spherical_values(f, [koranyi_norm(a) for a in pts], chunk_rng, inner_samples).mean(axis=1)
+
         sup = f.support_radii()
         for j in range(2):  # point seeds 3k+1+j stay below the next trial's 3(k+1)
             radii = [rng.uniform(0.6, 1.1) * s for s in sup]

@@ -42,7 +42,6 @@ _MASK64 = (1 << 64) - 1
 # substream tags, one per call site that derives streams
 TAG_MC = 11
 TAG_POWER_NORM = 12
-TAG_RADIALIZE = 13
 TAG_NESTED = 14
 TAG_COMPACT = 15
 TAG_EXPERIMENT = 16

@@ -366,7 +366,7 @@ def _hardy_norm_compact(
     masses = f.bump_masses()
     if not masses.sum() > 0.0:
         raise ValueError("zero norm: the function vanishes on its sample")
-    sampler, _ = _support_sampler(f, spec)
+    sampler = _support_sampler(f, spec)
     bin_of = [_node_index(x) for x in nodes]
     # bump j's weight c_j prod_i M_ij / E[N_j^m], times per_rep
     signed = np.copysign(masses, [bump.coefficient for bump in f.bumps])
@@ -731,14 +731,12 @@ def _grid_strata(rng: np.random.Generator, k: int, n: int):
 
 
 def _support_sampler(f: TestFunction, spec: ProductSpec):
-    """(draw, density) pair for sampling the support of f with a known law.
+    """`draw` for sampling the support of f with a known law.
 
     `draw(rng, k, stratified=False)` returns `(pts, dens, values)`: k
     points, the proposal density at each, and f at each, so no caller
     evaluates f on them again.  For a bump mixture of positive mass,
     `draw(rng, k, stratified=True)` also returns each point's bump index.
-    `density(pts)` returns `(dens, values)` at arbitrary points, the density
-    being zero off the proposal's support.
 
     A bump mixture f = sum_j c_j Psi_j is sampled in proportion to its
     envelope sum_j |c_j| Psi_j (importance sampling; Owen, "Monte Carlo
@@ -778,10 +776,6 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
         centers = [np.stack([bump.centers[i] for bump in f.bumps]) for i in range(spec.m)]
         radii = [np.asarray([bump.radii[i] for bump in f.bumps]) for i in range(spec.m)]
 
-        def density(pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-            values, envelope = f.values_and_envelope(pts)
-            return np.divide(envelope, total, out=envelope), values
-
         def draw(rng: np.random.Generator, k: int, stratified: bool = False):
             u = rng.random(k)
             if stratified:  # point i's choice in stratum i, in index order
@@ -796,26 +790,24 @@ def _support_sampler(f: TestFunction, spec: ProductSpec):
                 sphere = sample_unit_sphere(dims, rng, k, angle)
                 pts.append(group_law(np.take(c, choice, axis=0),
                                      dilate_arrays(scale, sphere, dims.n, out=sphere)))
-            dens, values = density(pts)
+            values, dens = f.values_and_envelope(pts)
+            dens /= total
             # an envelope that underflows to 0 has f = 0 there as well
             np.maximum(dens, np.finfo(float).tiny, out=dens)
             return (pts, dens, values, choice) if stratified else (pts, dens, values)
 
-        return draw, density
+        return draw
 
     radii = f.support_radii()
     if not all(math.isfinite(s) for s in radii):
         raise ValueError(f"cannot sample the support of {f.family}: it is unbounded")
     vol = polyball_volume(spec, radii)
 
-    def density(pts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        return _in_polyball(pts, radii) / vol, np.asarray(f(pts), dtype=float)
-
     def draw(rng: np.random.Generator, k: int):
         pts = [sample_ball(dims, rng, r, k) for dims, r in zip(spec.factors, radii)]
         return pts, np.full(k, 1.0 / vol), np.asarray(f(pts), dtype=float)
 
-    return draw, density
+    return draw
 
 
 def pairing_weighted_hardy(
@@ -843,7 +835,7 @@ def pairing_weighted_hardy(
 
         return values
 
-    return _pairing(_support_sampler(f, spec)[0], rule_values, spec.m, phi.knots,
+    return _pairing(_support_sampler(f, spec), rule_values, spec.m, phi.knots,
                     samples, seed)
 
 
@@ -893,5 +885,5 @@ def pairing_weighted_cesaro(
 
         return values
 
-    return _pairing(_support_sampler(g, spec)[0], rule_values, spec.m, None,
+    return _pairing(_support_sampler(g, spec), rule_values, spec.m, None,
                     samples, seed)

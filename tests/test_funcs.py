@@ -10,14 +10,14 @@ from hardylab.funcs import (
     PowerInside,
     PowerOutside,
     RadialProduct,
-    RadializedFunction,
     UnsupportedFamilyError,
     parse_test_function,
     random_bump_mixture,
+    spherical_values,
 )
 from hardylab import funcs
 from hardylab.hgroup import ProductSpec, dilate_arrays, distance, koranyi_norm
-from hardylab.measure import GridWorkspace, lp_norm
+from hardylab.measure import GridWorkspace, lp_norm, substream
 
 SPEC1 = ProductSpec.of_orders(1)
 SPEC2 = ProductSpec.of_orders(1, 1)
@@ -99,11 +99,16 @@ class TestClosedNorms:
         assert mc.within(want, sigmas=3.0)
 
 
-class TestRadialize:
+def spherical_average(f, rng, samples, *radii):
+    """g_f at one point with |x_i|_h = radii[i]: the mean of its
+    `spherical_values` row."""
+    return float(spherical_values(f, [np.array([r]) for r in radii], rng, samples).mean())
+
+
+class TestSphericalValues:
     def test_fixes_radial_functions(self):
         f = RadialProduct(SPEC1, (lambda r: r,), ((0.0, math.inf),))
-        gf = RadializedFunction(f, inner_samples=5_000, seed=1)
-        assert value_at(gf, 0.7) == pytest.approx(0.7, rel=1e-12)
+        assert spherical_average(f, substream(1), 5_000, 0.7) == pytest.approx(0.7, rel=1e-12)
 
     def test_kills_odd_parts(self):
         class OddPart(funcs.TestFunction):
@@ -114,22 +119,34 @@ class TestRadialize:
                 return 1.0 + X[:, 0] * np.cos(koranyi_norm(X))
 
         samples = 60_000
-        gf = RadializedFunction(OddPart(), inner_samples=samples, seed=2)
         # |X_0 cos| <= |x|_h = 0.9 bounds the spread of the odd part a priori
-        assert abs(value_at(gf, 0.9) - 1.0) <= 3.0 * 0.9 / math.sqrt(samples)
+        g = spherical_average(OddPart(), substream(2), samples, 0.9)
+        assert abs(g - 1.0) <= 3.0 * 0.9 / math.sqrt(samples)
 
-    def test_radialized_function_is_deterministic(self):
+    def test_same_generator_state_gives_the_same_grid(self):
         f = random_bump_mixture(SPEC1, np.random.default_rng(5))
-        gf = RadializedFunction(f, inner_samples=16, seed=9)
-        pts = [np.random.default_rng(0).normal(size=(64, 3))]
-        a = gf([p.copy() for p in pts])
-        b = gf([p.copy() for p in pts])
-        assert np.array_equal(a, b)
+        radii = [np.abs(np.random.default_rng(0).normal(size=64))]
+        a = spherical_values(f, radii, substream(9), 16)
+        b = spherical_values(f, [r.copy() for r in radii], substream(9), 16)
+        assert a.shape == (64, 16) and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2])
+    def test_an_ulp_in_the_radii_moves_the_average_by_ulps(self, spec):
+        # the stream is the generator's, not a function of the radii, so
+        # radii one ulp apart see the same sphere points, and g_f moves by a
+        # few ulp of sup |f| = sum_j |c_j| / e (C6's mixtures)
+        f = random_bump_mixture(spec, substream(3, 1), max_bumps=3, radius_range=(0.4, 1.0),
+                                center_radius=0.5)
+        r = [np.linspace(0.02, 1.6, 200)[::(-1) ** i] for i in range(spec.m)]
+        a = spherical_values(f, r, substream(3, 2), 64).mean(axis=1)
+        b = spherical_values(f, [x * (1.0 + 2.0**-52) for x in r], substream(3, 2), 64).mean(axis=1)
+        assert np.count_nonzero(a) >= 5
+        sup = sum(abs(bump.coefficient) for bump in f.bumps) / math.e
+        assert np.all(np.abs(a - b) <= 8 * np.spacing(sup))
 
     def test_product_space_radialization(self):
         f = RadialProduct(SPEC2, (lambda r: r, lambda r: r**2), ((0.0, math.inf),) * 2)
-        gf = RadializedFunction(f, inner_samples=4_000, seed=3)
-        assert value_at(gf, 0.5, 2.0) == pytest.approx(0.5 * 4.0, rel=1e-10)
+        assert spherical_average(f, substream(3), 4_000, 0.5, 2.0) == pytest.approx(0.5 * 4.0, rel=1e-10)
 
 
 class TestParsing:

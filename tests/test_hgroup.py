@@ -566,7 +566,7 @@ class TestColumnKernelsArePinned:
         spec = ProductSpec.of_orders(*factors)
         f = random_bump_mixture(spec, np.random.default_rng(5))
         k = 3000
-        pts = operators._support_sampler(f, spec)[0](np.random.default_rng(6), k)[0]
+        pts = operators._support_sampler(f, spec)(np.random.default_rng(6), k)[0]
         rng = np.random.default_rng(6)
         cdf = np.cumsum(f.bump_masses())
         choice = np.searchsorted(cdf, rng.random(k) * cdf[-1], side="right")

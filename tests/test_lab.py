@@ -291,7 +291,7 @@ class TestRadialization:
             return original(self, pts)
 
         monkeypatch.setattr(BumpMixture, "values_and_envelope", counting)
-        est = lab._ball_diff_average(f, lambda pts: np.zeros(pts[0].shape[0]), SPEC1, (1.2,),
+        est = lab._ball_diff_average(f, lambda pts, rng: np.zeros(pts[0].shape[0]), SPEC1, (1.2,),
                                      16_000, 3)
         assert rows == [4096, 4096, 3904, 3904] and est.samples == 16_000
 
