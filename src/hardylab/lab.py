@@ -388,6 +388,13 @@ def _ball_diff_average(
     return chunked_mean(draw, samples, seed, TAG_EXPERIMENT, chunk_size=8192)
 
 
+_FUNCTION, _POINT, _NORM = 1, 2, 3
+"""Roles in radialization trial k's stream paths (seed, TAG_EXPERIMENT, k,
+role[, j]): its mixture, point j's seed and the norm seed.  None is 0, as a
+SeedSequence pads entropy shorter than its four-word pool with zeros, so a
+path ending in 0 keys the same stream as the path without it."""
+
+
 def radialization_check(
     trials: int = 50,
     p: float = 2.0,
@@ -398,28 +405,34 @@ def radialization_check(
 ) -> ExperimentReport:
     """For random bump mixtures f: the ball average of the spherical
     average g_f equals that of f pointwise (within Monte Carlo error) at two
-    points per trial, and ||g_f||_p <= ||f||_p."""
+    points per trial, and ||g_f||_p <= ||f||_p.  g_f at a point is the mean
+    of f at `inner_samples` points on its spheres (`spherical_values`), drawn
+    from the generator of the chunk that drew the point.  Trial k draws f
+    and both points' radii from the path (k, _FUNCTION) under
+    (seed, TAG_EXPERIMENT), and seeds point j's ball average and the norms
+    from the paths (k, _POINT, j) and (k, _NORM)."""
     if spec is None:
         spec = ProductSpec.of_orders(1)
     rows: list[ReportRow] = []
     key = "C6:radialization"
     for k in range(trials):
-        rng = substream(seed, TAG_EXPERIMENT, 7000 + k)
+        rng = substream(seed, TAG_EXPERIMENT, k, _FUNCTION)
         # centers near the origin so the spherical averages and ball averages
         # exchange non-negligible mass; far-flung bumps only compare 0 with 0
         f = random_bump_mixture(spec, rng, max_bumps=3, radius_range=(0.4, 1.0), center_radius=0.5)
 
         def gf(pts, chunk_rng):
-            return spherical_values(f, [koranyi_norm(a) for a in pts], chunk_rng, inner_samples).mean(axis=1)
+            radii = [koranyi_norm(a) for a in pts]
+            return spherical_values(f, radii, chunk_rng, inner_samples).mean(axis=1)
 
         sup = f.support_radii()
-        for j in range(2):  # point seeds 3k+1+j stay below the next trial's 3(k+1)
+        for j in range(2):
             radii = [rng.uniform(0.6, 1.1) * s for s in sup]
-            point_seed = subseed(seed, TAG_EXPERIMENT, 3 * k + 1 + j)
+            point_seed = subseed(seed, TAG_EXPERIMENT, k, _POINT, j)
             diff = _ball_diff_average(f, gf, spec, radii, samples, point_seed)
             rows.append(ReportRow.of(f"trial={k} point={j} ball-avg(g_f - f)", diff, 0.0,
                                      Gate(key, 0.0, 0.0, budget=True)))
-        ng, nf = _sphere_profile_norms(f, p, spec, subseed(seed, TAG_EXPERIMENT, 3 * k + 2))
+        ng, nf = _sphere_profile_norms(f, p, spec, subseed(seed, TAG_EXPERIMENT, k, _NORM))
         rows.append(ReportRow.of(f"trial={k} norm contraction ||g_f|| <= ||f||", ng, nf, Gate(key, hi=nf)))
     params = {
         "trials": trials, "p": p, "factors": [d.n for d in spec.factors],

@@ -382,20 +382,28 @@ class TestGeometry:
 
 def test_no_substream_key_is_drawn_twice(monkeypatch):
     """Rows gated as independent must draw from disjoint Philox streams: no
-    experiment may key two substreams alike."""
+    experiment may key two substreams alike, nor derive two row seeds from
+    one `subseed` path.  Distinct paths must also hash apart: a SeedSequence
+    pads entropy shorter than its pool with zeros, so (s, t) and (s, t, 0)
+    would key one stream."""
     mask = (1 << 64) - 1
-    original = measure.substream
     keys = []
 
-    def recording(seed, *path):
-        keys.append((seed & mask, *(p & mask for p in path)))
-        return original(seed, *path)
+    def recording(kind, original):
+        def derive(seed, *path):
+            keys.append((kind, seed & mask, *(p & mask for p in path)))
+            return original(seed, *path)
+        return derive
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("hardylab") and getattr(mod, "substream", None) is original:
-            monkeypatch.setattr(mod, "substream", recording)
+    for kind in ("substream", "subseed"):
+        original = getattr(measure, kind)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("hardylab") and getattr(mod, kind, None) is original:
+                monkeypatch.setattr(mod, kind, recording(kind, original))
     runs = {
         "radialization m=1": lambda: lab.radialization_check(3, 2.0, SPEC1, samples=2_000,
+                                                             inner_samples=16, seed=1),
+        "radialization m=2": lambda: lab.radialization_check(2, 2.0, SPEC2, samples=2_000,
                                                              inner_samples=16, seed=1),
         "fuzz m=2": lambda: lab.bound_fuzz(2, 2.0, SPEC2, samples=4_000, seed=1),
         "duality": lambda: lab.duality_check(MonomialWeight((4.0,)), 2.0, SPEC1, pairs=2,
@@ -408,7 +416,10 @@ def test_no_substream_key_is_drawn_twice(monkeypatch):
         keys.clear()
         run()
         repeated = [k for k, c in Counter(keys).items() if c > 1]
-        assert keys and not repeated, f"{name}: {len(repeated)} of {len(keys)} keys drawn twice"
+        assert keys and not repeated, (f"{name}: {len(repeated)} of {len(keys)} keys drawn twice, "
+                                       f"{repeated[:3]}")
+        states = {(k[0], *measure._seed_sequence(k[1], k[2:]).generate_state(2)) for k in keys}
+        assert len(states) == len(keys), f"{name}: two paths hash alike"
 
 
 TABLE_WEIGHT = {"factors": [{"t": [0, 0.25, 0.5, 1], "values": [0, 0, 0.2, 1]}]}
