@@ -105,7 +105,7 @@ def spherical_average(f, rng, samples, *radii):
     return float(spherical_values(f, [np.array([r]) for r in radii], rng, samples).mean())
 
 
-class TestSphericalValues:
+class TestRadialize:
     def test_fixes_radial_functions(self):
         f = RadialProduct(SPEC1, (lambda r: r,), ((0.0, math.inf),))
         assert spherical_average(f, substream(1), 5_000, 0.7) == pytest.approx(0.7, rel=1e-12)
@@ -123,7 +123,8 @@ class TestSphericalValues:
         g = spherical_average(OddPart(), substream(2), samples, 0.9)
         assert abs(g - 1.0) <= 3.0 * 0.9 / math.sqrt(samples)
 
-    def test_same_generator_state_gives_the_same_grid(self):
+    def test_radialized_function_is_deterministic(self):
+        # same generator state, same grid
         f = random_bump_mixture(SPEC1, np.random.default_rng(5))
         radii = [np.abs(np.random.default_rng(0).normal(size=64))]
         a = spherical_values(f, radii, substream(9), 16)
