@@ -410,7 +410,7 @@ def spherical_values(f: TestFunction, radii: list[np.ndarray], rng: np.random.Ge
     flat = []
     for dims, r in zip(f.spec.factors, radii):
         sph = hgroup.sample_unit_sphere(dims, rng, size=N * samples).reshape(N, samples, dims.dim)
-        flat.append(dilate_arrays(np.asarray(r)[:, None], sph, dims.n, out=sph).reshape(-1, dims.dim))
+        flat.append(dilate_arrays(r[:, None], sph, dims.n, out=sph).reshape(-1, dims.dim))
     return np.asarray(f(flat), dtype=float).reshape(N, samples)
 
 
