@@ -467,9 +467,7 @@ def duality_check(
     ind = PowerInside(spec, (0.0,) * spec.m)
 
     if isinstance(phi, MonomialWeight):
-        oracle = 1.0
-        for dims, a in zip(spec.factors, phi.exponents):
-            oracle *= dims.ball_volume / (a + 1.0)
+        oracle = polyball_volume(spec, (1.0,) * spec.m) / math.prod(a + 1.0 for a in phi.exponents)
         quad = Gate(key, oracle, oracle, atol=1e-8)
         rows.append(ReportRow.of("indicator pairing <f,Pg> (quadrature)",
                                  _indicator_pairing_quad(phi, spec, adjoint=False), oracle, quad))

@@ -591,11 +591,9 @@ def _dilation_rule(m: int, order: int, knots=None):
     axes = [_axis_rule(order, k) for k in knots or ((),) * m]
     if None in axes:
         return None
-    if m == 1:
-        return axes[0][0][:, None], axes[0][1]
-    (s1, w1), (s2, w2) = axes
-    S1, S2 = np.meshgrid(s1, s2, indexing="ij")
-    return np.column_stack([S1.ravel(), S2.ravel()]), np.outer(w1, w2).ravel()
+    nodes, weights = zip(*axes)
+    grid = np.meshgrid(*nodes, indexing="ij")
+    return np.column_stack([g.ravel() for g in grid]), functools.reduce(np.multiply.outer, weights).ravel()
 
 
 def _choose_rule(sampler, rule_values, m: int, knots, samples: int, seed: int, ws):
