@@ -30,7 +30,6 @@ from .hgroup import GroupDims, ProductSpec, ball_volume, dilate_arrays, koranyi_
 from .measure import (
     Estimate,
     TAG_EXPERIMENT,
-    TAG_SPHERE,
     chunked_mean,
     integrate_1d,
     mc_integrate,
@@ -329,14 +328,16 @@ def bound_fuzz(
 # ---------------------------------------------------------------------------
 
 
-def _sphere_profile_norms(f, p: float, spec: ProductSpec, seed: int) -> tuple[Estimate, float]:
+def _sphere_profile_norms(f: BumpMixture, p: float, spec: ProductSpec,
+                          rng: np.random.Generator) -> tuple[Estimate, float]:
     """(||g_f||_p, ||f||_p) from 384 common sphere samples per node of a
-    24-node radial quadrature grid per factor; the first carries the error
+    24-node radial quadrature grid per factor over f's support, the nodes
+    drawn from rng in walk order; the first carries the error
     ||f||_p / sqrt(384).  Jensen's inequality holds per node for the
     *samples*, so the contraction ||g_f||_p <= ||f||_p is exact for these
     estimates."""
     nodes, sphere_samples = 24, 384
-    S = [s if math.isfinite(s) else 2.5 for s in f.support_radii()]
+    S = f.support_radii()
     t, tw = operators._axis_rule(nodes, ())
     axes = []
     for dims, s in zip(spec.factors, S):
@@ -345,9 +346,8 @@ def _sphere_profile_norms(f, p: float, spec: ProductSpec, seed: int) -> tuple[Es
     acc_g = 0.0
     acc_f = 0.0
     for idx in np.ndindex(*(nodes,) * spec.m):
-        rng = substream(seed, TAG_SPHERE, *[int(i) for i in idx])
         vals = spherical_values(f, [r[i:i + 1] for (r, _), i in zip(axes, idx)], rng, sphere_samples)[0]
-        wprod = math.prod(w[i] for (_, w), i in zip(axes, idx))
+        wprod = float(math.prod(w[i] for (_, w), i in zip(axes, idx)))
         acc_g += wprod * abs(float(vals.mean())) ** p
         acc_f += wprod * float(np.mean(np.abs(vals) ** p))
     nf = acc_f ** (1.0 / p)
@@ -359,19 +359,22 @@ def _ball_diff_average(
     f: BumpMixture, gf, spec: ProductSpec, radii, samples: int, seed: int
 ) -> Estimate:
     """Ball average of (g_f - f) over the polyball of the given radii, by a
-    defensive mixture: half the points uniform on the ball, half drawn in
-    proportion to the bump envelope (`operators._support_sampler`), whose
-    density is the envelope over the mixture's mass.  `gf(pts, rng)` gives
-    g_f at the points in the ball, from the chunk's generator after the
-    chunk's own draws.  The expectation is exactly zero and both the rare
-    bump mass and the spherical redistribution are sampled with bounded
-    weights, so the standard error is trustworthy."""
+    defensive mixture (Hesterberg, Technometrics 1995): each point is, with
+    probability 1/2 each, uniform on the ball or drawn in proportion to the
+    bump envelope (`operators._support_sampler`), whose density is the
+    envelope over the mixture's mass.  A chunk of k points draws its uniform
+    count as Binomial(k, 1/2), so its points are i.i.d. with the mixture
+    density q and `chunked_mean`'s error is the estimate's own.  `gf(pts,
+    rng)` gives g_f at the points in the ball, from the chunk's generator
+    after the chunk's own draws.  The expectation is exactly zero and both
+    the rare bump mass and the spherical redistribution are sampled with
+    bounded weights."""
     draw_b = operators._support_sampler(f, spec)
     mass = float(f.bump_masses().sum())
     vol = polyball_volume(spec, radii)
 
     def draw(rng: np.random.Generator, k: int) -> np.ndarray:
-        k_u = k // 2
+        k_u = int(rng.binomial(k, 0.5))
         pts_u = [hgroup.sample_ball(dims, rng, float(r), k_u) for dims, r in zip(spec.factors, radii)]
         pts_b, dens_b, fv_b = draw_b(rng, k - k_u)
         fv_u, env_u = f.values_and_envelope(pts_u)
@@ -390,7 +393,7 @@ def _ball_diff_average(
 
 _FUNCTION, _POINT, _NORM = 1, 2, 3
 """Roles in radialization trial k's stream paths (seed, TAG_EXPERIMENT, k,
-role[, j]): its mixture, point j's seed and the norm seed.  None is 0, as a
+role[, j]): its mixture, point j's seed and the norms' stream.  None is 0, as a
 SeedSequence pads entropy shorter than its four-word pool with zeros, so a
 path ending in 0 keys the same stream as the path without it."""
 
@@ -409,8 +412,8 @@ def radialization_check(
     of f at `inner_samples` points on its spheres (`spherical_values`), drawn
     from the generator of the chunk that drew the point.  Trial k draws f
     and both points' radii from the path (k, _FUNCTION) under
-    (seed, TAG_EXPERIMENT), and seeds point j's ball average and the norms
-    from the paths (k, _POINT, j) and (k, _NORM)."""
+    (seed, TAG_EXPERIMENT), seeds point j's ball average from the path
+    (k, _POINT, j) and draws the norms' sphere samples from (k, _NORM)."""
     if spec is None:
         spec = ProductSpec.of_orders(1)
     rows: list[ReportRow] = []
@@ -432,7 +435,7 @@ def radialization_check(
             diff = _ball_diff_average(f, gf, spec, radii, samples, point_seed)
             rows.append(ReportRow.of(f"trial={k} point={j} ball-avg(g_f - f)", diff, 0.0,
                                      Gate(key, 0.0, 0.0, budget=True)))
-        ng, nf = _sphere_profile_norms(f, p, spec, subseed(seed, TAG_EXPERIMENT, k, _NORM))
+        ng, nf = _sphere_profile_norms(f, p, spec, substream(seed, TAG_EXPERIMENT, k, _NORM))
         rows.append(ReportRow.of(f"trial={k} norm contraction ||g_f|| <= ||f||", ng, nf, Gate(key, hi=nf)))
     params = {
         "trials": trials, "p": p, "factors": [d.n for d in spec.factors],

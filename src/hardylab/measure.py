@@ -39,13 +39,15 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# substream tags, one per call site that derives streams
+# substream tags, the first word of a stream path after its seed.  A tag may
+# serve several call sites, which their seeds keep apart: `_pairing`'s chunks
+# share TAG_NESTED with the nested norm, and C6's ball averages take
+# TAG_EXPERIMENT from per-point seeds.
 TAG_MC = 11
 TAG_POWER_NORM = 12
 TAG_NESTED = 14
 TAG_COMPACT = 15
 TAG_EXPERIMENT = 16
-TAG_SPHERE = 17
 TAG_PILOT = 18
 
 

@@ -280,8 +280,9 @@ class TestRadialization:
         assert rep.summary["C6:radialization"] == "PASS"
 
     def test_ball_difference_evaluates_each_point_once(self, monkeypatch):
-        # the bump half keeps the draw's own f and density; only the
-        # uniform half is evaluated, so f sees every sample exactly once
+        # the bump points keep the draw's own f and density; only the
+        # uniform ones are evaluated, so f sees every sample exactly once:
+        # each chunk's two calls cover its 8192 and 7808 points
         f = random_bump_mixture(SPEC1, np.random.default_rng(5), center_radius=0.3)
         rows = []
         original = BumpMixture.values_and_envelope
@@ -293,7 +294,24 @@ class TestRadialization:
         monkeypatch.setattr(BumpMixture, "values_and_envelope", counting)
         est = lab._ball_diff_average(f, lambda pts, rng: np.zeros(pts[0].shape[0]), SPEC1, (1.2,),
                                      16_000, 3)
-        assert rows == [4096, 4096, 3904, 3904] and est.samples == 16_000
+        assert len(rows) == 4 and rows[0] + rows[1] == 8192 and rows[2] + rows[3] == 7808
+        assert est.samples == 16_000
+
+    def test_ball_difference_errors_are_calibrated(self):
+        # g_f = 0 on two fixed mixtures, 400 seeds each: the spread of the
+        # estimates over the rms of their reported errors lies within 0.15
+        # of 1 (about 4 standard errors of a sample sd over 400 normal
+        # draws), a bound fixed before the run; a fixed half-and-half split
+        # per chunk reads 0.66 and 0.76, as its points are not i.i.d.
+        zero = lambda pts, rng: np.zeros(pts[0].shape[0])
+        for mixture_seed in (5, 6):
+            f = random_bump_mixture(SPEC1, np.random.default_rng(mixture_seed), max_bumps=3,
+                                    radius_range=(0.4, 1.0), center_radius=0.5)
+            radii = [0.8 * s for s in f.support_radii()]
+            ests = [lab._ball_diff_average(f, zero, SPEC1, radii, 4096, seed) for seed in range(400)]
+            values = np.asarray([e.value for e in ests])
+            rms = math.sqrt(np.mean([e.std_error**2 for e in ests]))
+            assert 0.85 <= values.std(ddof=1) / rms <= 1.15
 
 
 class TestDuality:
