@@ -600,6 +600,12 @@ def weighted_sharpness(
 # ---------------------------------------------------------------------------
 
 
+_AXIOMS, _VOLUME, _SCALING, _POLAR = 1, 2, 3, 4
+"""Roles in the C9 stream paths (seed, TAG_EXPERIMENT, role[, n]): the
+group-axiom and triangle draws, the unit-ball volume at n, the measure
+scaling and the polar identity's seed.  None is 0, as for C6's roles."""
+
+
 def _box_volume_mc(n: int, samples: int, rng: np.random.Generator, radius: float = 1.0) -> Estimate:
     """Volume of the Koranyi ball of the given radius by plain box rejection:
     uniform points in delta_radius([-1,1]^{2n} x [-1,1]), counting
@@ -646,7 +652,7 @@ def geometry_selftest(
     """Group axioms, gauge homogeneity, triangle inequality, measure scaling,
     Monte Carlo ball volumes against the derived constants, and the polar
     identity; also flags the factor-two alternative volume normalization."""
-    rng = substream(seed, TAG_EXPERIMENT, 0)
+    rng = substream(seed, TAG_EXPERIMENT, _AXIOMS)
     n = 1
     dims = GroupDims(n)
     dim = dims.dim
@@ -687,15 +693,15 @@ def geometry_selftest(
     ]
 
     # Monte Carlo volumes vs the derived constants; alt-normalization ratio
-    for i, nn in enumerate(ns):
-        rows += _volume_rows(nn, samples, substream(seed, TAG_EXPERIMENT, 100 + i), key,
+    for nn in ns:
+        rows += _volume_rows(nn, samples, substream(seed, TAG_EXPERIMENT, _VOLUME, nn), key,
                              f" (box rejection, {samples} samples)", f" n={nn}")
 
     # measure scaling |delta_r E| = r^Q |E| via box rejection at radius r
     r_dil = 1.7
     scaled = ball_volume(dims, r_dil)
     rows.append(ReportRow.of(f"measure scaling |B(0,{r_dil})| = r^Q V_Q",
-                             _box_volume_mc(n, samples, substream(seed, TAG_EXPERIMENT, 200), r_dil),
+                             _box_volume_mc(n, samples, substream(seed, TAG_EXPERIMENT, _SCALING), r_dil),
                              scaled, Gate(key, scaled, scaled)))
 
     # polar identity: 1D radial quadrature vs Monte Carlo for exp(-r^4)
@@ -704,7 +710,7 @@ def geometry_selftest(
     trunc = 2.7  # exp(-2.7^4) ~ 1e-24: truncation far below Monte Carlo noise
     est = mc_integrate(
         lambda pts: np.exp(-koranyi_norm(pts[0]) ** 4), spec1, [trunc],
-        min(samples, 400_000), subseed(seed, TAG_EXPERIMENT, 300),
+        min(samples, 400_000), subseed(seed, TAG_EXPERIMENT, _POLAR),
     )
     rows.append(ReportRow.of("polar identity: quadrature vs mc for exp(-r^4)", est, quad,
                              Gate(key, quad, quad)))
@@ -716,7 +722,7 @@ def geometry_selftest(
 def volume_check(n: int, samples: int = 1_000_000, seed: int = 0) -> ExperimentReport:
     """Box-rejection volume of the unit Koranyi ball against the closed form,
     with the alternative-normalization ratio flagged."""
-    rows = _volume_rows(n, samples, substream(seed, TAG_EXPERIMENT, 0), "C9:volume")
+    rows = _volume_rows(n, samples, substream(seed, TAG_EXPERIMENT, _VOLUME, n), "C9:volume")
     params = {"n": n, "samples": samples,
               "derived_volume": hgroup.unit_ball_volume(n),
               "alt_volume_constant": hgroup.alt_unit_ball_volume(n)}

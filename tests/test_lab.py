@@ -16,6 +16,7 @@ from hardylab.operators import MonomialWeight
 
 SPEC1 = ProductSpec.of_orders(1)
 SPEC2 = ProductSpec.of_orders(1, 1)
+SPEC3 = ProductSpec.of_orders(1, 1, 1)
 
 
 def verdicts_ok(report):
@@ -423,12 +424,18 @@ def test_no_substream_key_is_drawn_twice(monkeypatch):
                                                              inner_samples=16, seed=1),
         "radialization m=2": lambda: lab.radialization_check(2, 2.0, SPEC2, samples=2_000,
                                                              inner_samples=16, seed=1),
+        "radialization m=3": lambda: lab.radialization_check(1, 2.0, SPEC3, samples=2_000,
+                                                             inner_samples=16, seed=1),
         "fuzz m=2": lambda: lab.bound_fuzz(2, 2.0, SPEC2, samples=4_000, seed=1),
+        "fuzz m=3": lambda: lab.bound_fuzz(2, 2.0, SPEC3, samples=4_000, seed=1),
         "duality": lambda: lab.duality_check(MonomialWeight((4.0,)), 2.0, SPEC1, pairs=2,
                                              samples=2_000, seed=1),
+        "duality m=2": lambda: lab.duality_check(MonomialWeight((4.0, 4.0)), 2.0, SPEC2, pairs=2,
+                                                 samples=2_000, seed=1),
         "sharpness mc": lambda: lab.sharpness_sweep(2.0, SPEC1, eps_grid=(0.2, 0.1), method="mc",
                                                     samples=4_000, inner_samples=16, seed=1),
         "geometry": lambda: lab.geometry_selftest(seed=1, samples=20_000, triples=1_000),
+        "volume": lambda: lab.volume_check(2, samples=20_000, seed=1),
     }
     for name, run in runs.items():
         keys.clear()
