@@ -332,19 +332,14 @@ def _sphere_profile_norms(f: BumpMixture, p: float, spec: ProductSpec,
                           rng: np.random.Generator) -> tuple[Estimate, float]:
     """(||g_f||_p, ||f||_p) from 384 common sphere samples per node of a
     24-node radial quadrature grid per factor over f's support, the nodes
-    drawn from rng in walk order; the first carries the error
-    ||f||_p / sqrt(384).  Jensen's inequality holds per node for the
-    *samples*, so the contraction ||g_f||_p <= ||f||_p is exact for these
-    estimates."""
+    drawn from rng in walk order; the first carries the error ||f||_p /
+    sqrt(384).  Jensen's inequality holds per node for the *samples*, so
+    the contraction ||g_f||_p <= ||f||_p is exact for these estimates."""
     nodes, sphere_samples = 24, 384
-    S = f.support_radii()
     t, tw = operators._axis_rule(nodes, ())
-    axes = []
-    for dims, s in zip(spec.factors, S):
-        r = s * t
-        axes.append((r, s * tw * dims.omega * r ** (dims.Q - 1)))
-    acc_g = 0.0
-    acc_f = 0.0
+    axes = [(s * t, s * tw * dims.omega * (s * t) ** (dims.Q - 1))
+            for dims, s in zip(spec.factors, f.support_radii())]
+    acc_g = acc_f = 0.0
     for idx in np.ndindex(*(nodes,) * spec.m):
         vals = spherical_values(f, [r[i:i + 1] for (r, _), i in zip(axes, idx)], rng, sphere_samples)[0]
         wprod = float(math.prod(w[i] for (_, w), i in zip(axes, idx)))
@@ -360,15 +355,12 @@ def _ball_diff_average(
 ) -> Estimate:
     """Ball average of (g_f - f) over the polyball of the given radii, by a
     defensive mixture (Hesterberg, Technometrics 1995): each point is, with
-    probability 1/2 each, uniform on the ball or drawn in proportion to the
-    bump envelope (`operators._support_sampler`), whose density is the
-    envelope over the mixture's mass.  A chunk of k points draws its uniform
-    count as Binomial(k, 1/2), so its points are i.i.d. with the mixture
-    density q and `chunked_mean`'s error is the estimate's own.  `gf(pts,
-    rng)` gives g_f at the points in the ball, from the chunk's generator
-    after the chunk's own draws.  The expectation is exactly zero and both
-    the rare bump mass and the spherical redistribution are sampled with
-    bounded weights."""
+    probability 1/2, uniform on the ball, else drawn with density the bump
+    envelope over its mass (`operators._support_sampler`).  A chunk of k
+    takes Binomial(k, 1/2) uniform points, so its points are i.i.d. with
+    density q and `chunked_mean`'s error is their own.  `gf(pts, rng)` gives
+    g_f at the points in the ball, from the chunk's generator after its own
+    draws.  The expectation is exactly zero and every weight is bounded."""
     draw_b = operators._support_sampler(f, spec)
     mass = float(f.bump_masses().sum())
     vol = polyball_volume(spec, radii)

@@ -39,10 +39,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# substream tags, the first word of a stream path after its seed.  A tag may
-# serve several call sites, which their seeds keep apart: `_pairing`'s chunks
-# share TAG_NESTED with the nested norm, and C6's ball averages take
-# TAG_EXPERIMENT from per-point seeds.
+# substream tags, the first word of a stream path after its seed.  Call sites
+# may share a tag, kept apart by their seeds: `_pairing`'s chunks and the
+# nested norm take TAG_NESTED, C6's ball averages TAG_EXPERIMENT.
 TAG_MC = 11
 TAG_POWER_NORM = 12
 TAG_NESTED = 14
