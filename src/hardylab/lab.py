@@ -345,6 +345,8 @@ def _sphere_profile_norms(f: BumpMixture, p: float, spec: ProductSpec,
         wprod = float(math.prod(w[i] for (_, w), i in zip(axes, idx)))
         acc_g += wprod * abs(float(vals.mean())) ** p
         acc_f += wprod * float(np.mean(np.abs(vals) ** p))
+    if not (0.0 < acc_g < math.inf and 0.0 < acc_f < math.inf):  # C6's f > 0: 0 is an underflow
+        raise ValueError(f"p={p:g} is too large: the p-th power sums of the norms leave the float range")
     nf = acc_f ** (1.0 / p)
     return Estimate(acc_g ** (1.0 / p), nf * (1.0 / math.sqrt(sphere_samples)),
                     nodes**spec.m * sphere_samples), nf

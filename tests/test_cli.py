@@ -195,11 +195,17 @@ class TestExitCodes:
         ["weighted", "--p", "1000"],
         ["fuzz", "--p", "1000", "--trials", "1", "--samples", "1000"],
         ["sharpness", "--p", "1e17"],  # p/(p-1) rounds to 1
+        # C6's p-th power sums underflowed to 0 and the contraction read 0 <= ||f||
+        ["radialize-check", "--trials", "3", "--samples", "1000", "--inner-samples", "4", "--p", "300"],
+        ["radialize-check", "--factors", "1,1", "--trials", "1", "--p", "150"],
+        ["radialize-check", "--p", "1e6", "--trials", "1", "--inner-samples", "1"],
     ])
     def test_large_p_is_refused(self, tmp_path, capsys, argv):
         out = tmp_path / "r.json"
         assert run(argv + ["--output", str(out)]) == 1
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+        assert f"p={float(argv[argv.index('--p') + 1]):g}" in err
         assert not out.exists()
 
     def test_large_p_weighted_quotient_is_refused(self, tmp_path, capsys):
