@@ -6,7 +6,7 @@ oracle, deviation, sigma multiple, verdict) plus a summary keyed by the
 laboratory's numbered acceptance checks (C1..C10, listed in the README).
 Every verdict comes from one rule, a row's `Gate`, and `_report` derives
 each summary value from the rows whose gates name that key.
-Rows derive their randomness from per-row substreams of the experiment seed,
+Each row hands its estimators the stream key (seed, TAG_EXPERIMENT, row path),
 so a report is a pure function of (config, seed).
 """
 
@@ -69,6 +69,12 @@ MIN_BOX_HITS = 25
 """Fewest expected hits, samples * V_n / 2^(2n+1), for which box rejection
 runs; below it the count cannot test a volume.  The box fills ever less of
 the ball as n grows: at n = 30 a million samples expect 6e-31 hits."""
+
+# Roles in the row paths under (seed, TAG_EXPERIMENT), README "Numerical notes".
+# None is 0: a SeedSequence pads entropy shorter than its pool with zeros, so a
+# path ending in 0 would key the same stream as the path without it.
+_FUNCTION, _POINT, _NORM, _QUOTIENT, _CONTROL, _GIVEN = 1, 2, 3, 4, 5, 6  # C5, C6
+_AXIOMS, _VOLUME, _SCALING, _POLAR = 1, 2, 3, 4  # C9
 
 
 @dataclass(frozen=True)
@@ -212,7 +218,7 @@ def sharpness_sweep(
         elif method == "mc":
             est = operators.norm_quotient(
                 f, p, spec, method="mc", samples=samples,
-                seed=subseed(seed, TAG_EXPERIMENT, i), inner_samples=inner_samples, workers=workers,
+                seed=(seed, TAG_EXPERIMENT, i), inner_samples=inner_samples, workers=workers,
             )
             gate = Gate(f"{tag}:mc-agrees-3sigma", q, q)
         else:
@@ -286,14 +292,13 @@ def bound_fuzz(
         method = "closed" if extra_function.family == "power-inside" else "mc"
         q = operators.norm_quotient(
             extra_function, p, spec, method=method, samples=samples,
-            seed=subseed(seed, TAG_EXPERIMENT, 999_000),
+            seed=(seed, TAG_EXPERIMENT, _GIVEN),
         )
         rows.append(ReportRow.of(f"given function ({extra_function.family})", q, sharp, bound(q)))
     for k in range(trials):
-        rng = substream(seed, TAG_EXPERIMENT, k)
-        f = random_bump_mixture(spec, rng)
+        f = random_bump_mixture(spec, substream(seed, TAG_EXPERIMENT, k, _FUNCTION))
         q = operators.norm_quotient(f, p, spec, method="mc", samples=samples,
-                                    seed=subseed(seed, TAG_EXPERIMENT, k))
+                                    seed=(seed, TAG_EXPERIMENT, k, _QUOTIENT))
         worst = max(worst, q.value)
         rows.append(ReportRow.of(f"trial={k} bumps={len(f.bumps)}", q, sharp, bound(q)))
 
@@ -301,7 +306,7 @@ def bound_fuzz(
     centers = tuple(np.zeros(d.dim) for d in spec.factors)
     control = BumpMixture(spec, (Bump(centers, (1.0,) * spec.m, 1.0),))
     qc = operators.norm_quotient(control, p, spec, method="mc", samples=samples,
-                                 seed=subseed(seed, TAG_EXPERIMENT, trials))
+                                 seed=(seed, TAG_EXPERIMENT, _CONTROL))
     below = Gate(key, hi=sharp, k=0.0)
     rows.append(ReportRow.of("control: centered radial bump", qc,
                              closedform.indicator_quotient(p, spec.m), below))
@@ -353,7 +358,7 @@ def _sphere_profile_norms(f: BumpMixture, p: float, spec: ProductSpec,
 
 
 def _ball_diff_average(
-    f: BumpMixture, gf, spec: ProductSpec, radii, samples: int, seed: int
+    f: BumpMixture, gf, spec: ProductSpec, radii, samples: int, seed: int | tuple
 ) -> Estimate:
     """Ball average of (g_f - f) over the polyball of the given radii, by a
     defensive mixture (Hesterberg, Technometrics 1995): each point is, with
@@ -385,13 +390,6 @@ def _ball_diff_average(
     return chunked_mean(draw, samples, seed, TAG_EXPERIMENT, chunk_size=8192)
 
 
-_FUNCTION, _POINT, _NORM = 1, 2, 3
-"""Roles in radialization trial k's stream paths (seed, TAG_EXPERIMENT, k,
-role[, j]): its mixture, point j's seed and the norms' stream.  None is 0, as a
-SeedSequence pads entropy shorter than its four-word pool with zeros, so a
-path ending in 0 keys the same stream as the path without it."""
-
-
 def radialization_check(
     trials: int = 50,
     p: float = 2.0,
@@ -406,8 +404,8 @@ def radialization_check(
     of f at `inner_samples` points on its spheres (`spherical_values`), drawn
     from the generator of the chunk that drew the point.  Trial k draws f
     and both points' radii from the path (k, _FUNCTION) under
-    (seed, TAG_EXPERIMENT), seeds point j's ball average from the path
-    (k, _POINT, j) and draws the norms' sphere samples from (k, _NORM)."""
+    (seed, TAG_EXPERIMENT), point j's ball average from the key
+    (k, _POINT, j) and the norms' sphere samples from (k, _NORM)."""
     if spec is None:
         spec = ProductSpec.of_orders(1)
     rows: list[ReportRow] = []
@@ -425,8 +423,7 @@ def radialization_check(
         sup = f.support_radii()
         for j in range(2):
             radii = [rng.uniform(0.6, 1.1) * s for s in sup]
-            point_seed = subseed(seed, TAG_EXPERIMENT, k, _POINT, j)
-            diff = _ball_diff_average(f, gf, spec, radii, samples, point_seed)
+            diff = _ball_diff_average(f, gf, spec, radii, samples, (seed, TAG_EXPERIMENT, k, _POINT, j))
             rows.append(ReportRow.of(f"trial={k} point={j} ball-avg(g_f - f)", diff, 0.0,
                                      Gate(key, 0.0, 0.0, budget=True)))
         ng, nf = _sphere_profile_norms(f, p, spec, substream(seed, TAG_EXPERIMENT, k, _NORM))
@@ -594,12 +591,6 @@ def weighted_sharpness(
 # ---------------------------------------------------------------------------
 
 
-_AXIOMS, _VOLUME, _SCALING, _POLAR = 1, 2, 3, 4
-"""Roles in the C9 stream paths (seed, TAG_EXPERIMENT, role[, n]): the
-group-axiom and triangle draws, the unit-ball volume at n, the measure
-scaling and the polar identity's seed.  None is 0, as for C6's roles."""
-
-
 def _box_volume_mc(n: int, samples: int, rng: np.random.Generator, radius: float = 1.0) -> Estimate:
     """Volume of the Koranyi ball of the given radius by plain box rejection:
     uniform points in delta_radius([-1,1]^{2n} x [-1,1]), counting
@@ -704,7 +695,7 @@ def geometry_selftest(
     trunc = 2.7  # exp(-2.7^4) ~ 1e-24: truncation far below Monte Carlo noise
     est = mc_integrate(
         lambda pts: np.exp(-koranyi_norm(pts[0]) ** 4), spec1, [trunc],
-        min(samples, 400_000), subseed(seed, TAG_EXPERIMENT, _POLAR),
+        min(samples, 400_000), (seed, TAG_EXPERIMENT, _POLAR),
     )
     rows.append(ReportRow.of("polar identity: quadrature vs mc for exp(-r^4)", est, quad,
                              Gate(key, quad, quad)))

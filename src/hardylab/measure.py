@@ -3,7 +3,7 @@ adaptive 1D Gauss-Legendre panels (with infinite-interval substitution and
 power-law endpoint grading), and L^p norms of test functions.
 
 Monte Carlo determinism: samples are partitioned into fixed-size chunks and
-chunk k consumes a counter-based Philox substream keyed on (seed, tag, k).
+chunk k consumes a counter-based Philox substream keyed on (key, tag, k).
 Chunk results are reduced in index order, so estimates are bit-identical
 for any worker count or scheduling.
 """
@@ -39,8 +39,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# substream tags, the first word of a stream path after its seed.  Call sites
-# may share a tag, kept apart by their seeds: `_pairing`'s chunks and the
+# substream tags, the word an estimator appends to the key it is handed.  Call
+# sites may share a tag, kept apart by their keys: `_pairing`'s chunks and the
 # nested norm take TAG_NESTED, C6's ball averages TAG_EXPERIMENT.
 TAG_MC = 11
 TAG_POWER_NORM = 12
@@ -137,21 +137,24 @@ class Estimate:
         return abs(self.value - target) <= self.tolerance(target, sigmas, atol)
 
 
-def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(seed) & _MASK64] + [int(p) & _MASK64 for p in path])
+def _words(key) -> list[int]:
+    """A stream key's 64-bit words: an int, or a tuple of keys read flattened."""
+    if isinstance(key, tuple):
+        return [w for k in key for w in _words(k)]
+    return [int(key) & _MASK64]
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Counter-based substream for (seed, *path): a Philox generator keyed by
-    the SeedSequence hash of the path.  Independent of call order."""
-    key = _seed_sequence(seed, path).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def substream(key, *path) -> np.random.Generator:
+    """Philox substream for the key (key, *path), from the SeedSequence hash
+    of its flattened words: `substream((s, a), b)` draws like `substream(s, a, b)`."""
+    state = np.random.SeedSequence(_words((key, *path))).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=state))
 
 
 def subseed(seed: int, *path: int) -> int:
-    """Deterministic 63-bit seed for (seed, *path), from the same hash as
-    `substream`; experiments give each report row its own."""
-    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0] >> 1)
+    """Deterministic 63-bit int for the key (seed, *path), from the same hash
+    as `substream`; C8 hands its pairings these in place of keys."""
+    return int(np.random.SeedSequence(_words((seed, *path))).generate_state(1, np.uint64)[0] >> 1)
 
 
 def _chunk_sizes(samples: int, chunk_size: int) -> list[int]:
@@ -224,19 +227,20 @@ def grid_workspace():
 def chunked_mean(
     draw,
     samples: int,
-    seed: int,
+    seed: int | tuple,
     tag: int,
     workers: int = 1,
     chunk_size: int = 65536,
 ) -> Estimate:
     """Mean of `draw(rng, size) -> values` over `samples` draws, with its
-    standard error, accumulated chunk by chunk in fixed order.  The error is
-    the statistical one, sqrt(sum (v - mean)^2) / samples, which is
-    0 up to rounding for a constant integrand.  The deviations are squared
-    at a power-of-two scale, so the error neither underflows nor overflows
-    where the values lie far from 1; the scaling is exact, which leaves the
-    error's bits unchanged wherever the unscaled squares stay normal.  The
-    chunks run on up to `workers` threads and come back in index order."""
+    standard error, accumulated chunk by chunk in fixed order, chunk k drawn
+    from the key (seed, tag, k).  The error is the statistical one,
+    sqrt(sum (v - mean)^2) / samples, which is 0 up to rounding for a
+    constant integrand.  The deviations are squared at a power-of-two scale,
+    so the error neither underflows nor overflows where the values lie far
+    from 1; the scaling is exact, which leaves the error's bits unchanged
+    wherever the unscaled squares stay normal.  The chunks run on up to
+    `workers` threads and come back in index order."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     sizes = _chunk_sizes(samples, chunk_size)
@@ -290,7 +294,7 @@ def mc_integrate(
     spec: ProductSpec,
     radii,
     samples: int,
-    seed: int,
+    seed: int | tuple,
 ) -> Estimate:
     """Monte Carlo integral of f over B(0, r_1) x ... x B(0, r_m).
 
@@ -466,7 +470,7 @@ def radial_integral(
 # ---------------------------------------------------------------------------
 
 
-def _power_norm_mc(f, spec: ProductSpec, p: float, samples: int, seed: int) -> Estimate:
+def _power_norm_mc(f, spec: ProductSpec, p: float, samples: int, seed: int | tuple) -> Estimate:
     """Importance-sampled Monte Carlo for ||f||_p^p of a pure power family.
 
     Uniform product-ball sampling of |f|^p has infinite variance whenever the
@@ -502,7 +506,7 @@ def lp_norm(
     p: float,
     method: str = "mc",
     samples: int = 100_000,
-    seed: int = 0,
+    seed: int | tuple = 0,
     tol: float = 1e-10,
 ) -> Estimate:
     """||f||_{L^p} of a test function by the requested method.

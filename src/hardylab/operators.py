@@ -181,13 +181,13 @@ def hardy_eval(
     f: TestFunction,
     radii,
     samples: int = 20_000,
-    seed: int = 0,
+    seed: int | tuple = 0,
 ) -> Estimate:
     """The product ball-average operator, by Monte Carlo, at any x with
     |x_i|_h = radii[i]: the average of f over B(0,r_1) x ... x B(0,r_m).
 
-    The evaluation is seeded explicitly: pass fresh seeds per point for
-    independent field evaluations, or reuse one seed across points for a
+    The evaluation draws from the stream key seed: pass fresh keys per point
+    for independent field evaluations, or reuse one key across points for a
     smooth (common-random-numbers) quotient surface."""
     est = mc_integrate(f, f.spec, radii, samples, seed)
     return est.scaled(1.0 / polyball_volume(f.spec, radii))
@@ -229,7 +229,7 @@ def _require_bounded(phi: Weight, p: float, spec: ProductSpec, kind: str) -> Non
 
 
 def _nested_power_norm(
-    f, p: float, spec: ProductSpec, samples: int, seed: int,
+    f, p: float, spec: ProductSpec, samples: int, seed: int | tuple,
     inner_samples: int = 512, workers: int = 1,
 ) -> Estimate:
     """||T f||_p^p for the inside power family under the ball-average operator,
@@ -242,8 +242,8 @@ def _nested_power_norm(
     A(R) is estimated by inner Monte Carlo ball averages.  The p-th power
     uses p independent inner replicates, which makes the estimator unbiased;
     p must therefore be an integer (a single inner mean raised to a
-    fractional power is biased upward, by Jensen's inequality).
-    """
+    fractional power is biased upward, by Jensen's inequality).  Factor i
+    draws from the key (seed, i + 1)."""
     if f.family != "power-inside":
         raise UnsupportedFamilyError("nested estimator targets the inside power family")
     if not float(p).is_integer():
@@ -288,12 +288,12 @@ def _nested_power_norm(
                 out[~pick] = (2.0 * dims.omega / g_out) * R ** (Q + g_out) * prod_means
             return out
 
-        total = total.product(chunked_mean(draw, samples, seed + fi, TAG_NESTED, workers=workers, chunk_size=4096))
+        total = total.product(chunked_mean(draw, samples, (seed, fi + 1), TAG_NESTED, workers=workers, chunk_size=4096))
     return total
 
 
 def _hardy_norm_compact(
-    f, p: float, spec: ProductSpec, samples: int, seed: int,
+    f, p: float, spec: ProductSpec, samples: int, seed: int | tuple,
 ) -> Estimate:
     """||T f||_p / ||f||_p for a compactly supported f under the ball-average
     operator, with both norms taken from one shared sample set.
@@ -507,13 +507,15 @@ def norm_quotient(
     phi: Weight | None = None,
     method: str = "mc",
     samples: int = 100_000,
-    seed: int = 0,
+    seed: int | tuple = 0,
     inner_samples: int = 512,
     workers: int = 1,
     tol: float = 1e-10,
 ) -> Estimate:
     """||T f||_p / ||f||_p for one of the three operators, with errors
-    propagated from both estimates."""
+    propagated from both estimates.  The Monte Carlo routes draw from the
+    stream key seed, each extending it with its own tag; the nested route's
+    denominator reads seed itself."""
     if not 1.0 < p < math.inf:
         raise ValueError("p must lie in (1, inf)")
     if operator == "hardy":
@@ -526,7 +528,7 @@ def norm_quotient(
                 nump = _nested_power_norm(
                     f, p, spec, samples, seed, inner_samples=inner_samples, workers=workers
                 )
-                den = lp_norm(f, spec, p, method="mc", samples=samples, seed=seed + 101)
+                den = lp_norm(f, spec, p, method="mc", samples=samples, seed=seed)
                 return nump.powered(1.0 / p).ratio(den)
             return _hardy_norm_compact(f, p, spec, samples, seed)
         if method != "radial":
@@ -596,7 +598,7 @@ def _dilation_rule(m: int, order: int, knots=None):
     return np.column_stack([g.ravel() for g in grid]), functools.reduce(np.multiply.outer, weights).ravel()
 
 
-def _choose_rule(sampler, rule_values, m: int, knots, samples: int, seed: int, ws):
+def _choose_rule(sampler, rule_values, m: int, knots, samples: int, seed: int | tuple, ws):
     """The dilation rule of a pairing, sized from a pilot error estimate.
 
     `rule_values(S, W)` returns the pairing's per-point values
@@ -646,7 +648,7 @@ def _choose_rule(sampler, rule_values, m: int, knots, samples: int, seed: int, w
     return _dilation_rule(m, top)
 
 
-def _pairing(sampler, rule_values, m: int, knots, samples: int, seed: int) -> Estimate:
+def _pairing(sampler, rule_values, m: int, knots, samples: int, seed: int | tuple) -> Estimate:
     """chunked_mean of a pairing's per-point values under the rule that
     `_choose_rule` sized for it.  The pilot's workspace is held until the
     chunks are done, so that it goes back to the idle stack last and the
@@ -814,7 +816,7 @@ def pairing_weighted_hardy(
     phi: Weight,
     spec: ProductSpec,
     samples: int = 20_000,
-    seed: int = 0,
+    seed: int | tuple = 0,
 ) -> Estimate:
     """<f, P_phi g>: Monte Carlo over the support of f, with the dilation
     integral at each sample point done by tensor Gauss-Legendre on [0,1]^m,
@@ -844,7 +846,7 @@ def pairing_weighted_cesaro(
     spec: ProductSpec,
     p: float,
     samples: int = 20_000,
-    seed: int = 0,
+    seed: int | tuple = 0,
 ) -> Estimate:
     """<g, P*_phi f>: Monte Carlo over the support of g; at each sample the
     t-integral is taken on the per-point support window [ |x_i|/S_i, 1 ] with

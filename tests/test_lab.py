@@ -8,10 +8,10 @@ import pytest
 
 from hardylab import closedform as cf
 from hardylab import lab
-from hardylab.funcs import BumpMixture, random_bump_mixture
+from hardylab.funcs import Bump, BumpMixture, random_bump_mixture
 from hardylab.hgroup import ProductSpec
 from hardylab import measure
-from hardylab.measure import Estimate
+from hardylab.measure import TAG_EXPERIMENT, Estimate
 from hardylab.operators import MonomialWeight
 
 SPEC1 = ProductSpec.of_orders(1)
@@ -402,23 +402,28 @@ class TestGeometry:
 def test_no_substream_key_is_drawn_twice(monkeypatch):
     """Rows gated as independent must draw from disjoint Philox streams: no
     experiment may key two substreams alike, nor derive two row seeds from
-    one `subseed` path.  Distinct paths must also hash apart: a SeedSequence
-    pads entropy shorter than its pool with zeros, so (s, t) and (s, t, 0)
-    would key one stream."""
-    mask = (1 << 64) - 1
-    keys = []
+    one `subseed` path.  Every key, logged as its flattened words, must
+    descend from the run's (seed, TAG_EXPERIMENT): directly, as the row keys
+    that the experiments hand their estimators, or through the `subseed`
+    path of its first word (C8's pairings).  Distinct keys must also hash
+    apart: a SeedSequence pads entropy shorter than its pool with zeros, so
+    (s, t) and (s, t, 0) would key one stream."""
+    keys, seeded = [], []
+    stream, seed_of = measure.substream, measure.subseed
 
-    def recording(kind, original):
-        def derive(seed, *path):
-            keys.append((kind, seed & mask, *(p & mask for p in path)))
-            return original(seed, *path)
-        return derive
+    def recording(key, *path):
+        keys.append(tuple(measure._words((key, *path))))
+        return stream(key, *path)
 
-    for kind in ("substream", "subseed"):
-        original = getattr(measure, kind)
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("hardylab") and getattr(mod, kind, None) is original:
-                monkeypatch.setattr(mod, kind, recording(kind, original))
+    def deriving(key, *path):
+        seeded.append((seed_of(key, *path), tuple(measure._words((key, *path)))))
+        return seeded[-1][0]
+
+    for name, mod in list(sys.modules.items()):
+        for attr, original, wrapper in (("substream", stream, recording), ("subseed", seed_of, deriving)):
+            if name.startswith("hardylab") and getattr(mod, attr, None) is original:
+                monkeypatch.setattr(mod, attr, wrapper)
+    bump = Bump((np.array([0.1, -0.2, 0.05]), np.zeros(3)), (0.7, 0.9), 1.0)
     runs = {
         "radialization m=1": lambda: lab.radialization_check(3, 2.0, SPEC1, samples=2_000,
                                                              inner_samples=16, seed=1),
@@ -428,23 +433,32 @@ def test_no_substream_key_is_drawn_twice(monkeypatch):
                                                              inner_samples=16, seed=1),
         "fuzz m=2": lambda: lab.bound_fuzz(2, 2.0, SPEC2, samples=4_000, seed=1),
         "fuzz m=3": lambda: lab.bound_fuzz(2, 2.0, SPEC3, samples=4_000, seed=1),
+        "fuzz bumps m=2": lambda: lab.bound_fuzz(1, 2.0, SPEC2, samples=4_000, seed=1,
+                                                 extra_function=BumpMixture(SPEC2, (bump,))),
         "duality": lambda: lab.duality_check(MonomialWeight((4.0,)), 2.0, SPEC1, pairs=2,
                                              samples=2_000, seed=1),
         "duality m=2": lambda: lab.duality_check(MonomialWeight((4.0, 4.0)), 2.0, SPEC2, pairs=2,
                                                  samples=2_000, seed=1),
         "sharpness mc": lambda: lab.sharpness_sweep(2.0, SPEC1, eps_grid=(0.2, 0.1), method="mc",
                                                     samples=4_000, inner_samples=16, seed=1),
+        "sharpness mc m=2": lambda: lab.sharpness_sweep(2.0, SPEC2, eps_grid=(0.2, 0.1), method="mc",
+                                                        samples=4_000, inner_samples=16, seed=1),
         "geometry": lambda: lab.geometry_selftest(seed=1, samples=20_000, triples=1_000),
         "volume": lambda: lab.volume_check(2, samples=20_000, seed=1),
     }
     for name, run in runs.items():
         keys.clear()
+        seeded.clear()
         run()
-        repeated = [k for k, c in Counter(keys).items() if c > 1]
+        paths = [path for _, path in seeded]
+        repeated = [k for k, c in Counter(keys + paths).items() if c > 1]
         assert keys and not repeated, (f"{name}: {len(repeated)} of {len(keys)} keys drawn twice, "
                                        f"{repeated[:3]}")
-        states = {(k[0], *measure._seed_sequence(k[1], k[2:]).generate_state(2)) for k in keys}
-        assert len(states) == len(keys), f"{name}: two paths hash alike"
+        lineage = dict(seeded)
+        stray = [k for k in keys + paths if (lineage.get(k[0], k[:1]) + k[1:])[:2] != (1, TAG_EXPERIMENT)]
+        assert not stray, f"{name}: {len(stray)} keys outside (1, TAG_EXPERIMENT), {stray[:3]}"
+        states = {tuple(np.random.SeedSequence(list(k)).generate_state(2)) for k in keys}
+        assert len(states) == len(keys), f"{name}: two keys hash alike"
 
 
 TABLE_WEIGHT = {"factors": [{"t": [0, 0.25, 0.5, 1], "values": [0, 0, 0.2, 1]}]}

@@ -219,6 +219,16 @@ class TestEstimate:
             ss = np.random.SeedSequence([seed & ((1 << 64) - 1), TAG_EXPERIMENT, idx])
             assert subseed(seed, TAG_EXPERIMENT, idx) == int(ss.generate_state(1, np.uint64)[0] >> 1)
 
+    @pytest.mark.parametrize("seed", [0, 5, -3, 2**63, 2**64 + 7])
+    def test_a_key_reads_flattened(self, seed):
+        # a row's key extended by an estimator draws like the whole path
+        want = substream(seed, TAG_EXPERIMENT, 3, 2, 11, 0).random(4)
+        for key, path in ((((seed, TAG_EXPERIMENT), 3), (2, 11, 0)),
+                          ((seed, (TAG_EXPERIMENT, (3, 2))), (11, 0)),
+                          (((seed, TAG_EXPERIMENT, 3, 2, 11, 0),), ())):
+            assert np.array_equal(substream(key, *path).random(4), want)
+        assert not np.array_equal(substream((seed, TAG_EXPERIMENT), 3, 2, 11, 1).random(4), want)
+
 
 def near_constant(rng, k):
     return 1.0 + 1e-9 * rng.standard_normal(k)
