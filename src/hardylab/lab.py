@@ -6,7 +6,7 @@ oracle, deviation, sigma multiple, verdict) plus a summary keyed by the
 laboratory's numbered acceptance checks (C1..C10, listed in the README).
 Every verdict comes from one rule, a row's `Gate`, and `_report` derives
 each summary value from the rows whose gates name that key.
-Each row hands its estimators the stream key (seed, TAG_EXPERIMENT, row path),
+Each row derives its streams from the path (seed, TAG_EXPERIMENT, row path),
 so a report is a pure function of (config, seed).
 """
 
