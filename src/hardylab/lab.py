@@ -335,26 +335,25 @@ def bound_fuzz(
 
 def _sphere_profile_norms(f: BumpMixture, p: float, spec: ProductSpec,
                           rng: np.random.Generator) -> tuple[Estimate, float]:
-    """(||g_f||_p, ||f||_p) from 384 common sphere samples per node of a
-    24-node radial quadrature grid per factor over f's support, the nodes
-    drawn from rng in walk order; the first carries the error ||f||_p /
-    sqrt(384).  Jensen's inequality holds per node for the *samples*, so
-    the contraction ||g_f||_p <= ||f||_p is exact for these estimates."""
+    """(||g_f||_p, ||f||_p) from 384 common sphere samples per node of the
+    24-node tensor rule `operators._dilation_rule` over f's support, blocks
+    of at most 24^2 nodes drawn from rng in node order; the first carries
+    the error ||f||_p / sqrt(384).  Jensen's inequality holds per node for
+    the *samples*, so the contraction ||g_f||_p <= ||f||_p is exact."""
     nodes, sphere_samples = 24, 384
-    t, tw = operators._axis_rule(nodes, ())
-    axes = [(s * t, s * tw * dims.omega * (s * t) ** (dims.Q - 1))
-            for dims, s in zip(spec.factors, f.support_radii())]
+    t, tw = operators._dilation_rule(spec.m, nodes)
+    radii = t * np.asarray(f.support_radii())
+    w = tw * math.prod(s * dims.omega * r ** (dims.Q - 1)
+                       for dims, s, r in zip(spec.factors, f.support_radii(), radii.T))
     acc_g = acc_f = 0.0
-    for idx in np.ndindex(*(nodes,) * spec.m):
-        vals = spherical_values(f, [r[i:i + 1] for (r, _), i in zip(axes, idx)], rng, sphere_samples)[0]
-        wprod = float(math.prod(w[i] for (_, w), i in zip(axes, idx)))
-        acc_g += wprod * abs(float(vals.mean())) ** p
-        acc_f += wprod * float(np.mean(np.abs(vals) ** p))
+    for b in range(0, len(w), nodes**2):
+        vals = spherical_values(f, list(radii[b:b + nodes**2].T), rng, sphere_samples)
+        acc_g += float((w[b:b + nodes**2] * np.abs(vals.mean(axis=1)) ** p).sum())
+        acc_f += float((w[b:b + nodes**2] * np.mean(np.abs(vals) ** p, axis=1)).sum())
     if not (0.0 < acc_g < math.inf and 0.0 < acc_f < math.inf):  # C6's f > 0: 0 is an underflow
         raise ValueError(f"p={p:g} is too large: the p-th power sums of the norms leave the float range")
     nf = acc_f ** (1.0 / p)
-    return Estimate(acc_g ** (1.0 / p), nf * (1.0 / math.sqrt(sphere_samples)),
-                    nodes**spec.m * sphere_samples), nf
+    return Estimate(acc_g ** (1.0 / p), nf * (1.0 / math.sqrt(sphere_samples)), len(w) * sphere_samples), nf
 
 
 def _ball_diff_average(

@@ -8,7 +8,7 @@ import pytest
 
 from hardylab import closedform as cf
 from hardylab import lab
-from hardylab.funcs import Bump, BumpMixture, random_bump_mixture
+from hardylab.funcs import Bump, BumpMixture, RadialProduct, _bump_profile, random_bump_mixture
 from hardylab.hgroup import ProductSpec
 from hardylab import measure
 from hardylab.measure import TAG_EXPERIMENT, Estimate
@@ -313,6 +313,23 @@ class TestRadialization:
             values = np.asarray([e.value for e in ests])
             rms = math.sqrt(np.mean([e.std_error**2 for e in ests]))
             assert 0.85 <= values.std(ddof=1) / rms <= 1.15
+
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("radius", [0.5, 1.0])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_norms_of_a_centred_bump_are_its_radial_norm(self, m, radius, p):
+        # a centred bump is radial, so g_f = f: both norms are 0.7 times the
+        # radial quadrature norm of its profile, within 1e-6 relative, a
+        # bound fixed before the run (the 24-node rule reads at most 7e-8);
+        # scaling the node weights, the sphere values or the node radii fails
+        spec = ProductSpec.of_orders(*(1,) * m)
+        f = BumpMixture(spec, (Bump((np.zeros(3),) * m, (radius,) * m, 0.7),))
+        profile = RadialProduct(spec, (lambda r: _bump_profile((r / radius) ** 2),) * m, ((0.0, radius),) * m)
+        ng, nf = lab._sphere_profile_norms(f, p, spec, np.random.default_rng(0))
+        assert ng.value == pytest.approx(nf, rel=1e-12, abs=0.0)
+        assert nf == pytest.approx(0.7 * measure.lp_norm(profile, spec, p, method="radial").value,
+                                   rel=1e-6, abs=0.0)
 
 
 class TestDuality:
