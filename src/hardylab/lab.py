@@ -30,6 +30,7 @@ from .hgroup import GroupDims, ProductSpec, ball_volume, dilate_arrays, koranyi_
 from .measure import (
     Estimate,
     TAG_EXPERIMENT,
+    TAG_MC,
     chunked_mean,
     integrate_1d,
     mc_integrate,
@@ -590,34 +591,30 @@ def weighted_sharpness(
 # ---------------------------------------------------------------------------
 
 
-def _box_volume_mc(n: int, samples: int, rng: np.random.Generator, radius: float = 1.0) -> Estimate:
+def _box_volume_mc(n: int, samples: int, key: int | tuple, radius: float = 1.0) -> Estimate:
     """Volume of the Koranyi ball of the given radius by plain box rejection:
-    uniform points in delta_radius([-1,1]^{2n} x [-1,1]), counting
-    |x|_h < radius.  Independent of the samplers."""
+    `chunked_mean` of the hit indicator |x|_h < radius over uniform points
+    in delta_radius([-1,1]^{2n} x [-1,1]), chunk k drawn from (key, TAG_MC,
+    k), times the box volume.  Independent of the samplers."""
     dim = 2 * n + 1
     expected = samples * hgroup.unit_ball_volume(n) / 2.0**dim
     if expected < MIN_BOX_HITS:
         raise ValueError(f"box rejection at n={n} expects {expected:.3g} hits from {samples} "
                          f"samples; it needs at least {MIN_BOX_HITS}")
-    box = 2.0**dim * radius ** (2 * n) * radius**2
-    hits = 0
-    done = 0
-    chunk = 200_000
-    while done < samples:
-        k = min(chunk, samples - done)
-        pts = dilate_arrays(radius, rng.uniform(-1.0, 1.0, size=(k, dim)), n)
-        hits += int(np.count_nonzero(koranyi_norm(pts) < radius))
-        done += k
-    frac = hits / samples
-    return Estimate(frac * box, box * math.sqrt(max(frac * (1.0 - frac), 0.0) / samples), samples)
+
+    def draw(rng: np.random.Generator, k: int) -> np.ndarray:
+        pts = rng.uniform(-1.0, 1.0, size=(k, dim))
+        return koranyi_norm(dilate_arrays(radius, pts, n, out=pts)) < radius
+
+    return chunked_mean(draw, samples, key, TAG_MC).scaled(2.0**dim * radius ** (2 * n) * radius**2)
 
 
 def _volume_rows(
-    n: int, samples: int, rng: np.random.Generator, key: str, method: str = "", of_n: str = ""
+    n: int, samples: int, seed: tuple, key: str, method: str = "", of_n: str = ""
 ) -> list[ReportRow]:
     """The box-rejection unit-ball volume against the closed form, and its
     ratio to the alternative normalization (INFO)."""
-    vol = _box_volume_mc(n, samples, rng)
+    vol = _box_volume_mc(n, samples, seed)
     exact = hgroup.unit_ball_volume(n)
     alt = hgroup.alt_unit_ball_volume(n)
     return [
@@ -678,14 +675,14 @@ def geometry_selftest(
 
     # Monte Carlo volumes vs the derived constants; alt-normalization ratio
     for nn in ns:
-        rows += _volume_rows(nn, samples, substream(seed, TAG_EXPERIMENT, _VOLUME, nn), key,
+        rows += _volume_rows(nn, samples, (seed, TAG_EXPERIMENT, _VOLUME, nn), key,
                              f" (box rejection, {samples} samples)", f" n={nn}")
 
     # measure scaling |delta_r E| = r^Q |E| via box rejection at radius r
     r_dil = 1.7
     scaled = ball_volume(dims, r_dil)
     rows.append(ReportRow.of(f"measure scaling |B(0,{r_dil})| = r^Q V_Q",
-                             _box_volume_mc(n, samples, substream(seed, TAG_EXPERIMENT, _SCALING), r_dil),
+                             _box_volume_mc(n, samples, (seed, TAG_EXPERIMENT, _SCALING), r_dil),
                              scaled, Gate(key, scaled, scaled)))
 
     # polar identity: 1D radial quadrature vs Monte Carlo for exp(-r^4)
@@ -706,7 +703,7 @@ def geometry_selftest(
 def volume_check(n: int, samples: int = 1_000_000, seed: int = 0) -> ExperimentReport:
     """Box-rejection volume of the unit Koranyi ball against the closed form,
     with the alternative-normalization ratio flagged."""
-    rows = _volume_rows(n, samples, substream(seed, TAG_EXPERIMENT, _VOLUME, n), "C9:volume")
+    rows = _volume_rows(n, samples, (seed, TAG_EXPERIMENT, _VOLUME, n), "C9:volume")
     params = {"n": n, "samples": samples,
               "derived_volume": hgroup.unit_ball_volume(n),
               "alt_volume_constant": hgroup.alt_unit_ball_volume(n)}

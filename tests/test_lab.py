@@ -410,6 +410,24 @@ class TestGeometry:
         assert rep.summary["C9:volume"] == "PASS"
         assert rep.rows[0].estimate == pytest.approx(math.pi**2 / 2, rel=5e-3)
 
+    @pytest.mark.parametrize("n, radius", [(1, 1.0), (2, 1.0), (3, 1.0), (1, 1.7)])
+    def test_box_volume_error_is_the_binomial_one(self, n, radius):
+        # the hit fraction f = value / box over four chunks: the error is
+        # box * sqrt(f (1 - f) / samples)
+        est = lab._box_volume_mc(n, 200_000, (3, TAG_EXPERIMENT, 2, n), radius)
+        box = 2.0 ** (2 * n + 1) * radius ** (2 * n + 2)
+        frac = est.value / box
+        assert est.std_error == pytest.approx(box * math.sqrt(frac * (1.0 - frac) / 200_000),
+                                              rel=1e-12, abs=0.0)
+
+    def test_volume_z_scores_are_calibrated(self):
+        # 300 z-scores (n = 1, 2, 3, seeds 0-99, 10,000 samples) have sd in
+        # [0.85, 1.15], a bound fixed before the run whose false-alarm rate
+        # for normal z-scores is about 2e-4
+        z = [r.deviation / r.std_error for n in (1, 2, 3) for seed in range(100)
+             for r in lab.volume_check(n, samples=10_000, seed=seed).rows[:1]]
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15
+
     def test_volume_reproducible(self):
         a = lab.volume_check(2, samples=100_000, seed=1)
         b = lab.volume_check(2, samples=100_000, seed=1)
