@@ -314,7 +314,6 @@ class TestRadialization:
             rms = math.sqrt(np.mean([e.std_error**2 for e in ests]))
             assert 0.85 <= values.std(ddof=1) / rms <= 1.15
 
-
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("radius", [0.5, 1.0])
     @pytest.mark.parametrize("m", [1, 2])
